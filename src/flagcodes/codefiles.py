@@ -165,7 +165,7 @@ def parse_code_file(text: str) -> CodeFileData:
     _, m = _expect(cur, r"ambient n=(\d+)", "an ambient line")
     n = int(m.group(1))
 
-    no, m = _expect(cur, r"type ([\d,]+)", "a type line")
+    no, m = _expect(cur, r"type (\d+(?:,\d+)*)", "a type line")
     dims = tuple(int(t) for t in m.group(1).split(","))
     if kind == "subspace" and len(dims) != 1:
         raise CodeFileError(no, "subspace codes take a single type dimension")

@@ -22,6 +22,7 @@ after construction apart from idempotent lazy caches (arithmetic tables,
 log/antilog), which makes them safe to share across threads.
 """
 
+from functools import partial
 from math import gcd
 
 from .errors import FieldConstructionError, MixedFieldsError
@@ -188,6 +189,18 @@ class FieldElement:
         return f"{self.field.order}#{self.code}"
 
 
+class _CodeTable:
+    """Read-only table whose entry t[a] is fn(a), computed on access."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
 class FiniteField:
     """GF(p^e), possibly an extension tower over another FiniteField.
 
@@ -210,6 +223,7 @@ class FiniteField:
         self._log = None
         self._exp = None
         self._companion_powers = None
+        self._tables = None
 
     # -- construction of elements ------------------------------------------
 
@@ -304,22 +318,30 @@ class FiniteField:
     # -- lazy tables ---------------------------------------------------------
 
     def tables(self):
-        """(add, mul, neg, inv) lookup tables, or None above the size cap.
+        """(add, mul, neg, inv), indexed as add[a][b], mul[a][b], neg[a], inv[a].
 
-        Built once on demand; rebuilding is idempotent, so the benign race
-        under free threading costs only duplicated work.
+        Up to the size cap these are lookup lists; above it they are views
+        that compute each entry with the code methods, so the row kernels
+        have one body for every field.  Built once on demand; rebuilding is
+        idempotent, so the benign race under free threading costs only
+        duplicated work.
         """
-        if self.order > _TABLE_LIMIT:
-            return None
-        if self._mul is None:
-            q = self.order
-            add = [[self.add_codes(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self.mul_codes(a, b) for b in range(q)] for a in range(q)]
-            neg = [self.neg_code(a) for a in range(q)]
-            inv = [0] + [self.inv_code(a) for a in range(1, q)]
-            self._add, self._neg, self._inv = add, neg, inv
-            self._mul = mul  # set last: other methods key off _mul/_add checks
-        return self._add, self._mul, self._neg, self._inv
+        if self._tables is None:
+            if self.order > _TABLE_LIMIT:
+                self._tables = (
+                    _CodeTable(lambda a: _CodeTable(partial(self.add_codes, a))),
+                    _CodeTable(lambda a: _CodeTable(partial(self.mul_codes, a))),
+                    _CodeTable(self.neg_code), _CodeTable(self.inv_code))
+            else:
+                q = self.order
+                add = [[self.add_codes(a, b) for b in range(q)] for a in range(q)]
+                mul = [[self.mul_codes(a, b) for b in range(q)] for a in range(q)]
+                neg = [self.neg_code(a) for a in range(q)]
+                inv = [0] + [self.inv_code(a) for a in range(1, q)]
+                self._add, self._neg, self._inv = add, neg, inv
+                self._mul = mul  # set after the others: mul_codes keys off _mul
+                self._tables = (add, mul, neg, inv)
+        return self._tables
 
     def log(self, a) -> int:
         """Discrete log base the primitive element; a may be code or element."""
@@ -347,7 +369,8 @@ class FiniteField:
             exp.append(c)
             log[c] = i
             c = self.mul_codes(c, g)
-        assert c == 1, "primitive element order check failed"
+        if c != 1:
+            raise AssertionError("primitive element order check failed")
         self._log = log
         self._exp = exp
 

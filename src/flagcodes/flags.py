@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
-                     MixedFieldsError, NotNestedError, TypeMismatchError,
-                     AdditivityViolatedError)
-from .matrices import Matrix
-from .subspaces import (Subspace, SubspaceCode, max_distance_bound,
-                        subspace_distance)
+                     MixedFieldsError, NotNestedError, SingularMatrixError,
+                     TypeMismatchError, AdditivityViolatedError)
+from .matrices import Matrix, mul_code_rows, rref_prefix_code_rows
+from .subspaces import (Subspace, SubspaceCode, check_acting_matrix,
+                        max_distance_bound, subspace_distance)
 
 
 class Flag:
@@ -62,9 +62,40 @@ class Flag:
         return self
 
     def apply(self, A: Matrix) -> "Flag":
-        """Right action by an invertible matrix, level by level."""
-        subs = tuple(s.apply(A) for s in self.subspaces)
-        return Flag._trusted(self.field, self.n, subs, self.dims)
+        """Right action by an invertible matrix.
+
+        One product of an adapted basis of the top level, whose first t_i
+        rows span level i, then one elimination pass that snapshots the
+        canonical basis of every level.  Raises SingularMatrixError when a
+        level loses dimension.
+        """
+        F, n = self.field, self.n
+        check_acting_matrix(F, n, A)
+        levels = rref_prefix_code_rows(
+            F, mul_code_rows(F, self._adapted_rows(), A.rows, n), self.dims)
+        if any(len(rows) != t for rows, t in zip(levels, self.dims)):
+            raise SingularMatrixError(
+                f"flag of type {self.dims} maps onto dims "
+                f"{tuple(len(rows) for rows in levels)}")
+        subs = tuple(Subspace._from_rref(F, n, rows) for rows in levels)
+        return Flag._trusted(F, n, subs, self.dims)
+
+    def _adapted_rows(self) -> list:
+        """Basis rows of the top level whose first t_i rows span level i.
+
+        Nested subspaces have nested pivot sets, so the RREF rows of each
+        level whose pivots are new at that level extend the rows below.
+        The pivot of an RREF row is the index of its leading 1.
+        """
+        rows = []
+        pivots = set()
+        for s in self.subspaces:
+            for row in s.basis.rows:
+                lead = row.index(1)
+                if lead not in pivots:
+                    pivots.add(lead)
+                    rows.append(row)
+        return rows
 
     def __eq__(self, other):
         if not isinstance(other, Flag):

@@ -2,8 +2,13 @@
 
 Rows are tuples of integer element codes; instances are immutable and
 hashable.  The hot paths (multiplication, row reduction) run on the field's
-lookup tables when the field is small enough to have them, which covers
-every field this library touches in practice.
+tables: lookup lists for every field up to order 1024, which covers every
+field this library touches in practice, and computed views above that.
+
+Validation happens where entries enter from outside: the public
+`Matrix(...)` constructor checks every entry and the shape.  Results
+computed from matrices that were already checked are wrapped with
+`Matrix._trusted`, without the per-entry check.
 """
 
 from .errors import (DegreeMismatchError, MixedFieldsError, ShapeError,
@@ -51,11 +56,22 @@ class Matrix:
         self.ncols = ncols
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, field: FiniteField, rows: tuple, ncols: int) -> "Matrix":
+        """Wrap kernel output: rows is a tuple of ncols-long tuples of codes."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._hash = None
+        return self
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(field, _identity_rows(n))
 
     @classmethod
     def zero(cls, field: FiniteField, nrows: int, ncols: int) -> "Matrix":
@@ -86,13 +102,17 @@ class Matrix:
         """Column slice [j0:j1] as a new matrix."""
         if not 0 <= j0 <= j1 <= self.ncols:
             raise ShapeError(f"column slice [{j0}:{j1}] out of range")
-        return Matrix(self.field, [r[j0:j1] for r in self.rows], j1 - j0)
+        if j0 == j1:
+            raise ShapeError("column count must be positive")
+        return Matrix._trusted(self.field, tuple(r[j0:j1] for r in self.rows), j1 - j0)
 
     def take_rows(self, i0: int, i1: int) -> "Matrix":
-        return Matrix(self.field, self.rows[i0:i1], self.ncols)
+        return Matrix._trusted(self.field, self.rows[i0:i1], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], self.nrows or 1)
+        if not self.rows:
+            return Matrix._trusted(self.field, (), 1)
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)), self.nrows)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -107,13 +127,15 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("addition needs equal shapes")
         add = self.field.add_codes
-        return Matrix(self.field,
-                      [[add(x, y) for x, y in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)], self.ncols)
+        return Matrix._trusted(self.field,
+                               tuple(tuple(add(x, y) for x, y in zip(r, s))
+                                     for r, s in zip(self.rows, other.rows)),
+                               self.ncols)
 
     def __neg__(self):
         neg = self.field.neg_code
-        return Matrix(self.field, [[neg(x) for x in r] for r in self.rows], self.ncols)
+        return Matrix._trusted(self.field, tuple(tuple(neg(x) for x in r) for r in self.rows),
+                               self.ncols)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -131,9 +153,9 @@ class Matrix:
         self._same_field(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        return Matrix(self.field,
-                      mul_code_rows(self.field, self.rows, other.rows, other.ncols),
-                      other.ncols)
+        return Matrix._trusted(
+            self.field, tuple(mul_code_rows(self.field, self.rows, other.rows, other.ncols)),
+            other.ncols)
 
     __mul__ = __matmul__
 
@@ -143,26 +165,27 @@ class Matrix:
         if n < 0:
             return self.inverse() ** (-n)
         F = self.field
-        out = Matrix.identity(F, self.nrows).rows
-        base = self.rows
         nc = self.ncols
+        out = _identity_rows(nc)
+        base = self.rows
         while n:
             if n & 1:
                 out = mul_code_rows(F, out, base, nc)
             n >>= 1
             if n:
                 base = mul_code_rows(F, base, base, nc)
-        return Matrix(F, out, nc)
+        return Matrix._trusted(F, tuple(out), nc)
 
     # -- reduction ------------------------------------------------------------
 
     def rref(self):
         """(reduced row echelon form, rank, pivot column tuple)."""
-        rows, pivots = rref_code_rows(self.field, [list(r) for r in self.rows], self.ncols)
-        return Matrix(self.field, rows, self.ncols), len(pivots), tuple(pivots)
+        rows, pivots = rref_code_rows(self.field, list(self.rows), self.ncols)
+        return (Matrix._trusted(self.field, tuple(map(tuple, rows)), self.ncols),
+                len(pivots), tuple(pivots))
 
     def rank(self) -> int:
-        _, pivots = rref_code_rows(self.field, [list(r) for r in self.rows], self.ncols)
+        _, pivots = rref_code_rows(self.field, list(self.rows), self.ncols)
         return len(pivots)
 
     def is_invertible(self) -> bool:
@@ -172,16 +195,15 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ShapeError("inverse needs a square matrix")
         n = self.nrows
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-               for i, r in enumerate(self.rows)]
+        aug = [r + e for r, e in zip(self.rows, _identity_rows(n))]
         rows, pivots = rref_code_rows(self.field, aug, 2 * n)
         if len(pivots) != n or pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in rows], n)
+        return Matrix._trusted(self.field, tuple(tuple(r[n:]) for r in rows), n)
 
     def kernel(self) -> "Matrix":
         """Basis rows of {x : M x^T = 0}; shape (ncols - rank) x ncols."""
-        rows, pivots = rref_code_rows(self.field, [list(r) for r in self.rows], self.ncols)
+        rows, pivots = rref_code_rows(self.field, list(self.rows), self.ncols)
         neg = self.field.neg_code
         piv_of_col = {c: i for i, c in enumerate(pivots)}
         out = []
@@ -192,8 +214,8 @@ class Matrix:
             v[f] = 1
             for c, i in piv_of_col.items():
                 v[c] = neg(rows[i][f])
-            out.append(v)
-        return Matrix(self.field, out, self.ncols)
+            out.append(tuple(v))
+        return Matrix._trusted(self.field, tuple(out), self.ncols)
 
     def is_zero(self) -> bool:
         return all(not any(r) for r in self.rows)
@@ -227,7 +249,7 @@ def vstack(upper: Matrix, lower: Matrix) -> Matrix:
         raise MixedFieldsError("stacking matrices over different fields")
     if upper.ncols != lower.ncols:
         raise ShapeError("stacking needs equal column counts")
-    return Matrix(upper.field, upper.rows + lower.rows, upper.ncols)
+    return Matrix._trusted(upper.field, upper.rows + lower.rows, upper.ncols)
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
@@ -235,8 +257,8 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
         raise MixedFieldsError("stacking matrices over different fields")
     if left.nrows != right.nrows:
         raise ShapeError("side-by-side stacking needs equal row counts")
-    return Matrix(left.field, [a + b for a, b in zip(left.rows, right.rows)],
-                  left.ncols + right.ncols)
+    return Matrix._trusted(left.field, tuple(a + b for a, b in zip(left.rows, right.rows)),
+                           left.ncols + right.ncols)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -244,83 +266,97 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
         raise MixedFieldsError("blocks over different fields")
     zl = (0,) * a.ncols
     zr = (0,) * b.ncols
-    rows = [r + zr for r in a.rows] + [zl + r for r in b.rows]
-    return Matrix(a.field, rows, a.ncols + b.ncols)
+    rows = tuple(r + zr for r in a.rows) + tuple(zl + r for r in b.rows)
+    return Matrix._trusted(a.field, rows, a.ncols + b.ncols)
+
+
+def _identity_rows(n: int) -> list:
+    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
 
 
 def mul_code_rows(F: FiniteField, arows, brows, ncols):
     """Row-major code-level product; returns a list of tuples."""
-    tabs = F.tables()
+    add, mul = F.tables()[:2]
     out = []
-    if tabs is not None:
-        add, mul = tabs[0], tabs[1]
-        for arow in arows:
-            acc = [0] * ncols
-            for aik, brow in zip(arow, brows):
-                if aik:
-                    mrow = mul[aik]
-                    acc = [add[x][mrow[y]] for x, y in zip(acc, brow)]
-            out.append(tuple(acc))
-    else:
-        addf, mulf = F.add_codes, F.mul_codes
-        for arow in arows:
-            acc = [0] * ncols
-            for aik, brow in zip(arow, brows):
-                if aik:
-                    acc = [addf(x, mulf(aik, y)) for x, y in zip(acc, brow)]
-            out.append(tuple(acc))
+    for arow in arows:
+        acc = [0] * ncols
+        for aik, brow in zip(arow, brows):
+            if aik:
+                mrow = mul[aik]
+                acc = [add[x][mrow[y]] for x, y in zip(acc, brow)]
+        out.append(tuple(acc))
     return out
 
 
 def rref_code_rows(F: FiniteField, rows, ncols):
-    """In-place reduced row echelon form on lists of codes.
+    """Reduced row echelon form of a list of code rows, reduced in place.
 
-    Returns (rows, pivot column list); zero rows sink to the bottom.
+    Only the list is modified: a row that changes is replaced by a new
+    list, so the rows may be tuples.  Returns (rows, pivot column list);
+    zero rows sink to the bottom.
     """
-    tabs = F.tables()
+    add, mul, neg, inv = F.tables()
     nrows = len(rows)
     pivots = []
     r = 0
-    if tabs is not None:
-        add, mul, neg, inv = tabs
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            row = rows[r]
-            pv = row[c]
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        row = rows[r]
+        pv = row[c]
+        if pv != 1:
+            mrow = mul[inv[pv]]
+            row = [mrow[x] for x in row]
+            rows[r] = row
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                mrow = mul[neg[rows[i][c]]]
+                rows[i] = [add[x][mrow[y]] for x, y in zip(rows[i], row)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref_prefix_code_rows(F: FiniteField, rows, sizes):
+    """Canonical RREF rows of each leading block rows[:t], t in sizes.
+
+    One incremental Gauss-Jordan pass over the rows; after the t-th row it
+    takes a snapshot (a tuple of row tuples, in pivot order).  sizes must
+    be increasing.  A row that reduces to zero adds nothing, so a block of
+    dependent rows yields fewer than t rows.
+    """
+    add, mul, neg, inv = F.tables()
+    reduced = {}  # pivot column -> row, zero at every other pivot column
+    snapshots = []
+    want = iter(sizes)
+    t = next(want, None)
+    for count, row in enumerate(rows, 1):
+        for c, b in reduced.items():
+            x = row[c]
+            if x:
+                mrow = mul[neg[x]]
+                row = [add[y][mrow[z]] for y, z in zip(row, b)]
+        pv = next(filter(None, row), 0)  # leading entry, 0 for a zero row
+        if pv:
+            lead = row.index(pv)
             if pv != 1:
                 mrow = mul[inv[pv]]
                 row = [mrow[x] for x in row]
-                rows[r] = row
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    mrow = mul[neg[rows[i][c]]]
-                    rows[i] = [add[x][mrow[y]] for x, y in zip(rows[i], row)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-    else:
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv_inv = F.inv_code(rows[r][c])
-            rows[r] = [F.mul_codes(pv_inv, x) for x in rows[r]]
-            row = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = F.neg_code(rows[i][c])
-                    rows[i] = [F.add_codes(x, F.mul_codes(f, y))
-                               for x, y in zip(rows[i], row)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-    return rows, pivots
+            row = tuple(row)
+            for c, b in reduced.items():
+                x = b[lead]
+                if x:
+                    mrow = mul[neg[x]]
+                    reduced[c] = tuple([add[y][mrow[z]] for y, z in zip(b, row)])
+            reduced[lead] = row
+        if count == t:
+            snapshots.append(tuple(reduced[c] for c in sorted(reduced)))
+            t = next(want, None)
+    return snapshots
 
 
 def matrix_order(A: Matrix, order_hint: int = None) -> int:

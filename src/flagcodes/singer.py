@@ -66,7 +66,7 @@ def phi(a: FieldElement) -> Matrix:
                 prow = P.rows[i]
                 orow = out[i]
                 out[i] = [add(x, mul(digit, y)) for x, y in zip(orow, prow)]
-    return Matrix(B, out, k)
+    return Matrix._trusted(B, tuple(map(tuple, out)), k)
 
 
 def _expanded_rows(E: FiniteField, rows):
@@ -90,7 +90,8 @@ def field_reduction(U: Subspace) -> Subspace:
         raise NotExtendingError("field reduction needs an extension field")
     k = E.degree
     out = Subspace(E.base, k * U.n, _expanded_rows(E, U.basis.rows))
-    assert out.dim == k * U.dim, "field reduction must be injective"
+    if out.dim != k * U.dim:
+        raise AssertionError("field reduction must be injective")
     return out
 
 

@@ -16,9 +16,10 @@ in the test suite.
 from itertools import combinations, product
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
-                     EnumerationTooLargeError, MixedFieldsError)
+                     EnumerationTooLargeError, MixedFieldsError, ShapeError,
+                     SingularMatrixError)
 from .fields import FiniteField
-from .matrices import Matrix, rref_code_rows
+from .matrices import Matrix, mul_code_rows, rref_code_rows
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -72,7 +73,7 @@ class Subspace:
         self.field = field
         self.n = n
         self.dim = len(rref_rows)
-        self.basis = Matrix(field, rref_rows, n)
+        self.basis = Matrix._trusted(field, rref_rows, n)
         return self
 
     @classmethod
@@ -103,10 +104,19 @@ class Subspace:
             raise AmbientMismatchError(f"ambient dimensions {self.n} and {other.n}")
 
     def apply(self, A: Matrix) -> "Subspace":
-        """Image under the right action U -> U A; A must be invertible n x n."""
-        if A.nrows != self.n:
-            raise AmbientMismatchError(f"{A.nrows}x{A.ncols} matrix on ambient {self.n}")
-        return Subspace(self.field, self.n, (self.basis @ A).rows if self.dim else ())
+        """Image under the right action U -> U A; A must be invertible n x n.
+
+        Raises SingularMatrixError when the image loses dimension.
+        """
+        check_acting_matrix(self.field, self.n, A)
+        if not self.dim:
+            return self
+        F, n = self.field, self.n
+        rows, pivots = rref_code_rows(F, mul_code_rows(F, self.basis.rows, A.rows, n), n)
+        if len(pivots) != self.dim:
+            raise SingularMatrixError(
+                f"a dim {self.dim} subspace maps onto dim {len(pivots)}")
+        return Subspace._from_rref(F, n, tuple(map(tuple, rows)))
 
     def contains_vector(self, v) -> bool:
         row = Matrix(self.field, [v], self.n).rows[0]
@@ -156,6 +166,16 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of GF({self.field.order})^{self.n})"
+
+
+def check_acting_matrix(field: FiniteField, n: int, A: Matrix):
+    """Raise unless A is an n x n matrix over field, fit to act on GF(q)^n."""
+    if A.field is not field:
+        raise MixedFieldsError(f"matrix over {A.field} acting on a space over {field}")
+    if A.nrows != n:
+        raise AmbientMismatchError(f"{A.nrows}x{A.ncols} matrix on ambient {n}")
+    if A.ncols != n:
+        raise ShapeError(f"{A.nrows}x{A.ncols} matrix is not square")
 
 
 def row_space(M: Matrix) -> Subspace:
@@ -252,18 +272,11 @@ def member_vectors(sub: Subspace) -> list:
     F = sub.field
     n = sub.n
     combos = [(0,) * n]
-    tabs = F.tables()
-    if tabs is not None:
-        add, mul = tabs[0], tabs[1]
-        for row in sub.basis.rows:
-            scaled = [tuple(mul[c][x] for x in row) for c in range(F.order)]
-            combos = [tuple(add[a][b] for a, b in zip(base, s))
-                      for s in scaled for base in combos]
-    else:
-        for row in sub.basis.rows:
-            scaled = [tuple(F.mul_codes(c, x) for x in row) for c in range(F.order)]
-            combos = [tuple(F.add_codes(a, b) for a, b in zip(base, s))
-                      for s in scaled for base in combos]
+    add, mul = F.tables()[:2]
+    for row in sub.basis.rows:
+        scaled = [tuple(mul[c][x] for x in row) for c in range(F.order)]
+        combos = [tuple(add[a][b] for a, b in zip(base, s))
+                  for s in scaled for base in combos]
     return combos[1:]  # ordering keeps the zero vector first
 
 

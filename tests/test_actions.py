@@ -1,0 +1,119 @@
+"""Right actions of matrices on subspaces and flags.
+
+Subspace.apply and Flag.apply run on trusted kernel output; these tests hold
+them to the public, validated constructors and to plain FieldElement
+arithmetic, and check that a bad matrix is refused rather than producing an
+invalid subspace or flag.
+"""
+
+import random
+
+import pytest
+
+from flagcodes import Flag, Matrix, Subspace, make_field
+from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
+                              ShapeError, SingularMatrixError)
+from flagcodes.fields import FieldElement
+
+
+def random_invertible(rng, F, n):
+    while True:
+        M = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
+                       for _ in range(n)], n)
+        if M.is_invertible():
+            return M
+
+
+def random_flag(rng, F, n, dims):
+    M = random_invertible(rng, F, n)
+    return Flag([Subspace(F, n, M.rows[:t]) for t in dims])
+
+
+def test_flag_apply_matches_validated_rebuild():
+    rng = random.Random(2024)
+    # full, spread-admissible and gapped types
+    types = [(5, (1, 2, 3, 4)), (6, (1, 2, 4, 5)), (6, (1, 2, 3)), (7, (2, 5))]
+    for q_args in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        F = make_field(*q_args)
+        for n, dims in types:
+            for _ in range(6):
+                flag = random_flag(rng, F, n, dims)
+                A = random_invertible(rng, F, n)
+                image = flag.apply(A)
+                rebuilt = Flag([Subspace(F, n, (s.basis @ A).rows)
+                                for s in flag.subspaces])
+                assert image == rebuilt
+                assert image.dims == rebuilt.dims == dims
+                assert [s.basis.rows for s in image.subspaces] == \
+                       [s.basis.rows for s in rebuilt.subspaces]
+                assert [s.apply(A) for s in flag.subspaces] == list(image.subspaces)
+
+
+def test_singular_matrix_is_refused():
+    F2 = make_field(2, 1)
+    flag = Flag([Subspace.standard(F2, 4, 1), Subspace.standard(F2, 4, 2)])
+    A = Matrix(F2, [(1, 0, 1, 0), (1, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    with pytest.raises(SingularMatrixError):
+        flag.apply(A)
+    with pytest.raises(SingularMatrixError):
+        Subspace.standard(F2, 4, 2).apply(A)
+    # the line alone keeps its dimension, so acting on it is still fine
+    assert Subspace.standard(F2, 4, 1).apply(A).dim == 1
+
+
+def test_misfit_matrices_are_refused():
+    F2, F3 = make_field(2, 1), make_field(3, 1)
+    sub = Subspace.standard(F2, 4, 2)
+    flag = Flag([Subspace.standard(F2, 4, 1), sub])
+    cases = [(Matrix.identity(F2, 4).cols(0, 3), ShapeError),
+             (Matrix(F2, [(1, 0, 0, 0, 0)] * 4, 5), ShapeError),
+             (Matrix.identity(F2, 3), AmbientMismatchError),
+             (Matrix.identity(F3, 4), MixedFieldsError)]
+    for A, error in cases:
+        for target in (sub, flag):
+            with pytest.raises(error):
+                target.apply(A)
+
+
+def _ref_rref(F, rows):
+    """Gauss-Jordan with FieldElement arithmetic; nonzero rows only."""
+    rows = [[FieldElement(F, x) for x in r] for r in rows]
+    out = []
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if not r[c].is_zero()), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        piv = [x / piv[c] for x in piv]
+        rows = [[x - r[c] * y for x, y in zip(r, piv)] for r in rows]
+        out = [[x - r[c] * y for x, y in zip(r, piv)] for r in out]
+        out.append(piv)
+    return tuple(tuple(x.code for x in r) for r in out)
+
+
+def _ref_product(F, arows, brows):
+    cols = list(zip(*brows))
+    return [[sum((FieldElement(F, a) * FieldElement(F, b) for a, b in zip(r, c)),
+                 F.zero).code for c in cols] for r in arows]
+
+
+def test_kernels_above_the_table_limit():
+    F = make_field(2, 11)  # order 2048: the tables are computed views
+    assert F.order > 1024
+    rng = random.Random(11)
+    n = 4
+    for _ in range(3):
+        A = random_invertible(rng, F, n)
+        B = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
+                       for _ in range(3)], n)
+        assert (B @ A).rows == tuple(map(tuple, _ref_product(F, B.rows, A.rows)))
+        low = Matrix(F, B.rows + (tuple(rng.randrange(F.order) for _ in range(n)),
+                                  B.rows[0]), n)
+        R, rank, _ = low.rref()
+        ref = _ref_rref(F, low.rows)
+        assert rank == len(ref) and R.rows[:rank] == ref
+
+        flag = random_flag(rng, F, n, (1, 3))
+        image = flag.apply(A)
+        for s, t in zip(image.subspaces, flag.subspaces):
+            assert s.basis.rows == _ref_rref(F, _ref_product(F, t.basis.rows, A.rows))

@@ -159,3 +159,10 @@ def test_exit_code_3_on_parse_error(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", bad)
     assert rc == 3
     assert "line" in err
+    for header, type_line in [("FLAGCODE v1", "type 1,,2"), ("FLAGCODE v1", "type ,"),
+                              ("SUBCODE v1", "type 1,,2"), ("SUBCODE v1", "type ,")]:
+        with open(bad, "w") as fh:
+            fh.write(f"{header}\nfield p=2 e=1\nambient n=3\n{type_line}\ncount 1\n")
+        rc, _, err = run(capsys, "verify", bad)
+        assert rc == 3
+        assert "line 4" in err and "type line" in err
