@@ -7,7 +7,7 @@ together with verification helpers and a small file format.
 """
 
 from .errors import (AdditivityViolatedError, AmbientMismatchError,
-                     BadDimensionsError, CodeFileError, DegreeMismatchError,
+                     BadDimensionsError, CodeFileError,
                      EnumerationTooLargeError, FieldConstructionError,
                      GcdConditionFailedError, MixedFieldsError,
                      NotADivisorError, NotExtendingError, NotNestedError,

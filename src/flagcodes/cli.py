@@ -10,11 +10,13 @@ Subcommands:
 
 Every command prints a single JSON summary on stdout; `construct` and
 `spread` also write code files.  Exit codes: 0 success, 1 I/O failure,
-2 invalid parameters, 3 malformed code file.
+2 invalid parameters, 3 malformed code file, 4 internal error (a failed
+self-check or any other unexpected exception).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -271,6 +273,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a library fault: report it and where it arose
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"internal error: {type(exc).__name__}: {exc} ({where})", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

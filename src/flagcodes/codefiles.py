@@ -31,6 +31,13 @@ from .subspaces import Subspace, SubspaceCode
 _FLAG_MAGIC = "FLAGCODE v1"
 _SUB_MAGIC = "SUBCODE v1"
 
+# Header limits, checked before a field is built or a member is read.  make_field
+# factors p^e - 1 by trial division and row reduction builds q x q tables entry
+# by entry: GF(2^8) takes 1.6 s, GF(2^10) 41 s on one core of a shared Xeon VM.
+MAX_FIELD_ORDER = 256
+MAX_AMBIENT_DIM = 1024
+MAX_COUNT = 1 << 20
+
 
 @dataclass
 class CodeFileData:
@@ -119,9 +126,16 @@ def _expect(cur: _Cursor, pattern: str, what: str):
     return no, m
 
 
+def _number(no: int, digits: str, limit: int, what: str) -> int:
+    """A header value, refused above limit (long digit strings before int())."""
+    if len(digits.lstrip("0")) > len(str(limit)) or int(digits) > limit:
+        raise CodeFileError(no, f"{what} exceeds the limit {limit}")
+    return int(digits)
+
+
 def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
     no, m = _expect(cur, r"subspace k=(\d+)", f"subspace k={expect_dim}")
-    k = int(m.group(1))
+    k = _number(no, m.group(1), n, "subspace k")
     if k != expect_dim:
         raise CodeFileError(no, f"subspace declares k={k}, type wants {expect_dim}")
     rows = []
@@ -155,25 +169,29 @@ def parse_code_file(text: str) -> CodeFileData:
 
     no, m = _expect(cur, r"field p=(\d+) e=(\d+)(?: tower=(\d+),(\d+))?",
                     "a field line")
-    p, e = int(m.group(1)), int(m.group(2))
-    tower = (int(m.group(3)), int(m.group(4))) if m.group(3) else None
+    p, e = (_number(no, d, MAX_FIELD_ORDER, "field order") for d in m.group(1, 2))
+    if p > 1 and p ** e > MAX_FIELD_ORDER:
+        raise CodeFileError(no, f"field order {p}^{e} exceeds the limit {MAX_FIELD_ORDER}")
+    tower = (tuple(_number(no, d, MAX_AMBIENT_DIM, "tower") for d in m.group(3, 4))
+             if m.group(3) else None)
     try:
         field = make_field(p, e)
     except ValueError as exc:
         raise CodeFileError(no, str(exc)) from None
 
-    _, m = _expect(cur, r"ambient n=(\d+)", "an ambient line")
-    n = int(m.group(1))
+    no, m = _expect(cur, r"ambient n=(\d+)", "an ambient line")
+    n = _number(no, m.group(1), MAX_AMBIENT_DIM, "ambient n")
 
     no, m = _expect(cur, r"type (\d+(?:,\d+)*)", "a type line")
-    dims = tuple(int(t) for t in m.group(1).split(","))
+    dims = tuple(_number(no, t, n, "a type dimension")
+                 for t in m.group(1).split(","))
     if kind == "subspace" and len(dims) != 1:
         raise CodeFileError(no, "subspace codes take a single type dimension")
     if any(not 0 < t < n for t in dims) or list(dims) != sorted(set(dims)):
         raise CodeFileError(no, f"type must be strictly increasing within (0, {n})")
 
     no, m = _expect(cur, r"count (\d+)", "a count line")
-    count = int(m.group(1))
+    count = _number(no, m.group(1), MAX_COUNT, "count")
     if count < 1:
         raise CodeFileError(no, "count must be at least 1")
 

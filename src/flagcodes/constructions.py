@@ -2,9 +2,10 @@
 
 Two families are built here, both as orbits of cyclic matrix groups.
 
-Spread type: with n = k s, field-reducing the lines and hyperplanes of
-GF(q^k)^s gives a Desarguesian spread S and a hyperplane code H of GF(q)^n,
-both single orbits of the embedded Singer group ⟨psi(M_s)⟩.  The flag
+Spread type: with n = k s, the Desarguesian spread S and the hyperplane code
+H of GF(q)^n (the field-reduced lines and hyperplanes of GF(q^k)^s) are
+single orbits of the embedded Singer group ⟨psi(M_s)⟩, built from one seed
+each and certified exactly by the seed's stabilizer order q^k - 1.  The flag
 E_1 < ... < E_k < E_(n-k) < ... < E_(n-1) of standard coordinate subspaces
 has its two critical levels in S and H; its orbit under the subgroup T of
 order t is an optimum distance flag code exactly when
@@ -30,22 +31,30 @@ from .fields import FiniteField, extend_field, factorize
 from .matrices import Matrix, block_diag, hstack, vstack
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
-from .subspaces import (Subspace, SubspaceCode, dual_code,
-                        enumerate_grassmannian, is_partial_spread, is_spread)
+from .subspaces import Subspace, SubspaceCode
 from .flags import Flag, FlagCode, orbit_flag, union_flag_codes
-
-# pairwise-scan verification is kept below this code size; larger codes are
-# verified through their duals (distance is preserved member by member)
-_DIRECT_SCAN_LIMIT = 600
 
 
 class SpreadContext:
-    """A Desarguesian spread S and hyperplane code H of GF(q)^(ks), with the
-    embedded Singer group that has each as a single orbit.
+    """A Desarguesian spread S and hyperplane code H of GF(q)^(ks), built as
+    the orbits of the reductions of <e_1> and <e_1, ..., e_(s-1)> under the
+    embedded Singer group.
 
-    Attributes: base_field, k, s, n, extension (GF(q^k)), group,
-    spread, hyperplanes (SubspaceCodes anchored at the reductions of
-    <e_1> and <e_1, ..., e_(s-1)>), member_stabilizer_order (q^k - 1).
+    Attributes: base_field, k, s, n, extension (GF(q^k)), group, spread,
+    hyperplanes (SubspaceCodes anchored at their seeds),
+    member_stabilizer_order (q^k - 1).
+
+    Certificate: g = psi(M_s) is checked to have order q^n - 1, so GF(q)[g]
+    has q^n - 1 units among at most q^n elements: it is a field L = GF(q^n),
+    the centralizer of g, and GF(q)^n is a one-dimensional L-space.  The
+    elements of L mapping U into itself form a subfield K, and the
+    stabilizer of U in <g> is K^*.  So a stabilizer of order q^k - 1 makes
+    the seed, and with it every member of its orbit, a subspace over
+    K = GF(q^k), which is psi(E) (its block scalars commute with g).  An
+    orbit of (q^n - 1)/(q^k - 1) such members is the whole K-Grassmannian:
+    all K-lines (the Desarguesian spread) for a dim-k seed, all
+    K-hyperplanes for a dim-(n-k) seed.  Two K-hyperplanes meet in
+    K-dimension s - 2, so H has distance 2k.
     """
 
     def __init__(self, base_field: FiniteField, k: int, s: int):
@@ -59,48 +68,33 @@ class SpreadContext:
         g = psi(companion_matrix(tower.modulus, E))
         group = CyclicMatrixGroup(g, q ** n - 1, verify=True)
 
-        expected = (q ** n - 1) // (q ** k - 1)
-        spread = SubspaceCode(
-            (field_reduction(line) for line in enumerate_grassmannian(E, 1, s)),
-            anchors=(field_reduction(Subspace.standard(E, s, 1)),))
-        hyperplanes = SubspaceCode(
-            (field_reduction(hp) for hp in enumerate_grassmannian(E, s - 1, s)),
-            anchors=(field_reduction(Subspace.standard(E, s, s - 1)),))
-        if len(spread) != expected or len(hyperplanes) != expected:
-            raise AssertionError("reduction produced the wrong number of subspaces")
-        if not is_spread(spread):
-            raise AssertionError("reduced lines are not a spread")
-        self._verify_hyperplane_distance(hyperplanes, k)
-
-        for code in (spread, hyperplanes):
-            orbit, stab = orbit_subspace(group, code.anchors[0])
-            if orbit != code or stab != q ** k - 1:
-                raise AssertionError("code is not the expected Singer orbit")
-
         self.base_field = base_field
         self.k = k
         self.s = s
         self.n = n
         self.extension = E
         self.group = group
-        self.spread = spread
-        self.hyperplanes = hyperplanes
+        self.spread = _certified_orbit(
+            group, field_reduction(Subspace.standard(E, s, 1)), k)
+        self.hyperplanes = _certified_orbit(
+            group, field_reduction(Subspace.standard(E, s, s - 1)), k)
         self.member_stabilizer_order = q ** k - 1
-
-    @staticmethod
-    def _verify_hyperplane_distance(hyperplanes: SubspaceCode, k: int):
-        # max distance between dim n-k subspaces is 2k; for large codes check
-        # it on the dual side, where it is a partial spread property
-        if len(hyperplanes) <= _DIRECT_SCAN_LIMIT:
-            ok = hyperplanes.min_distance(full=True) == 2 * k
-        else:
-            ok = is_partial_spread(dual_code(hyperplanes))
-        if not ok:
-            raise AssertionError("hyperplane code misses distance 2k")
 
     def __repr__(self):
         return (f"SpreadContext(q={self.base_field.order}, k={self.k}, "
                 f"s={self.s}, n={self.n})")
+
+
+def _certified_orbit(group: CyclicMatrixGroup, seed: Subspace, k: int) -> SubspaceCode:
+    """Singer orbit of seed; raises unless the stabilizer has order q^k - 1 and
+    the orbit (q^n - 1)/(q^k - 1) members (see SpreadContext)."""
+    q = group.field.order
+    code, stab = orbit_subspace(group, seed)
+    if stab != q ** k - 1 or len(code) != (q ** group.degree - 1) // (q ** k - 1):
+        raise AssertionError(
+            f"orbit of {len(code)} members with stabilizer order {stab} is "
+            f"not certified as a GF({q}^{k})-Grassmannian")
+    return code
 
 
 def build_spread_context(base_field: FiniteField, k: int, s: int) -> SpreadContext:

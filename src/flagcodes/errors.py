@@ -37,10 +37,6 @@ class NotADivisorError(ValueError):
     """Requested subgroup order does not divide the group order."""
 
 
-class DegreeMismatchError(ValueError):
-    """Matrix degree does not match the space it should act on."""
-
-
 class NotNestedError(ValueError):
     """Flag subspaces fail strict nesting."""
 

@@ -11,8 +11,7 @@ computed from matrices that were already checked are wrapped with
 `Matrix._trusted`, without the per-entry check.
 """
 
-from .errors import (DegreeMismatchError, MixedFieldsError, ShapeError,
-                     SingularMatrixError)
+from .errors import MixedFieldsError, ShapeError, SingularMatrixError
 from .fields import FieldElement, FiniteField
 
 
@@ -156,8 +155,6 @@ class Matrix:
         return Matrix._trusted(
             self.field, tuple(mul_code_rows(self.field, self.rows, other.rows, other.ncols)),
             other.ncols)
-
-    __mul__ = __matmul__
 
     def __pow__(self, n: int):
         if self.nrows != self.ncols:
@@ -387,11 +384,6 @@ def matrix_order(A: Matrix, order_hint: int = None) -> int:
             return i
         P = P @ A
     raise ValueError(f"no order found within cap {cap}; matrix may be singular")
-
-
-def check_degree(A: Matrix, n: int):
-    if A.nrows != A.ncols or A.nrows != n:
-        raise DegreeMismatchError(f"need an {n}x{n} matrix, got {A.nrows}x{A.ncols}")
 
 
 def rref(M: Matrix):

@@ -118,13 +118,6 @@ class CyclicMatrixGroup:
         self.generator = generator
         self.order = order
 
-    @property
-    def identity(self) -> Matrix:
-        return Matrix.identity(self.field, self.degree)
-
-    def power(self, i: int) -> Matrix:
-        return self.generator ** (i % self.order)
-
     def elements(self):
         """All group elements, as successive generator powers."""
         F = self.field

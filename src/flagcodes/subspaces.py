@@ -178,10 +178,6 @@ def check_acting_matrix(field: FiniteField, n: int, A: Matrix):
         raise ShapeError(f"{A.nrows}x{A.ncols} matrix is not square")
 
 
-def row_space(M: Matrix) -> Subspace:
-    return Subspace(M.field, M.ncols, M.rows)
-
-
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """dim(U + V) - dim(U meet V), via one rank computation."""
     U._check_mate(V)

@@ -2,8 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+from flagcodes import cli
 from flagcodes.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 TABLE1_TEXT = """\
      t  orbit orbits_max   odfc
@@ -166,3 +173,60 @@ def test_exit_code_3_on_parse_error(tmp_path, capsys):
         rc, _, err = run(capsys, "verify", bad)
         assert rc == 3
         assert "line 4" in err and "type line" in err
+
+
+# p - 1 = 2r with r a 101-bit prime: trial division of p - 1 never finishes
+_SAFE_PRIME = "2535301200456458802993406412663"
+_LONG = "9" * 5000  # longer than int() converts from a string
+
+
+@pytest.mark.parametrize("field_line, ambient, type_line, line_no", [
+    ("field p=2 e=200", "ambient n=4", "type 2", 2),
+    (f"field p={_SAFE_PRIME} e=1", "ambient n=4", "type 2", 2),
+    ("field p=17 e=2", "ambient n=4", "type 2", 2),
+    (f"field p=2 e={_LONG}", "ambient n=4", "type 2", 2),
+    (f"field p=2 e=1 tower=2,{_LONG}", "ambient n=4", "type 2", 2),
+    ("field p=2 e=1", "ambient n=99999", "type 2", 3),
+    ("field p=2 e=1", "ambient n=4", f"type {_LONG}", 4),
+], ids=["e=200", "huge-prime-p", "q=289", "long-e", "long-tower",
+        "huge-n", "long-type"])
+def test_hostile_header_exits_3_in_bounded_time(tmp_path, field_line, ambient,
+                                                 type_line, line_no):
+    # header values are checked against named limits before any field is
+    # built; the subprocess timeout turns a hang into a failure
+    bad = os.path.join(tmp_path, "hostile.subcode")
+    with open(bad, "w") as fh:
+        fh.write("\n".join(["SUBCODE v1", field_line, ambient, type_line,
+                            "count 1", "subspace k=2", "1 0 0 0", "0 1 0 0"])
+                 + "\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", "verify", bad],
+                          capture_output=True, text=True, timeout=15, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: line {line_no}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_header_limits_are_inclusive(capsys, tmp_path):
+    good = os.path.join(tmp_path, "edge.subcode")
+    with open(good, "w") as fh:
+        fh.write("SUBCODE v1\nfield p=2 e=8\nambient n=2\ntype 1\ncount 1\n"
+                 "subspace k=1\n1 7\n")
+    rc, stdout, _ = run(capsys, "verify", good)
+    assert rc == 0
+    assert json.loads(stdout)["q"] == 256
+
+
+@pytest.mark.parametrize("exc", [AssertionError("orbit is not certified"),
+                                 ZeroDivisionError("inverse of zero")])
+def test_exit_code_4_on_internal_error(tmp_path, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_spread_context", broken)
+    rc, stdout, err = run(capsys, "spread", "--p", "2", "--k", "2", "--s", "2",
+                          "--out", os.path.join(tmp_path, "s.subcode"))
+    assert rc == 4
+    assert stdout == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}: {exc} (")
+    assert "test_cli.py:" in err and "Traceback" not in err

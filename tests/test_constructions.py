@@ -2,17 +2,21 @@
 
 import random
 
-from flagcodes import (CyclicMatrixGroup, Matrix, Subspace, admissible_flag_dims,
-                       admissible_subgroup_orders, build_full_type_context,
-                       build_spread_context, canonical_admissible_flag,
-                       conjugate_spread, flag_distance_bound,
-                       full_type_generator_flag, full_type_max_odfc,
-                       full_type_orbit_odfc, is_odfc_by_characterization,
-                       is_odfc_by_definition, is_partial_spread, is_spread,
-                       make_field, orbit_subspace, projected_code,
-                       spread_type_max_odfc, spread_type_orbit_odfc,
-                       subgroup_of_order, table_row)
-from flagcodes.constructions import _max_code_with_hook
+import pytest
+
+from flagcodes import (CyclicMatrixGroup, Matrix, Subspace, SubspaceCode,
+                       admissible_flag_dims, admissible_subgroup_orders,
+                       build_full_type_context, build_spread_context,
+                       canonical_admissible_flag, conjugate_spread, dual_code,
+                       enumerate_grassmannian, field_reduction,
+                       flag_distance_bound, full_type_generator_flag,
+                       full_type_max_odfc, full_type_orbit_odfc,
+                       is_odfc_by_characterization, is_odfc_by_definition,
+                       is_partial_spread, is_spread, make_field, orbit_subspace,
+                       projected_code, spread_type_max_odfc,
+                       spread_type_orbit_odfc, subgroup_of_order, table_row)
+from flagcodes import constructions, singer, subspaces
+from flagcodes.constructions import _certified_orbit, _max_code_with_hook
 from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
                               GcdConditionFailedError, NotADivisorError,
                               NotExtendingError, RankDeficientError,
@@ -40,6 +44,60 @@ def test_spread_context_q2k3s2(ctx_q2k3s2):
     assert is_spread(ctx.spread)
     assert ctx.member_stabilizer_order == 7
     assert ctx.hyperplanes.min_distance() == 6
+
+
+@pytest.mark.parametrize("name, distance_route", [
+    ("ctx_q2k2s2", "pairs"), ("ctx_q2k3s2", "pairs"), ("ctx_q3k3s2", "pairs"),
+    ("ctx_q4k3s3", "dual cover")])
+def test_certified_orbits_match_brute_force(name, distance_route, request):
+    # independent oracles for the orbit certificate: the Desarguesian
+    # identity by enumeration, the cover scan, and the hyperplane distance
+    ctx = request.getfixturevalue(name)
+    E, k, s = ctx.extension, ctx.k, ctx.s
+    for code, d in ((ctx.spread, 1), (ctx.hyperplanes, s - 1)):
+        oracle = SubspaceCode(field_reduction(U)
+                              for U in enumerate_grassmannian(E, d, s))
+        assert code == oracle
+        assert code.members == oracle.members
+        assert code.anchors[0] == field_reduction(Subspace.standard(E, s, d))
+    assert is_spread(ctx.spread)
+    if distance_route == "pairs":
+        assert ctx.hyperplanes.min_distance(full=True) == 2 * k
+    else:
+        assert is_partial_spread(dual_code(ctx.hyperplanes))
+
+
+def test_certificate_rejects_a_non_spread_seed(ctx_q2k2s2, F2):
+    seed = Subspace(F2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    assert seed not in ctx_q2k2s2.spread
+    orbit, stab = orbit_subspace(ctx_q2k2s2.group, seed)
+    assert (len(orbit), stab) == (15, 1)
+    with pytest.raises(AssertionError, match="stabilizer order 1"):
+        _certified_orbit(ctx_q2k2s2.group, seed, 2)
+    # the spread seed passes and gives back the context's code
+    assert _certified_orbit(ctx_q2k2s2.group, ctx_q2k2s2.spread.anchors[0],
+                            2) == ctx_q2k2s2.spread
+
+
+def test_spread_context_setup_skips_full_code_checks(monkeypatch, F2):
+    # op counts, not timings: two seed reductions, no cover scan, no duals
+    calls = {"field_reduction": 0, "member_vectors": 0, "dual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    reduce = counting("field_reduction", singer.field_reduction)
+    for module in (constructions, singer):
+        monkeypatch.setattr(module, "field_reduction", reduce)
+    monkeypatch.setattr(subspaces, "member_vectors",
+                        counting("member_vectors", subspaces.member_vectors))
+    monkeypatch.setattr(Subspace, "dual", counting("dual", Subspace.dual))
+    ctx = build_spread_context(F2, 2, 4)
+    assert len(ctx.spread) == len(ctx.hyperplanes) == 85
+    assert calls == {"field_reduction": 2, "member_vectors": 0, "dual": 0}
 
 
 def test_spread_context_rejects_bad_shapes(F2):
