@@ -13,11 +13,9 @@ from .errors import (AdditivityViolatedError, AmbientMismatchError,
                      NotADivisorError, NotExtendingError, NotNestedError,
                      RankDeficientError, ShapeError, SingularMatrixError,
                      TypeMismatchError)
-from .fields import (FieldElement, FiniteField, element_order, extend_field,
-                     make_field, primitive_element)
-from .matrices import (Matrix, block_diag, hstack, matrix_order, rref,
-                       vstack)
-from .subspaces import (Subspace, SubspaceCode, code_distance, dual_code,
+from .fields import FieldElement, FiniteField, extend_field, make_field
+from .matrices import Matrix, block_diag, hstack, matrix_order, vstack
+from .subspaces import (Subspace, SubspaceCode, dual_code,
                         enumerate_grassmannian, gaussian_binomial,
                         is_partial_spread, is_spread, max_distance_bound,
                         partial_spread_size_bound, subspace_distance)
@@ -25,11 +23,10 @@ from .flags import (Flag, FlagCode, OrbitalConditionReport,
                     check_orbital_odfc_conditions, critical_indices,
                     flag_distance, flag_distance_bound, full_type,
                     is_disjoint, is_odfc_by_definition,
-                    is_odfc_by_characterization, make_flag, orbit_flag,
-                    projected_code, union_flag_codes)
+                    is_odfc_by_characterization, orbit_flag, projected_code,
+                    union_flag_codes)
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
-                     orbit_subspace, phi, psi, singer_group,
-                     subgroup_of_order)
+                     orbit_subspace, phi, psi, singer_group)
 from .constructions import (FullTypeContext, SpreadContext, TableRow,
                             admissible_flag_dims, admissible_subgroup_orders,
                             build_full_type_context, build_spread_context,
@@ -43,4 +40,37 @@ from .codefiles import (CodeFileData, format_flag_code, format_subspace_code,
 
 __version__ = "0.1.0"
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = [
+    # errors
+    "AdditivityViolatedError", "AmbientMismatchError", "BadDimensionsError",
+    "CodeFileError", "EnumerationTooLargeError", "FieldConstructionError",
+    "GcdConditionFailedError", "MixedFieldsError", "NotADivisorError",
+    "NotExtendingError", "NotNestedError", "RankDeficientError", "ShapeError",
+    "SingularMatrixError", "TypeMismatchError",
+    # fields and matrices
+    "FieldElement", "FiniteField", "extend_field", "make_field",
+    "Matrix", "block_diag", "hstack", "matrix_order", "vstack",
+    # subspaces
+    "Subspace", "SubspaceCode", "dual_code", "enumerate_grassmannian",
+    "gaussian_binomial", "is_partial_spread", "is_spread",
+    "max_distance_bound", "partial_spread_size_bound", "subspace_distance",
+    # flags
+    "Flag", "FlagCode", "OrbitalConditionReport",
+    "check_orbital_odfc_conditions", "critical_indices", "flag_distance",
+    "flag_distance_bound", "full_type", "is_disjoint",
+    "is_odfc_by_definition", "is_odfc_by_characterization", "orbit_flag",
+    "projected_code", "union_flag_codes",
+    # singer
+    "CyclicMatrixGroup", "companion_matrix", "field_reduction",
+    "orbit_subspace", "phi", "psi", "singer_group",
+    # constructions
+    "FullTypeContext", "SpreadContext", "TableRow", "admissible_flag_dims",
+    "admissible_subgroup_orders", "build_full_type_context",
+    "build_spread_context", "canonical_admissible_flag", "conjugate_spread",
+    "full_type_generator_flag", "full_type_max_odfc", "full_type_orbit_odfc",
+    "spread_type_max_odfc", "spread_type_orbit_odfc", "table_row",
+    # codefiles
+    "CodeFileData", "format_flag_code", "format_subspace_code",
+    "parse_code_file", "read_code_file", "write_flag_code",
+    "write_subspace_code",
+]

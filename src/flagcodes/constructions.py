@@ -5,7 +5,9 @@ Two families are built here, both as orbits of cyclic matrix groups.
 Spread type: with n = k s, the Desarguesian spread S and the hyperplane code
 H of GF(q)^n (the field-reduced lines and hyperplanes of GF(q^k)^s) are
 single orbits of the embedded Singer group ⟨psi(M_s)⟩, built from one seed
-each and certified exactly by the seed's stabilizer order q^k - 1.  The flag
+each and certified exactly by the seed's stabilizer order q^k - 1.  For
+k = 1 there is nothing to reduce: the group is the Singer group of GF(q)^s
+itself, S holds every point and H every hyperplane.  The flag
 E_1 < ... < E_k < E_(n-k) < ... < E_(n-1) of standard coordinate subspaces
 has its two critical levels in S and H; its orbit under the subgroup T of
 order t is an optimum distance flag code exactly when
@@ -41,8 +43,9 @@ class SpreadContext:
     embedded Singer group.
 
     Attributes: base_field, k, s, n, extension (GF(q^k)), group, spread,
-    hyperplanes (SubspaceCodes anchored at their seeds),
-    member_stabilizer_order (q^k - 1).
+    hyperplanes (SubspaceCodes carrying the group generator),
+    member_stabilizer_order (q^k - 1).  For k = 1 the extension is the base
+    field, g is the companion matrix itself and the seeds are not reduced.
 
     Certificate: g = psi(M_s) is checked to have order q^n - 1, so GF(q)[g]
     has q^n - 1 units among at most q^n elements: it is a field L = GF(q^n),
@@ -64,8 +67,11 @@ class SpreadContext:
         q = base_field.order
         n = k * s
         E = extend_field(base_field, k)
-        tower = extend_field(E, s)
-        g = psi(companion_matrix(tower.modulus, E))
+        g = companion_matrix(extend_field(E, s).modulus, E)
+        line, hyperplane = (Subspace.standard(E, s, d) for d in (1, s - 1))
+        if k > 1:  # reduce from GF(q^k)^s; for k = 1, E is the base field
+            g = psi(g)
+            line, hyperplane = field_reduction(line), field_reduction(hyperplane)
         group = CyclicMatrixGroup(g, q ** n - 1, verify=True)
 
         self.base_field = base_field
@@ -74,10 +80,8 @@ class SpreadContext:
         self.n = n
         self.extension = E
         self.group = group
-        self.spread = _certified_orbit(
-            group, field_reduction(Subspace.standard(E, s, 1)), k)
-        self.hyperplanes = _certified_orbit(
-            group, field_reduction(Subspace.standard(E, s, s - 1)), k)
+        self.spread = _certified_orbit(group, line, k)
+        self.hyperplanes = _certified_orbit(group, hyperplane, k)
         self.member_stabilizer_order = q ** k - 1
 
     def __repr__(self):
@@ -106,11 +110,10 @@ def conjugate_spread(ctx: SpreadContext, B: Matrix):
     if B.nrows != ctx.n or B.ncols != ctx.n:
         raise AmbientMismatchError(f"conjugating matrix must be {ctx.n}x{ctx.n}")
     B_inv = B.inverse()  # raises SingularMatrixError when not invertible
-    moved = {m: m.apply(B) for m in ctx.spread.members}
-    code = SubspaceCode(moved.values(),
-                        anchors=tuple(moved[a] for a in ctx.spread.anchors))
     group = CyclicMatrixGroup(B_inv @ ctx.group.generator @ B,
                               ctx.group.order, verify=False)
+    code = SubspaceCode((m.apply(B) for m in ctx.spread.members),
+                        generator=group.generator)
     return code, group
 
 
@@ -210,21 +213,15 @@ class TableRow(NamedTuple):
 
 
 def table_row(ctx: SpreadContext, t: int) -> TableRow:
-    """One row of the spread-type summary: orbit size t / gcd(t, q - 1) is
-    cross-checked by materializing the orbit, the orbit count
-    (q^n - 1) gcd(t, q - 1) / ((q^k - 1) t) comes from the size formula, and
-    the is_odfc flag records the gcd condition."""
-    _check_subgroup_order(ctx, t)
+    """One row of the spread-type summary: the orbit of
+    spread_type_orbit_odfc (size t / gcd(t, q - 1), checked there), the
+    orbit count (q^n - 1) gcd(t, q - 1) / ((q^k - 1) t) from the size
+    formula, and is_odfc from the gcd condition: gcd(t, q - 1) != t."""
+    code = spread_type_orbit_odfc(ctx, t)
     q = ctx.base_field.order
-    N = q ** ctx.n - 1
     d = gcd(t, q - 1)
-    T = ctx.group.subgroup_of_order(t)
-    code, _ = orbit_flag(T, canonical_admissible_flag(ctx))
-    if len(code) != t // d:
-        raise AssertionError("orbit size differs from t / gcd(t, q - 1)")
-    m = N * d // ((q ** ctx.k - 1) * t)
-    optimum = gcd(t, q ** ctx.k - 1) == d and d != t
-    return TableRow(t, len(code), m, optimum)
+    m = (q ** ctx.n - 1) * d // ((q ** ctx.k - 1) * t)
+    return TableRow(t, len(code), m, d != t)
 
 
 def admissible_subgroup_orders(ctx: SpreadContext) -> list:
@@ -304,21 +301,17 @@ def _standard_completion(subs, n):
 
 
 def _generator_flag(ctx: FullTypeContext, U1, U2, v1, v2) -> Flag:
-    F = ctx.base_field
-    k, n = ctx.k, ctx.n
+    k = ctx.k
     if U1.rank() != k:
         raise RankDeficientError("U1 must have rank k")
     if U2.rank() != k:
         raise RankDeficientError("U2 must have rank k")
     U = hstack(U1, U2)
     v_row = hstack(v1, v2)
-    V = vstack(U, v_row)
-    if V.rank() != k + 1:
+    if vstack(U, v_row).rank() != k + 1:
         raise NotExtendingError(
             "(v1 | v2) lies in the row space of (U1 | U2)")
-    subs = [Subspace(F, n, U.rows[:i]) for i in range(1, k + 1)]
-    subs.append(Subspace(F, n, V.rows))
-    return Flag(_standard_completion(subs, n))
+    return _completion_flag(ctx, U, v_row)
 
 
 def full_type_generator_flag(ctx: FullTypeContext, U1=None, U2=None,
@@ -354,6 +347,8 @@ def full_type_orbit_odfc(ctx: FullTypeContext, flag: Flag) -> FlagCode:
 
 
 def _completion_flag(ctx, U, v_row):
+    """Full flag through the leading rows of U, then U + <v_row>, completed
+    with standard vectors."""
     subs = [Subspace(ctx.base_field, ctx.n, U.rows[:i]) for i in range(1, ctx.k + 1)]
     subs.append(Subspace(ctx.base_field, ctx.n, U.rows + v_row.rows))
     return Flag(_standard_completion(subs, ctx.n))
@@ -364,20 +359,17 @@ def _max_code_with_hook(ctx: FullTypeContext, U1, U2, v1, v2) -> FlagCode:
     values break optimality while keeping the size."""
     F = ctx.base_field
     k = ctx.k
-    if U1.rank() != k:
-        raise RankDeficientError("U1 must be invertible")
-    if U2.rank() != k:
-        raise RankDeficientError("U2 must have rank k")
+    flag = _generator_flag(ctx, U1, U2, v1, v2)  # U1 and U2 of rank k
     if vstack(U2, v2).rank() != k + 1:
         raise NotExtendingError("v2 lies in the row space of U2, so "
                                 "V2 = (U2 over v2) is singular")
-    orbit = full_type_orbit_odfc(ctx, _generator_flag(ctx, U1, U2, v1, v2))
+    orbit = full_type_orbit_odfc(ctx, flag)
     zero_right = Matrix.zero(F, k, k + 1)
     zero_left = Matrix.zero(F, k, k)
     v_row = hstack(v1, v2)
     primed = _completion_flag(ctx, hstack(U1, zero_right), v_row)
     doubled = _completion_flag(ctx, hstack(zero_left, U2), v_row)
-    extra = FlagCode([primed, doubled], anchors=(primed, doubled))
+    extra = FlagCode([primed, doubled])
     out = union_flag_codes([orbit, extra], require_additive=True)
     if len(out) != F.order ** (k + 1) + 1:
         raise AssertionError("maximum-size union has the wrong cardinality")

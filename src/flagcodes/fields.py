@@ -537,12 +537,3 @@ def make_field(p: int, e: int, base: FiniteField = None) -> FiniteField:
 def extend_field(base: FiniteField, k: int) -> FiniteField:
     """Degree-k extension tower over an existing field."""
     return make_field(base.characteristic, k, base=base)
-
-
-def primitive_element(F: FiniteField) -> FieldElement:
-    """The residue of x modulo the modulus; generates the unit group."""
-    return F.primitive_element
-
-
-def element_order(a: FieldElement) -> int:
-    return a.order()

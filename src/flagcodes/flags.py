@@ -12,7 +12,9 @@ critical levels a = max{i : 2 t_i <= n} and b = min{i : 2 t_i >= n}: the
 code is optimum distance iff both projected codes carry the full cardinality
 and attain the maximum subspace distance of their dimension.  Both routes
 (definition and characterization) are implemented and kept in agreement by
-the tests.
+the tests.  An orbit code carries its group generator, and so do its
+projections and unions with it first; min_distance checks which orbits of
+it the code really holds before it skips any pair (see subspaces).
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, mul_code_rows, rref_prefix_code_rows
 from .subspaces import (Subspace, SubspaceCode, check_acting_matrix,
-                        max_distance_bound, subspace_distance)
+                        group_orbit, min_pair_distance, subspace_distance)
 
 
 class Flag:
@@ -115,11 +117,6 @@ def full_type(n: int) -> tuple:
     return tuple(range(1, n))
 
 
-def make_flag(subspaces) -> Flag:
-    """Validate a nested chain and wrap it as a Flag."""
-    return Flag(subspaces)
-
-
 def flag_distance(F: Flag, G: Flag) -> int:
     if F.field is not G.field:
         raise MixedFieldsError("flags over different fields")
@@ -154,13 +151,13 @@ def critical_indices(n: int, dims):
 class FlagCode:
     """A nonempty set of flags of one type on a common ambient space.
 
-    `anchors` as in SubspaceCode: orbit seeds that license the linear-time
-    minimum distance scan.
+    `generator` as in SubspaceCode: a matrix whose orbits min_distance may
+    use once it has walked them.
     """
 
-    __slots__ = ("field", "n", "dims", "members", "_set", "anchors")
+    __slots__ = ("field", "n", "dims", "members", "_set", "generator")
 
-    def __init__(self, members, *, anchors=()):
+    def __init__(self, members, *, generator=None):
         members = list(members)
         if not members:
             raise BadDimensionsError("a flag code needs at least one member")
@@ -172,16 +169,15 @@ class FlagCode:
                 raise AmbientMismatchError("flags on different ambient spaces")
             if m.dims != first.dims:
                 raise TypeMismatchError(f"mixed types {m.dims} and {first.dims}")
+        if generator is not None:
+            check_acting_matrix(first.field, first.n, generator)
         self.field = first.field
         self.n = first.n
         self.dims = first.dims
         self._set = frozenset(members)
         self.members = tuple(sorted(
             self._set, key=lambda f: tuple(s.basis.rows for s in f.subspaces)))
-        self.anchors = tuple(anchors)
-        for a in self.anchors:
-            if a not in self._set:
-                raise ValueError("anchors must be members of the code")
+        self.generator = generator
 
     def __iter__(self):
         return iter(self.members)
@@ -202,14 +198,8 @@ class FlagCode:
         return hash((id(self.field), self.n, self._set))
 
     def min_distance(self, full: bool = False) -> int:
-        if len(self.members) == 1:
-            return 0
-        if self.anchors and not full:
-            return min(flag_distance(a, m)
-                       for a in self.anchors for m in self.members if m != a)
-        ms = self.members
-        return min(flag_distance(ms[i], ms[j])
-                   for i in range(len(ms)) for j in range(i + 1, len(ms)))
+        """Minimum pairwise distance; 0 for singleton codes."""
+        return min_pair_distance(self, flag_distance, full)
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "
@@ -220,9 +210,8 @@ def projected_code(code: FlagCode, index: int) -> SubspaceCode:
     """The subspace code of all members' subspaces at one chain position."""
     if not 1 <= index <= len(code.dims):
         raise IndexError(f"index {index} outside type {code.dims}")
-    anchors = dict.fromkeys(a.subspaces[index - 1] for a in code.anchors)
     return SubspaceCode((f.subspaces[index - 1] for f in code.members),
-                        anchors=tuple(anchors))
+                        generator=code.generator)
 
 
 def is_disjoint(code: FlagCode) -> bool:
@@ -250,18 +239,17 @@ def is_odfc_by_characterization(code: FlagCode) -> bool:
 
 
 def union_flag_codes(codes, require_additive: bool = False) -> FlagCode:
-    """Union of flag codes of one type; optionally insist nothing collapses."""
+    """Union of flag codes of one type, with the first part's generator;
+    optionally insist nothing collapses."""
     codes = list(codes)
     if not codes:
         raise BadDimensionsError("nothing to unite")
     members = []
-    anchors = []
     for c in codes:
         if c.dims != codes[0].dims:
             raise TypeMismatchError("union of different flag types")
         members.extend(c.members)
-        anchors.extend(c.anchors)
-    out = FlagCode(members, anchors=tuple(dict.fromkeys(anchors)))
+    out = FlagCode(members, generator=codes[0].generator)
     if require_additive and len(out) != sum(len(c) for c in codes):
         raise AdditivityViolatedError(
             f"union has {len(out)} members, parts have {sum(len(c) for c in codes)}")
@@ -273,38 +261,21 @@ def orbit_flag(group, flag: Flag):
 
     Also verifies that the flag stabilizer is the meet of the level
     stabilizers: in a cyclic group, |Stab(F)| = gcd_i |Stab(F_i)|, i.e. the
-    orbit length is the lcm of the level orbit lengths.
+    orbit length is the lcm of the level orbit lengths.  Level i's orbit
+    length is the first j > 0 with level i of the j-th member back at the
+    seed's.
     """
-    if flag.field is not group.field:
-        raise MixedFieldsError("flag and group over different fields")
-    if flag.n != group.degree:
-        raise AmbientMismatchError(
-            f"flag ambient {flag.n}, group degree {group.degree}")
-    g = group.generator
-    seed = flag
-    members = [seed]
-    r = len(flag.subspaces)
-    level_sizes = [None] * r
-    cur = seed.apply(g)
-    j = 1
-    while cur != seed:
-        for i in range(r):
-            if level_sizes[i] is None and cur.subspaces[i] == seed.subspaces[i]:
-                level_sizes[i] = j
-        members.append(cur)
-        cur = cur.apply(g)
-        j += 1
-    size = j
+    members, stab = group_orbit(group, flag)
+    size = len(members)
     N = group.order
-    if N % size:
-        raise AssertionError("orbit length does not divide the group order")
-    stab = N // size
     meet = 0
-    for s in level_sizes:
-        meet = gcd(meet, N // (s if s is not None else size))
+    for i, seed_level in enumerate(flag.subspaces):
+        level_size = next((j for j in range(1, size)
+                           if members[j].subspaces[i] == seed_level), size)
+        meet = gcd(meet, N // level_size)
     if meet != stab:
         raise AssertionError("flag stabilizer is not the meet of level stabilizers")
-    return FlagCode(members, anchors=(seed,)), stab
+    return FlagCode(members, generator=group.generator), stab
 
 
 @dataclass(frozen=True)

@@ -384,8 +384,3 @@ def matrix_order(A: Matrix, order_hint: int = None) -> int:
             return i
         P = P @ A
     raise ValueError(f"no order found within cap {cap}; matrix may be singular")
-
-
-def rref(M: Matrix):
-    """(reduced row echelon form, rank, pivot column tuple)."""
-    return M.rref()

@@ -15,11 +15,10 @@ subgroup of GL(n, B) of order q^n - 1, transitive on lines and hyperplanes
 with scalar one-space stabilizers of order q - 1.
 """
 
-from .errors import (AmbientMismatchError, MixedFieldsError,
-                     NotADivisorError, NotExtendingError)
+from .errors import NotADivisorError, NotExtendingError
 from .fields import FieldElement, FiniteField, extend_field
 from .matrices import Matrix, matrix_order
-from .subspaces import Subspace, SubspaceCode
+from .subspaces import Subspace, SubspaceCode, group_orbit
 
 
 def companion_matrix(lower, field: FiniteField) -> Matrix:
@@ -118,14 +117,6 @@ class CyclicMatrixGroup:
         self.generator = generator
         self.order = order
 
-    def elements(self):
-        """All group elements, as successive generator powers."""
-        F = self.field
-        cur = Matrix.identity(F, self.degree)
-        for _ in range(self.order):
-            yield cur
-            cur = cur @ self.generator
-
     def subgroup_of_order(self, t: int) -> "CyclicMatrixGroup":
         """The unique subgroup of order t of a cyclic group."""
         if t < 1 or self.order % t:
@@ -150,25 +141,7 @@ def singer_group(field: FiniteField, n: int) -> CyclicMatrixGroup:
     return CyclicMatrixGroup(gen, field.order ** n - 1, verify=True)
 
 
-def subgroup_of_order(group: CyclicMatrixGroup, t: int) -> CyclicMatrixGroup:
-    """The unique subgroup of order t of a cyclic group."""
-    return group.subgroup_of_order(t)
-
-
 def orbit_subspace(group: CyclicMatrixGroup, U: Subspace):
     """(orbit SubspaceCode, stabilizer order) under repeated generator action."""
-    if U.field is not group.field:
-        raise MixedFieldsError("subspace and group over different fields")
-    if U.n != group.degree:
-        raise AmbientMismatchError(
-            f"subspace ambient {U.n}, group degree {group.degree}")
-    g = group.generator
-    members = [U]
-    cur = U.apply(g)
-    while cur != U:
-        members.append(cur)
-        cur = cur.apply(g)
-    size = len(members)
-    if group.order % size:
-        raise AssertionError("orbit length does not divide the group order")
-    return SubspaceCode(members, anchors=(U,)), group.order // size
+    members, stab = group_orbit(group, U)
+    return SubspaceCode(members, generator=group.generator), stab

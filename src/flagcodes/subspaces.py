@@ -5,12 +5,13 @@ matrix, so equality, hashing and membership are exact.  The subspace metric
 is d(U, V) = dim(U + V) - dim(U \\cap V) = 2 rank(stacked bases) - dim U -
 dim V.
 
-Codes whose members form one orbit (or a union of orbits) under a group of
-isometries may carry the orbit seeds as `anchors`; the minimum distance of
-such a code equals the minimum over (anchor, member) pairs, because
-d(F g^x, G g^y) = d(F, G g^(y-x)).  That turns the quadratic pair scan into
-a linear one without giving up exactness, and both paths are cross-checked
-in the test suite.
+A code may carry a `generator`, an n x n matrix over its field, which it
+never trusts: min_distance walks the generator's orbits through the code and
+lets one representative stand for each walk that returns to its start inside
+the code.  For invertible g, d(x g^i, y) = d(x, y g^-i), so the minimum over
+(representative, member) pairs is exact whatever the generator; it only
+decides how much of the quadratic pair scan is saved.  Both paths are
+cross-checked in the test suite.
 """
 
 from itertools import combinations, product
@@ -75,10 +76,6 @@ class Subspace:
         self.dim = len(rref_rows)
         self.basis = Matrix._trusted(field, rref_rows, n)
         return self
-
-    @classmethod
-    def spanned_by(cls, vectors, field: FiniteField, n: int) -> "Subspace":
-        return cls(field, n, vectors)
 
     @classmethod
     def zero(cls, field: FiniteField, n: int) -> "Subspace":
@@ -189,13 +186,13 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
 class SubspaceCode:
     """A nonempty set of equal-dimensional subspaces of a common GF(q)^n.
 
-    `anchors`, when given, must be members whose orbits under some isometry
-    action cover the code; they license the linear-time min_distance path.
+    `generator`, when given, is an n x n matrix over the field whose orbits
+    min_distance may use once it has walked them (see min_pair_distance).
     """
 
-    __slots__ = ("field", "n", "dim", "members", "_set", "anchors")
+    __slots__ = ("field", "n", "dim", "members", "_set", "generator")
 
-    def __init__(self, members, *, anchors=()):
+    def __init__(self, members, *, generator=None):
         members = list(members)
         if not members:
             raise BadDimensionsError("a code needs at least one member")
@@ -208,15 +205,14 @@ class SubspaceCode:
         if not 0 < first.dim < first.n:
             raise BadDimensionsError(
                 f"code members must have 0 < dim < {first.n}, got {first.dim}")
+        if generator is not None:
+            check_acting_matrix(first.field, first.n, generator)
         self.field = first.field
         self.n = first.n
         self.dim = first.dim
         self._set = frozenset(members)
         self.members = tuple(sorted(self._set, key=lambda s: s.basis.rows))
-        self.anchors = tuple(anchors)
-        for a in self.anchors:
-            if a not in self._set:
-                raise ValueError("anchors must be members of the code")
+        self.generator = generator
 
     def __iter__(self):
         return iter(self.members)
@@ -237,17 +233,8 @@ class SubspaceCode:
         return hash((id(self.field), self.n, self._set))
 
     def min_distance(self, full: bool = False) -> int:
-        """Minimum pairwise distance; 0 for singleton codes.
-
-        Uses the anchor shortcut when anchors are set and full is False.
-        """
-        if len(self.members) == 1:
-            return 0
-        if self.anchors and not full:
-            pairs = ((a, m) for a in self.anchors for m in self.members if m != a)
-        else:
-            pairs = combinations(self.members, 2)
-        return min(subspace_distance(u, v) for u, v in pairs)
+        """Minimum pairwise distance; 0 for singleton codes."""
+        return min_pair_distance(self, subspace_distance, full)
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1
@@ -258,9 +245,69 @@ class SubspaceCode:
                 f"in GF({self.field.order})^{self.n})")
 
 
-def code_distance(code: SubspaceCode) -> int:
-    """Minimum pairwise distance, 0 for a singleton."""
-    return code.min_distance()
+def orbit_walk(start, g: Matrix, unvisited=None):
+    """(the walk start, start g, start g^2, ..., whether it got back to start).
+
+    Works for subspaces and flags.  Without `unvisited` the walk runs until
+    it gets back.  With `unvisited`, a set the walk takes each image out of,
+    it stops at the first image not in it, so no element is applied twice.
+    """
+    walk = [start]
+    cur = start.apply(g)
+    while cur != start:
+        if unvisited is not None:
+            if cur not in unvisited:
+                return walk, False
+            unvisited.remove(cur)
+        walk.append(cur)
+        cur = cur.apply(g)
+    return walk, True
+
+
+def group_orbit(group, seed):
+    """(orbit members from seed, stabilizer order) under a cyclic group."""
+    if seed.field is not group.field:
+        raise MixedFieldsError("seed and group over different fields")
+    if seed.n != group.degree:
+        raise AmbientMismatchError(
+            f"seed ambient {seed.n}, group degree {group.degree}")
+    members, _ = orbit_walk(seed, group.generator)
+    if group.order % len(members):
+        raise AssertionError("orbit length does not divide the group order")
+    return members, group.order // len(members)
+
+
+def min_pair_distance(code, distance, full: bool = False) -> int:
+    """Minimum of distance over pairs of code members; 0 for a singleton.
+
+    Unless full is set, the code's generator g is walked from each member
+    not yet placed, one apply per member.  A walk that returns to its start
+    inside the code is a g-orbit of the code and keeps one representative;
+    a walk that leaves it makes every member it passed a representative; a
+    singular g certifies nothing.  Each pair with a representative is
+    scanned once.  Any pair (x g^i, y) of a certified orbit has the
+    distance of (x, y g^-i), and y g^-i is a member when y lies in a
+    certified orbit, while a pair with an uncertified member is scanned
+    from that member.  With every member a representative this is the
+    plain pair scan.
+    """
+    ms = code.members
+    if len(ms) == 1:
+        return 0
+    g = code.generator
+    if full or g is None or not g.is_invertible():
+        reps = list(ms)
+    else:
+        unplaced = set(ms)
+        reps = []
+        for m in ms:
+            if m in unplaced:
+                unplaced.remove(m)
+                walk, returned = orbit_walk(m, g, unplaced)
+                reps.extend(walk[:1] if returned else walk)
+    chosen = set(reps)
+    order = reps + [m for m in ms if m not in chosen]
+    return min(distance(r, m) for i, r in enumerate(reps) for m in order[i + 1:])
 
 
 def member_vectors(sub: Subspace) -> list:
@@ -313,9 +360,7 @@ def is_spread(code: SubspaceCode) -> bool:
 
 def dual_code(code: SubspaceCode) -> SubspaceCode:
     """Member-wise orthogonal complement; preserves size and distance."""
-    mapping = {m: m.dual() for m in code.members}
-    return SubspaceCode(mapping.values(),
-                        anchors=tuple(mapping[a] for a in code.anchors))
+    return SubspaceCode(m.dual() for m in code.members)
 
 
 def enumerate_grassmannian(field: FiniteField, k: int, n: int, cap: int = 10 ** 6):

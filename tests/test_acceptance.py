@@ -14,7 +14,7 @@ from flagcodes import (FieldElement, Flag, FlagCode, Matrix, Subspace,
                        full_type_generator_flag, full_type_max_odfc,
                        full_type_orbit_odfc, is_disjoint,
                        is_odfc_by_characterization, is_odfc_by_definition,
-                       is_spread, make_flag, orbit_subspace, phi,
+                       is_spread, orbit_subspace, phi,
                        projected_code, psi, spread_type_max_odfc,
                        spread_type_orbit_odfc, subspace_distance, table_row)
 from flagcodes.constructions import _max_code_with_hook
@@ -86,7 +86,7 @@ def test_criterion_03_spread_contexts(ctx_q2k2s2, ctx_q2k3s2):
         for ctx, size, stab in ((ctx_q2k2s2, 5, 3), (ctx_q2k3s2, 9, 7)):
             assert len(ctx.spread) == size
             assert is_spread(ctx.spread)
-            orbit, got = orbit_subspace(ctx.group, ctx.spread.anchors[0])
+            orbit, got = orbit_subspace(ctx.group, ctx.spread.members[0])
             assert orbit == ctx.spread
             assert got == stab
             assert ctx.member_stabilizer_order == stab
@@ -269,9 +269,9 @@ def test_criterion_10_worked_example_code(F2):
             return Subspace(F2, 6, tuple(tuple(1 if j == i else 0 for j in range(6))
                                          for i in vecs))
 
-        f1 = make_flag([span(0, 1), span(0, 1, 2)])
-        f2 = make_flag([span(0, 2), span(0, 1, 2)])
-        f3 = make_flag([span(3, 4), span(3, 4, 5)])
+        f1 = Flag([span(0, 1), span(0, 1, 2)])
+        f2 = Flag([span(0, 2), span(0, 1, 2)])
+        f3 = Flag([span(3, 4), span(3, 4, 5)])
         code = FlagCode([f1, f2, f3])
 
         c1 = projected_code(code, 1)

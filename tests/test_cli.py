@@ -123,6 +123,25 @@ def test_spread_command(tmp_path, capsys):
     assert report["partial_spread_bound"] == 5
 
 
+def test_k1_spread_and_spread_type_commands(tmp_path, capsys):
+    # n = 3 is the k = 1 spread type, the case the full-type error points to
+    out = os.path.join(tmp_path, "k1.flagcode")
+    rc, stdout, _ = run(capsys, "construct", "spread-type", "--p", "2",
+                        "--k", "1", "--s", "3", "--t", "7", "--max-size",
+                        "--out", out)
+    assert rc == 0
+    rep = json.loads(stdout)
+    assert rep["size"] == 7 and rep["type"] == [1, 2]
+    assert rep["distance"] == rep["bound"] == 4 and rep["is_odfc"] is True
+    rc, stdout, _ = run(capsys, "verify", out)
+    assert rc == 0 and json.loads(stdout)["verdicts_agree"] is True
+    rc, stdout, _ = run(capsys, "spread", "--p", "2", "--e", "2", "--k", "1",
+                        "--s", "3", "--out", os.path.join(tmp_path, "k1.subcode"))
+    assert rc == 0
+    rep = json.loads(stdout)
+    assert rep["size"] == 21 and rep["stabilizer_order"] == 3
+
+
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
     a = os.path.join(tmp_path, "a.flagcode")
     b = os.path.join(tmp_path, "b.flagcode")

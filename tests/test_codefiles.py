@@ -2,8 +2,8 @@
 
 import os
 
-from flagcodes import (FlagCode, Subspace, SubspaceCode, build_spread_context,
-                       extend_field, make_field, make_flag,
+from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode, build_spread_context,
+                       extend_field, make_field,
                        spread_type_orbit_odfc)
 from flagcodes.codefiles import (format_flag_code, format_subspace_code,
                                  parse_code_file, read_code_file,
@@ -14,10 +14,8 @@ from flagcodes.errors import CodeFileError
 def small_flag_code():
     F2 = make_field(2, 1)
     e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    f1 = make_flag([Subspace.spanned_by([e[0]], F2, 3),
-                    Subspace.spanned_by([e[0], e[1]], F2, 3)])
-    f2 = make_flag([Subspace.spanned_by([e[2]], F2, 3),
-                    Subspace.spanned_by([e[1], e[2]], F2, 3)])
+    f1 = Flag([Subspace(F2, 3, [e[0]]), Subspace(F2, 3, [e[0], e[1]])])
+    f2 = Flag([Subspace(F2, 3, [e[2]]), Subspace(F2, 3, [e[1], e[2]])])
     return FlagCode([f1, f2])
 
 
@@ -35,8 +33,8 @@ def test_flag_round_trip(tmp_path):
 
 def test_subspace_round_trip(tmp_path):
     F3 = make_field(3, 1)
-    code = SubspaceCode([Subspace.spanned_by([(1, 0, 2)], F3, 3),
-                         Subspace.spanned_by([(0, 1, 1)], F3, 3)])
+    code = SubspaceCode([Subspace(F3, 3, [(1, 0, 2)]),
+                         Subspace(F3, 3, [(0, 1, 1)])])
     path = os.path.join(tmp_path, "pair.subcode")
     write_subspace_code(code, path)
     data = read_code_file(path)
@@ -68,8 +66,8 @@ def test_flag_file_header(ctx_q2k2s2):
 
 def test_tower_field_round_trip(tmp_path):
     F4 = make_field(2, 2)
-    code = SubspaceCode([Subspace.spanned_by([(1, 2)], F4, 2),
-                         Subspace.spanned_by([(1, 3)], F4, 2)])
+    code = SubspaceCode([Subspace(F4, 2, [(1, 2)]),
+                         Subspace(F4, 2, [(1, 3)])])
     text = format_subspace_code(code)
     assert "field p=2 e=2" in text.splitlines()[1]
     path = os.path.join(tmp_path, "gf4.subcode")

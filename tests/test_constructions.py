@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from flagcodes import (CyclicMatrixGroup, Matrix, Subspace, SubspaceCode,
-                       admissible_flag_dims, admissible_subgroup_orders,
+from flagcodes import (CyclicMatrixGroup, Flag, Matrix, Subspace,
+                       SubspaceCode, admissible_flag_dims, admissible_subgroup_orders,
                        build_full_type_context, build_spread_context,
                        canonical_admissible_flag, conjugate_spread, dual_code,
                        enumerate_grassmannian, field_reduction,
@@ -14,7 +14,7 @@ from flagcodes import (CyclicMatrixGroup, Matrix, Subspace, SubspaceCode,
                        is_odfc_by_characterization, is_odfc_by_definition,
                        is_partial_spread, is_spread, make_field, orbit_subspace,
                        projected_code, spread_type_max_odfc,
-                       spread_type_orbit_odfc, subgroup_of_order, table_row)
+                       spread_type_orbit_odfc, table_row)
 from flagcodes import constructions, singer, subspaces
 from flagcodes.constructions import _certified_orbit, _max_code_with_hook
 from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
@@ -34,7 +34,7 @@ def test_spread_context_q2k2s2(ctx_q2k2s2):
     assert ctx.member_stabilizer_order == 3
     assert len(ctx.hyperplanes) == 5
     assert ctx.group.order == 15
-    orbit, stab = orbit_subspace(ctx.group, ctx.spread.anchors[0])
+    orbit, stab = orbit_subspace(ctx.group, ctx.spread.members[0])
     assert orbit == ctx.spread and stab == 3
 
 
@@ -59,7 +59,8 @@ def test_certified_orbits_match_brute_force(name, distance_route, request):
                               for U in enumerate_grassmannian(E, d, s))
         assert code == oracle
         assert code.members == oracle.members
-        assert code.anchors[0] == field_reduction(Subspace.standard(E, s, d))
+        assert field_reduction(Subspace.standard(E, s, d)) in code
+        assert code.generator == ctx.group.generator
     assert is_spread(ctx.spread)
     if distance_route == "pairs":
         assert ctx.hyperplanes.min_distance(full=True) == 2 * k
@@ -75,7 +76,7 @@ def test_certificate_rejects_a_non_spread_seed(ctx_q2k2s2, F2):
     with pytest.raises(AssertionError, match="stabilizer order 1"):
         _certified_orbit(ctx_q2k2s2.group, seed, 2)
     # the spread seed passes and gives back the context's code
-    assert _certified_orbit(ctx_q2k2s2.group, ctx_q2k2s2.spread.anchors[0],
+    assert _certified_orbit(ctx_q2k2s2.group, ctx_q2k2s2.spread.members[0],
                             2) == ctx_q2k2s2.spread
 
 
@@ -113,6 +114,21 @@ def test_spread_context_rejects_bad_shapes(F2):
         pass
 
 
+@pytest.mark.parametrize("e, size", [(1, 7), (2, 21)])
+def test_k1_spread_context_holds_every_point(e, size):
+    # n = 3: the Singer group of GF(q)^3 itself, no field reduction
+    F = make_field(2, e)
+    ctx = build_spread_context(F, 1, 3)
+    assert ctx.extension is F and ctx.member_stabilizer_order == F.order - 1
+    assert len(ctx.spread) == len(ctx.hyperplanes) == size
+    assert ctx.spread == SubspaceCode(enumerate_grassmannian(F, 1, 3))
+    assert ctx.hyperplanes == SubspaceCode(enumerate_grassmannian(F, 2, 3))
+    assert is_spread(ctx.spread)
+    code = spread_type_max_odfc(ctx, size)
+    assert len(code) == size and code.dims == (1, 2)
+    assert is_odfc_by_definition(code) and is_odfc_by_characterization(code)
+
+
 def test_conjugate_spread(ctx_q2k2s2, F2):
     ctx = ctx_q2k2s2
     same, group = conjugate_spread(ctx, Matrix.identity(F2, 4))
@@ -128,7 +144,7 @@ def test_conjugate_spread(ctx_q2k2s2, F2):
                 break
         moved, conj = conjugate_spread(ctx, B)
         assert len(moved) == 5 and is_spread(moved)
-        orbit, stab = orbit_subspace(conj, ctx.spread.anchors[0].apply(B))
+        orbit, stab = orbit_subspace(conj, ctx.spread.members[0].apply(B))
         assert orbit == moved and stab == 3
 
     try:
@@ -323,9 +339,8 @@ def test_full_type_input_gates(ftx_q2k2, F2):
 
     flag = full_type_generator_flag(ftx_q2k2)
     partial = [s for s in flag.subspaces if s.dim != 2]
-    from flagcodes import make_flag
     try:
-        full_type_orbit_odfc(ftx_q2k2, make_flag(partial))
+        full_type_orbit_odfc(ftx_q2k2, Flag(partial))
     except TypeMismatchError:
         pass
     else:

@@ -3,7 +3,7 @@
 import random
 
 from flagcodes import (Matrix, block_diag, hstack, make_field, matrix_order,
-                       rref, vstack)
+                       vstack)
 from flagcodes.errors import ShapeError, SingularMatrixError
 from flagcodes.singer import companion_matrix
 
@@ -11,21 +11,21 @@ from flagcodes.singer import companion_matrix
 def test_rref_frozen():
     F2 = make_field(2, 1)
     I3 = Matrix.identity(F2, 3)
-    R, rk, piv = rref(I3)
+    R, rk, piv = I3.rref()
     assert R == I3 and rk == 3 and piv == (0, 1, 2)
 
     Z = Matrix.zero(F2, 2, 3)
-    R, rk, piv = rref(Z)
+    R, rk, piv = Z.rref()
     assert R == Z and rk == 0 and piv == ()
 
     M = Matrix(F2, [(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
-    R, rk, piv = rref(M)
+    R, rk, piv = M.rref()
     assert rk == 2
     assert R.rows == ((1, 0, 1), (0, 1, 1), (0, 0, 0))
 
     F3 = make_field(3, 1)
     M = Matrix(F3, [(2, 1, 0), (1, 2, 0)], 3)
-    R, rk, piv = rref(M)
+    R, rk, piv = M.rref()
     assert R.rows == ((1, 2, 0), (0, 0, 0)) and rk == 1 and piv == (0,)
 
 
@@ -134,7 +134,7 @@ def test_rref_idempotent_seeded():
     for _ in range(50):
         rows = [[rng.randrange(3) for _ in range(4)] for _ in range(3)]
         M = Matrix(F3, rows, 4)
-        R, rk, piv = rref(M)
-        R2, rk2, piv2 = rref(R)
+        R, rk, piv = M.rref()
+        R2, rk2, piv2 = R.rref()
         assert (R2, rk2, piv2) == (R, rk, piv)
         assert rk == M.rank() == M.transpose().rank()

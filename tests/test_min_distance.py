@@ -1,0 +1,137 @@
+"""Minimum distance with a generator that min_distance checks, never trusts.
+
+A code's generator only decides which pairs the scan may skip: the walk
+from each member either returns to its start inside the code (a certified
+orbit, one representative) or leaves it (every member passed is a
+representative).  The result must equal the full pair scan for any
+generator.
+"""
+
+import random
+
+import pytest
+
+from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
+                       canonical_admissible_flag, enumerate_grassmannian,
+                       full_type_generator_flag, is_odfc_by_characterization,
+                       is_odfc_by_definition, is_partial_spread, orbit_flag,
+                       orbit_subspace, projected_code, singer_group,
+                       subspace_distance, union_flag_codes)
+from flagcodes import flags
+from flagcodes.errors import AmbientMismatchError, MixedFieldsError, ShapeError
+
+
+def random_invertible(rng, F, n):
+    while True:
+        M = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
+                       for _ in range(n)], n)
+        if M.is_invertible():
+            return M
+
+
+def test_union_with_a_foreign_flag_is_not_odfc(ctx_q2k2s2, F2):
+    # the 5-flag orbit is an ODFC of distance 8; the extra flag sits at
+    # distance 4 from one of its members
+    T = ctx_q2k2s2.group.subgroup_of_order(5)
+    orbit, _ = orbit_flag(T, canonical_admissible_flag(ctx_q2k2s2))
+    f = Flag([Subspace(F2, 4, [(1, 0, 0, 1)]),
+              Subspace(F2, 4, [(1, 0, 0, 1), (0, 1, 1, 0)]),
+              Subspace(F2, 4, [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)])])
+    code = union_flag_codes([orbit, FlagCode([f])])
+    assert len(code) == 6 and code.generator == T.generator
+    assert orbit.min_distance() == 8
+    assert code.min_distance() == code.min_distance(full=True) == 4
+    assert not is_odfc_by_definition(code)
+    assert not is_odfc_by_characterization(code)
+
+
+def test_generator_the_code_leaves_gives_the_true_distance(F2):
+    # a plane a and the 16 planes of GF(2)^4 meeting it trivially: one
+    # pair of those 16 meets in a line, so the distance is 2
+    planes = list(enumerate_grassmannian(F2, 2, 4))
+    a = planes[0]
+    c = [U for U in planes if subspace_distance(a, U) in (0, 4)]
+    assert len(c) == 17
+    g = singer_group(F2, 4).generator
+    code = SubspaceCode(c, generator=g)
+    assert code.min_distance() == code.min_distance(full=True) == 2
+    assert not code.attains_max_distance()
+    assert not is_partial_spread(code)
+
+
+def test_singular_generator_certifies_nothing(F2):
+    # g kills e3 and e4: walking it would lose dimension, and no orbit
+    # argument holds, so min_distance falls back to the pair scan
+    g = Matrix(F2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)])
+    members = [Subspace(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+               Subspace(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]),
+               Subspace(F2, 4, [(1, 0, 1, 0), (0, 0, 0, 1)])]
+    code = SubspaceCode(members, generator=g)
+    assert code.min_distance() == code.min_distance(full=True) == 2
+
+
+def test_generator_must_act_on_the_code(F2, F3):
+    U = Subspace.standard(F2, 3, 1)
+    with pytest.raises(ShapeError):
+        SubspaceCode([U], generator=Matrix(F2, [(1, 0), (0, 1), (1, 1)]))
+    with pytest.raises(AmbientMismatchError):
+        SubspaceCode([U], generator=Matrix.identity(F2, 4))
+    with pytest.raises(MixedFieldsError):
+        FlagCode([Flag([U])], generator=Matrix.identity(F3, 3))
+
+
+def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
+    T = ctx_q3k3s2.group.subgroup_of_order(56)
+    code, _ = orbit_flag(T, canonical_admissible_flag(ctx_q3k3s2))
+    assert len(code) == 28
+    pairs = []
+    applies = []
+    distance, apply = flags.flag_distance, Flag.apply
+    monkeypatch.setattr(flags, "flag_distance",
+                        lambda u, v: pairs.append(1) or distance(u, v))
+    monkeypatch.setattr(Flag, "apply",
+                        lambda f, A: applies.append(1) or apply(f, A))
+    assert code.min_distance() == 18
+    assert (len(pairs), len(applies)) == (27, 28)
+    pairs.clear()
+    assert code.min_distance(full=True) == 18
+    assert len(pairs) == 28 * 27 // 2
+
+
+def _assert_exact(code):
+    assert code.min_distance() == code.min_distance(full=True), code
+    for i in range(1, len(getattr(code, "dims", ())) + 1):
+        proj = projected_code(code, i)
+        assert proj.min_distance() == proj.min_distance(full=True), (code, i)
+
+
+@pytest.mark.parametrize("name", ["ctx_q2k2s2", "ctx_q2k3s2", "ftx_q2k2"])
+def test_certificate_matches_full_scan_seeded(name, request):
+    ctx = request.getfixturevalue(name)
+    rng = random.Random(f"certificate:{name}")
+    F, n = ctx.base_field, ctx.n
+    if name.startswith("ftx"):
+        seed = full_type_generator_flag(ctx)
+    else:
+        seed = canonical_admissible_flag(ctx)
+    N = ctx.group.order
+    orders = [t for t in range(2, 22) if N % t == 0]  # keeps the full scans small
+    for _ in range(4):
+        T = ctx.group.subgroup_of_order(rng.choice(orders))
+        start = seed.apply(random_invertible(rng, F, n))
+        orbit, _ = orbit_flag(T, start)
+        _assert_exact(orbit)
+        extras = FlagCode(seed.apply(random_invertible(rng, F, n))
+                          for _ in range(rng.randrange(1, 4)))
+        _assert_exact(union_flag_codes([orbit, extras]))
+        # another orbit of the same group and a random generator
+        second, _ = orbit_flag(T, seed.apply(random_invertible(rng, F, n)))
+        _assert_exact(union_flag_codes([orbit, second, extras]))
+        _assert_exact(FlagCode(list(orbit) + list(extras),
+                               generator=random_invertible(rng, F, n)))
+        level = rng.choice(seed.subspaces)
+        sub_orbit, _ = orbit_subspace(T, level.apply(random_invertible(rng, F, n)))
+        _assert_exact(sub_orbit)
+        _assert_exact(SubspaceCode(list(sub_orbit) + [
+            level.apply(random_invertible(rng, F, n)) for _ in range(2)],
+            generator=T.generator))

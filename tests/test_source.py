@@ -2,6 +2,9 @@
 
 import ast
 import pathlib
+import types
+
+import flagcodes
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flagcodes"
 
@@ -14,3 +17,10 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")) and not found, found
+
+
+def test_package_exports_resolve_to_library_objects():
+    assert len(set(flagcodes.__all__)) == len(flagcodes.__all__)
+    for name in flagcodes.__all__:
+        value = getattr(flagcodes, name)  # raises when the name is stale
+        assert not isinstance(value, types.ModuleType), name

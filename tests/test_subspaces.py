@@ -3,7 +3,7 @@
 import random
 from itertools import combinations
 
-from flagcodes import (Matrix, Subspace, SubspaceCode, code_distance,
+from flagcodes import (Matrix, Subspace, SubspaceCode,
                        dual_code, enumerate_grassmannian, gaussian_binomial,
                        is_partial_spread, is_spread, make_field,
                        max_distance_bound, partial_spread_size_bound,
@@ -50,33 +50,33 @@ def test_distance_bounds_frozen():
 
 def test_canonical_form_identifies_equal_spans():
     F2 = make_field(2, 1)
-    a = Subspace.spanned_by([(1, 0, 1), (0, 1, 1)], F2, 3)
-    b = Subspace.spanned_by([(1, 1, 0), (0, 1, 1), (1, 0, 1)], F2, 3)
+    a = Subspace(F2, 3, [(1, 0, 1), (0, 1, 1)])
+    b = Subspace(F2, 3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     assert a == b
     assert hash(a) == hash(b)
     assert a.dim == 2
     assert a.contains_vector((1, 1, 0))
     assert not a.contains_vector((1, 1, 1))
-    assert a.contains(Subspace.spanned_by([(1, 0, 1)], F2, 3))
+    assert a.contains(Subspace(F2, 3, [(1, 0, 1)]))
 
 
 def test_subspace_distance_examples():
     F2 = make_field(2, 1)
-    U = Subspace.spanned_by([(1, 0)], F2, 2)
-    V = Subspace.spanned_by([(0, 1)], F2, 2)
+    U = Subspace(F2, 2, [(1, 0)])
+    V = Subspace(F2, 2, [(0, 1)])
     assert subspace_distance(U, U) == 0
     assert subspace_distance(U, V) == 2
 
     e = Matrix.identity(F2, 6).rows
-    U = Subspace.spanned_by([e[0], e[1]], F2, 6)
-    V = Subspace.spanned_by([e[0], e[2]], F2, 6)
+    U = Subspace(F2, 6, [e[0], e[1]])
+    V = Subspace(F2, 6, [e[0], e[2]])
     assert subspace_distance(U, V) == 2
 
-    W = Subspace.spanned_by([e[0], e[1], e[2]], F2, 6)
+    W = Subspace(F2, 6, [e[0], e[1], e[2]])
     assert subspace_distance(U, W) == 1  # unequal dims: 2*rank - dimU - dimV
 
     try:
-        subspace_distance(U, Subspace.spanned_by([(1, 0)], F2, 2))
+        subspace_distance(U, Subspace(F2, 2, [(1, 0)]))
     except AmbientMismatchError:
         pass
     else:
@@ -106,25 +106,25 @@ def test_sum_intersect_dimension_identity_seeded():
     rng = random.Random(424)
     F3 = make_field(3, 1)
     for _ in range(60):
-        U = Subspace.spanned_by(
-            [[rng.randrange(3) for _ in range(4)] for _ in range(2)], F3, 4)
-        V = Subspace.spanned_by(
-            [[rng.randrange(3) for _ in range(4)] for _ in range(2)], F3, 4)
+        U = Subspace(
+            F3, 4, [[rng.randrange(3) for _ in range(4)] for _ in range(2)])
+        V = Subspace(
+            F3, 4, [[rng.randrange(3) for _ in range(4)] for _ in range(2)])
         s = U.sum(V)
         i = U.intersect(V)
         assert s.dim + i.dim == U.dim + V.dim
         assert s.contains(U) and s.contains(V)
         assert U.contains(i) and V.contains(i)
         assert U.sum(U) == U
-    a = Subspace.spanned_by([(1, 0)], F3, 2)
-    b = Subspace.spanned_by([(0, 1)], F3, 2)
+    a = Subspace(F3, 2, [(1, 0)])
+    b = Subspace(F3, 2, [(0, 1)])
     assert a.intersect(b).dim == 0
 
 
 def test_dual_subspace_involution():
     F2 = make_field(2, 1)
-    line = Subspace.spanned_by([(1, 0)], F2, 2)
-    assert line.dual() == Subspace.spanned_by([(0, 1)], F2, 2)
+    line = Subspace(F2, 2, [(1, 0)])
+    assert line.dual() == Subspace(F2, 2, [(0, 1)])
     for U in enumerate_grassmannian(F2, 2, 4):
         assert U.dual().dim == 2
         assert U.dual().dual() == U
@@ -133,12 +133,12 @@ def test_dual_subspace_involution():
 def test_code_distance_examples():
     F2 = make_field(2, 1)
     e = Matrix.identity(F2, 6).rows
-    single = SubspaceCode([Subspace.spanned_by([e[0]], F2, 6)])
-    assert code_distance(single) == 0
-    pair = SubspaceCode([Subspace.spanned_by(e[:3], F2, 6),
-                         Subspace.spanned_by(e[3:], F2, 6)])
-    assert code_distance(pair) == 6
-    assert code_distance(SubspaceCode(lines(F2, 2))) == 2
+    single = SubspaceCode([Subspace(F2, 6, [e[0]])])
+    assert single.min_distance() == 0
+    pair = SubspaceCode([Subspace(F2, 6, e[:3]),
+                         Subspace(F2, 6, e[3:])])
+    assert pair.min_distance() == 6
+    assert SubspaceCode(lines(F2, 2)).min_distance() == 2
 
 
 def test_dual_code_preserves_size_and_distance():
@@ -150,7 +150,7 @@ def test_dual_code_preserves_size_and_distance():
         C = SubspaceCode(members)
         D = dual_code(C)
         assert len(D) == len(C)
-        assert code_distance(D) == code_distance(C)
+        assert D.min_distance() == C.min_distance()
         assert dual_code(D) == C
 
 
@@ -161,17 +161,17 @@ def test_spread_recognition():
             ((1, 0, 0, 1), (0, 1, 1, 1)),
             ((1, 0, 1, 0), (0, 1, 0, 1)),
             ((1, 0, 1, 1), (0, 1, 1, 0))]
-    members = [Subspace.spanned_by(r, F2, 4) for r in rows]
+    members = [Subspace(F2, 4, r) for r in rows]
     spread = SubspaceCode(members)
     assert is_partial_spread(spread)
     assert is_spread(spread)
-    assert code_distance(spread) == 4
+    assert spread.min_distance() == 4
     smaller = SubspaceCode(members[:4])
     assert is_partial_spread(smaller) and not is_spread(smaller)
 
     e = Matrix.identity(F2, 4).rows
-    overlapping = SubspaceCode([Subspace.spanned_by([e[0], e[1]], F2, 4),
-                                Subspace.spanned_by([e[0], e[2]], F2, 4)])
+    overlapping = SubspaceCode([Subspace(F2, 4, [e[0], e[1]]),
+                                Subspace(F2, 4, [e[0], e[2]])])
     assert not is_partial_spread(overlapping)
     assert not is_spread(overlapping)
 
@@ -185,7 +185,7 @@ def test_spread_covers_every_vector_once():
             ((1, 0, 1, 1), (0, 1, 1, 0))]
     seen = []
     for r in rows:
-        vecs = member_vectors(Subspace.spanned_by(r, F2, 4))
+        vecs = member_vectors(Subspace(F2, 4, r))
         assert len(vecs) == 3  # q^k - 1 nonzero vectors each
         seen.extend(vecs)
     assert len(seen) == len(set(seen)) == 15
