@@ -72,7 +72,7 @@ class SpreadContext:
         if k > 1:  # reduce from GF(q^k)^s; for k = 1, E is the base field
             g = psi(g)
             line, hyperplane = field_reduction(line), field_reduction(hyperplane)
-        group = CyclicMatrixGroup(g, q ** n - 1, verify=True)
+        group = CyclicMatrixGroup(g, q ** n - 1)
 
         self.base_field = base_field
         self.k = k
@@ -110,8 +110,8 @@ def conjugate_spread(ctx: SpreadContext, B: Matrix):
     if B.nrows != ctx.n or B.ncols != ctx.n:
         raise AmbientMismatchError(f"conjugating matrix must be {ctx.n}x{ctx.n}")
     B_inv = B.inverse()  # raises SingularMatrixError when not invertible
-    group = CyclicMatrixGroup(B_inv @ ctx.group.generator @ B,
-                              ctx.group.order, verify=False)
+    # a conjugate has the order of the checked Singer generator
+    group = CyclicMatrixGroup._trusted(B_inv @ ctx.group.generator @ B, ctx.group.order)
     code = SubspaceCode((m.apply(B) for m in ctx.spread.members),
                         generator=group.generator)
     return code, group
@@ -256,7 +256,7 @@ class FullTypeContext:
         self.k = k
         self.n = 2 * k + 1
         self.companion = M
-        self.group = CyclicMatrixGroup(g, q ** (k + 1) - 1, verify=True)
+        self.group = CyclicMatrixGroup(g, q ** (k + 1) - 1)
 
     def __repr__(self):
         return f"FullTypeContext(q={self.base_field.order}, k={self.k})"

@@ -333,11 +333,21 @@ class FiniteField:
                     _CodeTable(lambda a: _CodeTable(partial(self.mul_codes, a))),
                     _CodeTable(self.neg_code), _CodeTable(self.inv_code))
             else:
+                # x^i x^j = x^(i+j) and x^i + x^j = x^i (1 + x^(j-i)), so the
+                # powers of x and the Zech table 1 + x^d (as codes) give every
+                # entry: 2 (q - 1) field operations instead of q^2.  A negative
+                # list index below is the exponent mod q - 1.
+                self._build_log()
                 q = self.order
-                add = [[self.add_codes(a, b) for b in range(q)] for a in range(q)]
-                mul = [[self.mul_codes(a, b) for b in range(q)] for a in range(q)]
-                neg = [self.neg_code(a) for a in range(q)]
-                inv = [0] + [self.inv_code(a) for a in range(1, q)]
+                exp, logs = self._exp, self._log[1:]
+                zech = [self.add_codes(1, c) for c in exp]
+                mul = [[0] * q] + [[0] + [exp[i + j - q + 1] for j in logs] for i in logs]
+                add = [list(range(q))] + [
+                    [a] + [mul[a][zech[j - i]] for j in logs]
+                    for a, i in zip(range(1, q), logs)]
+                half = 0 if self.characteristic == 2 else (q - 1) // 2  # -1 = x^half
+                neg = [0] + [exp[i + half - q + 1] for i in logs]
+                inv = [0] + [exp[-i] for i in logs]
                 self._add, self._neg, self._inv = add, neg, inv
                 self._mul = mul  # set after the others: mul_codes keys off _mul
                 self._tables = (add, mul, neg, inv)

@@ -13,8 +13,8 @@ code is optimum distance iff both projected codes carry the full cardinality
 and attain the maximum subspace distance of their dimension.  Both routes
 (definition and characterization) are implemented and kept in agreement by
 the tests.  An orbit code carries its group generator, and so do its
-projections and unions with it first; min_distance checks which orbits of
-it the code really holds before it skips any pair (see subspaces).
+projections and unions with it first; min_distance walks it through the
+code, and never trusts it, before it skips any pair (see subspaces).
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from math import gcd
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, NotNestedError, SingularMatrixError,
                      TypeMismatchError, AdditivityViolatedError)
-from .matrices import Matrix, mul_code_rows, rref_prefix_code_rows
+from .matrices import Matrix, mul_code_rows, rref_code_rows
 from .subspaces import (Subspace, SubspaceCode, check_acting_matrix,
                         group_orbit, min_pair_distance, subspace_distance)
 
@@ -73,7 +73,7 @@ class Flag:
         """
         F, n = self.field, self.n
         check_acting_matrix(F, n, A)
-        levels = rref_prefix_code_rows(
+        levels = rref_code_rows(
             F, mul_code_rows(F, self._adapted_rows(), A.rows, n), self.dims)
         if any(len(rows) != t for rows, t in zip(levels, self.dims)):
             raise SingularMatrixError(

@@ -176,14 +176,14 @@ class Matrix:
     # -- reduction ------------------------------------------------------------
 
     def rref(self):
-        """(reduced row echelon form, rank, pivot column tuple)."""
-        rows, pivots = rref_code_rows(self.field, list(self.rows), self.ncols)
-        return (Matrix._trusted(self.field, tuple(map(tuple, rows)), self.ncols),
-                len(pivots), tuple(pivots))
+        """(reduced row echelon form, rank, pivot column tuple); zero rows last."""
+        reduced = rref_code_rows(self.field, self.rows)[0]
+        pad = ((0,) * self.ncols,) * (self.nrows - len(reduced))
+        return (Matrix._trusted(self.field, reduced + pad, self.ncols),
+                len(reduced), tuple(r.index(1) for r in reduced))
 
     def rank(self) -> int:
-        _, pivots = rref_code_rows(self.field, list(self.rows), self.ncols)
-        return len(pivots)
+        return len(rref_code_rows(self.field, self.rows)[0])
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -193,24 +193,25 @@ class Matrix:
             raise ShapeError("inverse needs a square matrix")
         n = self.nrows
         aug = [r + e for r, e in zip(self.rows, _identity_rows(n))]
-        rows, pivots = rref_code_rows(self.field, aug, 2 * n)
-        if len(pivots) != n or pivots != list(range(n)):
+        reduced = rref_code_rows(self.field, aug)[0]
+        # [A | I] has rank n; A is invertible iff every pivot lies in A's block
+        if reduced[-1].index(1) >= n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix._trusted(self.field, tuple(tuple(r[n:]) for r in rows), n)
+        return Matrix._trusted(self.field, tuple(r[n:] for r in reduced), n)
 
     def kernel(self) -> "Matrix":
         """Basis rows of {x : M x^T = 0}; shape (ncols - rank) x ncols."""
-        rows, pivots = rref_code_rows(self.field, list(self.rows), self.ncols)
+        reduced = rref_code_rows(self.field, self.rows)[0]
         neg = self.field.neg_code
-        piv_of_col = {c: i for i, c in enumerate(pivots)}
+        piv_of_col = {r.index(1): r for r in reduced}
         out = []
         for f in range(self.ncols):
             if f in piv_of_col:
                 continue
             v = [0] * self.ncols
             v[f] = 1
-            for c, i in piv_of_col.items():
-                v[c] = neg(rows[i][f])
+            for c, r in piv_of_col.items():
+                v[c] = neg(r[f])
             out.append(tuple(v))
         return Matrix._trusted(self.field, tuple(out), self.ncols)
 
@@ -285,74 +286,43 @@ def mul_code_rows(F: FiniteField, arows, brows, ncols):
     return out
 
 
-def rref_code_rows(F: FiniteField, rows, ncols):
-    """Reduced row echelon form of a list of code rows, reduced in place.
-
-    Only the list is modified: a row that changes is replaced by a new
-    list, so the rows may be tuples.  Returns (rows, pivot column list);
-    zero rows sink to the bottom.
-    """
-    add, mul, neg, inv = F.tables()
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        pv = row[c]
-        if pv != 1:
-            mrow = mul[inv[pv]]
-            row = [mrow[x] for x in row]
-            rows[r] = row
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                mrow = mul[neg[rows[i][c]]]
-                rows[i] = [add[x][mrow[y]] for x, y in zip(rows[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rref_prefix_code_rows(F: FiniteField, rows, sizes):
+def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     """Canonical RREF rows of each leading block rows[:t], t in sizes.
 
-    One incremental Gauss-Jordan pass over the rows; after the t-th row it
-    takes a snapshot (a tuple of row tuples, in pivot order).  sizes must
-    be increasing.  A row that reduces to zero adds nothing, so a block of
-    dependent rows yields fewer than t rows.
+    The one Gauss-Jordan body of the library: an incremental pass that
+    reduces each row against the rows kept so far, keeps it when it is not
+    zero and clears its pivot column from the others.  After the t-th row it
+    takes a snapshot, the nonzero rows in pivot order as a tuple of tuples;
+    the pivot of a snapshot row is the index of its leading 1.  sizes must be
+    increasing and defaults to (len(rows),); a dependent or zero row adds
+    nothing, so a block of rank r yields r rows.  rows is not modified.
     """
     add, mul, neg, inv = F.tables()
     reduced = {}  # pivot column -> row, zero at every other pivot column
     snapshots = []
-    want = iter(sizes)
-    t = next(want, None)
-    for count, row in enumerate(rows, 1):
-        for c, b in reduced.items():
-            x = row[c]
-            if x:
-                mrow = mul[neg[x]]
-                row = [add[y][mrow[z]] for y, z in zip(row, b)]
-        pv = next(filter(None, row), 0)  # leading entry, 0 for a zero row
-        if pv:
-            lead = row.index(pv)
-            if pv != 1:
-                mrow = mul[inv[pv]]
-                row = [mrow[x] for x in row]
-            row = tuple(row)
+    done = 0
+    for t in (len(rows),) if sizes is None else sizes:
+        for row in rows[done:t]:
             for c, b in reduced.items():
-                x = b[lead]
+                x = row[c]
                 if x:
                     mrow = mul[neg[x]]
-                    reduced[c] = tuple([add[y][mrow[z]] for y, z in zip(b, row)])
-            reduced[lead] = row
-        if count == t:
-            snapshots.append(tuple(reduced[c] for c in sorted(reduced)))
-            t = next(want, None)
+                    row = [add[y][mrow[z]] for y, z in zip(row, b)]
+            pv = next(filter(None, row), 0)  # leading entry, 0 for a zero row
+            if pv:
+                lead = row.index(pv)
+                if pv != 1:
+                    mrow = mul[inv[pv]]
+                    row = [mrow[x] for x in row]
+                row = tuple(row)
+                for c, b in reduced.items():
+                    x = b[lead]
+                    if x:
+                        mrow = mul[neg[x]]
+                        reduced[c] = tuple([add[y][mrow[z]] for y, z in zip(b, row)])
+                reduced[lead] = row
+        done = t
+        snapshots.append(tuple(reduced[c] for c in sorted(reduced)))
     return snapshots
 
 

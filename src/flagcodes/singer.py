@@ -103,26 +103,40 @@ def psi(A: Matrix) -> Matrix:
 
 
 class CyclicMatrixGroup:
-    """The cyclic group generated by one invertible matrix of known order."""
+    """The cyclic group generated by one invertible matrix of known order.
+
+    The constructor checks the declared order, which also refuses a
+    singular generator: no power of it is the identity.
+    """
 
     __slots__ = ("field", "degree", "generator", "order")
 
-    def __init__(self, generator: Matrix, order: int, verify: bool = True):
+    def __init__(self, generator: Matrix, order: int):
         if generator.nrows != generator.ncols:
             raise ValueError("group generator must be square")
-        if verify and matrix_order(generator, order_hint=order) != order:
+        if matrix_order(generator, order_hint=order) != order:
             raise ValueError(f"generator order differs from declared {order}")
         self.field = generator.field
         self.degree = generator.nrows
         self.generator = generator
         self.order = order
 
+    @classmethod
+    def _trusted(cls, generator: Matrix, order: int) -> "CyclicMatrixGroup":
+        """Wrap a generator whose order follows from a checked group."""
+        self = cls.__new__(cls)
+        self.field = generator.field
+        self.degree = generator.nrows
+        self.generator = generator
+        self.order = order
+        return self
+
     def subgroup_of_order(self, t: int) -> "CyclicMatrixGroup":
         """The unique subgroup of order t of a cyclic group."""
         if t < 1 or self.order % t:
             raise NotADivisorError(f"{t} does not divide group order {self.order}")
-        return CyclicMatrixGroup(self.generator ** (self.order // t), t,
-                                 verify=False)
+        # g of order N makes g^(N/t) of order t
+        return CyclicMatrixGroup._trusted(self.generator ** (self.order // t), t)
 
     def __repr__(self):
         return (f"CyclicMatrixGroup(order {self.order} in "
@@ -138,7 +152,7 @@ def singer_group(field: FiniteField, n: int) -> CyclicMatrixGroup:
         raise ValueError("Singer group needs n >= 1")
     E = extend_field(field, n)
     gen = companion_matrix(E.modulus, field)
-    return CyclicMatrixGroup(gen, field.order ** n - 1, verify=True)
+    return CyclicMatrixGroup(gen, field.order ** n - 1)
 
 
 def orbit_subspace(group: CyclicMatrixGroup, U: Subspace):

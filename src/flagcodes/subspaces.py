@@ -6,9 +6,9 @@ is d(U, V) = dim(U + V) - dim(U \\cap V) = 2 rank(stacked bases) - dim U -
 dim V.
 
 A code may carry a `generator`, an n x n matrix over its field, which it
-never trusts: min_distance walks the generator's orbits through the code and
-lets one representative stand for each walk that returns to its start inside
-the code.  For invertible g, d(x g^i, y) = d(x, y g^-i), so the minimum over
+never trusts: min_distance walks the generator through the code and lets the
+start of each walk stand for the whole walk.  For invertible g,
+d(x g^i, y g^j) = d(x g^(i-m), y g^(j-m)), so the minimum over
 (representative, member) pairs is exact whatever the generator; it only
 decides how much of the quadratic pair scan is saved.  Both paths are
 cross-checked in the test suite.
@@ -58,14 +58,11 @@ class Subspace:
         """rows: generator vectors (codes or elements); dependent rows are fine."""
         if n < 1:
             raise BadDimensionsError("ambient dimension must be positive")
-        gen = Matrix(field, rows, n)
-        if gen.ncols != n:
-            raise BadDimensionsError(f"rows have {gen.ncols} entries, ambient is {n}")
-        reduced, rank, _ = gen.rref()
+        reduced = rref_code_rows(field, Matrix(field, rows, n).rows)[0]
         self.field = field
         self.n = n
-        self.dim = rank
-        self.basis = reduced.take_rows(0, rank)
+        self.dim = len(reduced)
+        self.basis = Matrix._trusted(field, reduced, n)
 
     @classmethod
     def _from_rref(cls, field: FiniteField, n: int, rref_rows: tuple) -> "Subspace":
@@ -109,42 +106,38 @@ class Subspace:
         if not self.dim:
             return self
         F, n = self.field, self.n
-        rows, pivots = rref_code_rows(F, mul_code_rows(F, self.basis.rows, A.rows, n), n)
-        if len(pivots) != self.dim:
+        rows = rref_code_rows(F, mul_code_rows(F, self.basis.rows, A.rows, n))[0]
+        if len(rows) != self.dim:
             raise SingularMatrixError(
-                f"a dim {self.dim} subspace maps onto dim {len(pivots)}")
-        return Subspace._from_rref(F, n, tuple(map(tuple, rows)))
+                f"a dim {self.dim} subspace maps onto dim {len(rows)}")
+        return Subspace._from_rref(F, n, rows)
+
+    def _spans(self, rows) -> bool:
+        """Whether every vector of rows (code tuples) lies in this subspace."""
+        return len(rref_code_rows(self.field, self.basis.rows + rows)[0]) == self.dim
 
     def contains_vector(self, v) -> bool:
-        row = Matrix(self.field, [v], self.n).rows[0]
-        F = self.field
-        add, mul, neg = F.add_codes, F.mul_codes, F.neg_code
-        v = list(row)
-        for brow in self.basis.rows:
-            c = next(j for j, x in enumerate(brow) if x)  # pivot column
-            if v[c]:
-                f = neg(v[c])
-                v = [add(x, mul(f, y)) for x, y in zip(v, brow)]
-        return not any(v)
+        return self._spans(Matrix(self.field, [v], self.n).rows)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_mate(other)
-        return all(self.contains_vector(r) for r in other.basis.rows)
+        return self._spans(other.basis.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
         return Subspace(self.field, self.n, self.basis.rows + other.basis.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [[U, U], [V, 0]]; zero-left rows carry the meet."""
+        """Zassenhaus: reduce [[U, U], [V, 0]]; the rows with a pivot in the
+        right half are zero on the left, and their right halves are the
+        canonical basis of the meet."""
         self._check_mate(other)
         n = self.n
         z = (0,) * n
-        rows = [list(r + r) for r in self.basis.rows] + \
-               [list(r + z) for r in other.basis.rows]
-        reduced, _ = rref_code_rows(self.field, rows, 2 * n)
-        meet = [r[n:] for r in reduced if not any(r[:n]) and any(r[n:])]
-        return Subspace(self.field, n, meet)
+        rows = [r + r for r in self.basis.rows] + [r + z for r in other.basis.rows]
+        reduced = rref_code_rows(self.field, rows)[0]
+        return Subspace._from_rref(self.field, n,
+                                   tuple(r[n:] for r in reduced if r.index(1) >= n))
 
     def dual(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
@@ -178,9 +171,8 @@ def check_acting_matrix(field: FiniteField, n: int, A: Matrix):
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """dim(U + V) - dim(U meet V), via one rank computation."""
     U._check_mate(V)
-    stacked = [list(r) for r in U.basis.rows + V.basis.rows]
-    _, pivots = rref_code_rows(U.field, stacked, U.n)
-    return 2 * len(pivots) - U.dim - V.dim
+    rank = len(rref_code_rows(U.field, U.basis.rows + V.basis.rows)[0])
+    return 2 * rank - U.dim - V.dim
 
 
 class SubspaceCode:
@@ -245,23 +237,24 @@ class SubspaceCode:
                 f"in GF({self.field.order})^{self.n})")
 
 
-def orbit_walk(start, g: Matrix, unvisited=None):
-    """(the walk start, start g, start g^2, ..., whether it got back to start).
+def orbit_walk(start, g: Matrix, unvisited=None) -> list:
+    """[start, start g, start g^2, ...] up to the first image back at start.
 
     Works for subspaces and flags.  Without `unvisited` the walk runs until
     it gets back.  With `unvisited`, a set the walk takes each image out of,
-    it stops at the first image not in it, so no element is applied twice.
+    it also stops at the first image not in it, so no element is applied
+    twice.
     """
     walk = [start]
     cur = start.apply(g)
     while cur != start:
         if unvisited is not None:
             if cur not in unvisited:
-                return walk, False
+                break
             unvisited.remove(cur)
         walk.append(cur)
         cur = cur.apply(g)
-    return walk, True
+    return walk
 
 
 def group_orbit(group, seed):
@@ -271,7 +264,7 @@ def group_orbit(group, seed):
     if seed.n != group.degree:
         raise AmbientMismatchError(
             f"seed ambient {seed.n}, group degree {group.degree}")
-    members, _ = orbit_walk(seed, group.generator)
+    members = orbit_walk(seed, group.generator)
     if group.order % len(members):
         raise AssertionError("orbit length does not divide the group order")
     return members, group.order // len(members)
@@ -281,15 +274,14 @@ def min_pair_distance(code, distance, full: bool = False) -> int:
     """Minimum of distance over pairs of code members; 0 for a singleton.
 
     Unless full is set, the code's generator g is walked from each member
-    not yet placed, one apply per member.  A walk that returns to its start
-    inside the code is a g-orbit of the code and keeps one representative;
-    a walk that leaves it makes every member it passed a representative; a
-    singular g certifies nothing.  Each pair with a representative is
-    scanned once.  Any pair (x g^i, y) of a certified orbit has the
-    distance of (x, y g^-i), and y g^-i is a member when y lies in a
-    certified orbit, while a pair with an uncertified member is scanned
-    from that member.  With every member a representative this is the
-    plain pair scan.
+    not yet placed, one apply per member, until it gets back to its start
+    or leaves the code.  The walks split the code, and each keeps its start
+    as its one representative; a singular g certifies nothing.  Each pair
+    with a representative is scanned once.  That is exact for invertible
+    g: walked members s g^i and t g^j, with m = min(i, j), have the
+    distance of s g^(i-m) and t g^(j-m): one of them is a walk start, the
+    other is still on its walk.  With every member a representative this is
+    the plain pair scan.
     """
     ms = code.members
     if len(ms) == 1:
@@ -303,8 +295,8 @@ def min_pair_distance(code, distance, full: bool = False) -> int:
         for m in ms:
             if m in unplaced:
                 unplaced.remove(m)
-                walk, returned = orbit_walk(m, g, unplaced)
-                reps.extend(walk[:1] if returned else walk)
+                orbit_walk(m, g, unplaced)
+                reps.append(m)
     chosen = set(reps)
     order = reps + [m for m in ms if m not in chosen]
     return min(distance(r, m) for i, r in enumerate(reps) for m in order[i + 1:])

@@ -3,17 +3,20 @@
 Subspace.apply and Flag.apply run on trusted kernel output; these tests hold
 them to the public, validated constructors and to plain FieldElement
 arithmetic, and check that a bad matrix is refused rather than producing an
-invalid subspace or flag.
+invalid subspace or flag.  Every row reduction runs through one kernel,
+`matrices.rref_code_rows`; a FieldElement Gauss-Jordan is the independent
+check of it and of each of its callers.
 """
 
 import random
 
 import pytest
 
-from flagcodes import Flag, Matrix, Subspace, make_field
+from flagcodes import Flag, Matrix, Subspace, make_field, subspace_distance
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
 from flagcodes.fields import FieldElement
+from flagcodes.matrices import rref_code_rows
 
 
 def random_invertible(rng, F, n):
@@ -91,6 +94,12 @@ def _ref_rref(F, rows):
     return tuple(tuple(x.code for x in r) for r in out)
 
 
+def _ref_inverse(F, rows):
+    n = len(rows)
+    aug = [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(rows)]
+    return [r[n:] for r in _ref_rref(F, aug)]
+
+
 def _ref_product(F, arows, brows):
     cols = list(zip(*brows))
     return [[sum((FieldElement(F, a) * FieldElement(F, b) for a, b in zip(r, c)),
@@ -117,3 +126,66 @@ def test_kernels_above_the_table_limit():
         image = flag.apply(A)
         for s, t in zip(image.subspaces, flag.subspaces):
             assert s.basis.rows == _ref_rref(F, _ref_product(F, t.basis.rows, A.rows))
+
+
+def _random_rows(rng, F, count, n):
+    """count rows of length n, some zero and some combinations of earlier rows."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((0,) * n)
+        elif kind < 0.45 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = FieldElement(F, rng.randrange(F.order))
+            rows.append(tuple((FieldElement(F, x) + c * FieldElement(F, y)).code
+                              for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(rng.randrange(F.order) for _ in range(n)))
+    return rows
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 11)])
+def test_row_reduction_kernel_matches_reference(p, e):
+    """Every reduction runs through rref_code_rows; check it and each caller
+    against Gauss-Jordan in FieldElement arithmetic, GF(2^11) included."""
+    F = make_field(p, e)
+    rng = random.Random(f"rref:{p}^{e}")
+    assert rref_code_rows(F, []) == [()]
+    assert rref_code_rows(F, [], ()) == []
+    assert Matrix(F, [], 3).rref()[1:] == (0, ())
+    rank = lambda rows: len(_ref_rref(F, rows))
+    for n in (1, 3, 5):
+        for _ in range(5 if F.order < 1024 else 2):
+            rows = _random_rows(rng, F, rng.randrange(n + 4), n)
+            sizes = sorted(rng.sample(range(len(rows) + 1), min(3, len(rows) + 1)))
+            assert rref_code_rows(F, rows, sizes) == [_ref_rref(F, rows[:t]) for t in sizes]
+            ref = _ref_rref(F, rows)
+            assert rref_code_rows(F, rows) == [ref]
+            if not rows:
+                continue
+            M = Matrix(F, rows, n)
+            R, r, pivots = M.rref()
+            assert R.rows == ref + ((0,) * n,) * (len(rows) - r)
+            assert r == M.rank() == len(ref)
+            assert pivots == tuple(row.index(1) for row in ref)
+            K = M.kernel()
+            assert K.nrows == rank(K.rows) == n - r
+            assert not any(any(x) for x in _ref_product(F, rows, K.transpose().rows))
+            if len(rows) == n:
+                if r == n:
+                    assert M.inverse().rows == tuple(map(tuple, _ref_inverse(F, rows)))
+                else:
+                    with pytest.raises(SingularMatrixError):
+                        M.inverse()
+            half = rng.randrange(len(rows) + 1)
+            U, V = Subspace(F, n, rows[:half]), Subspace(F, n, rows[half:])
+            joint = rank(rows)
+            assert subspace_distance(U, V) == 2 * joint - U.dim - V.dim
+            assert U.contains(V) == (joint == U.dim)
+            assert [U.contains_vector(v) for v in rows[half:]] == \
+                   [rank(U.basis.rows + (v,)) == U.dim for v in rows[half:]]
+            meet = U.intersect(V)
+            assert meet.basis.rows == _ref_rref(F, meet.basis.rows)
+            assert meet.dim == U.dim + V.dim - joint
+            assert U.contains(meet) and V.contains(meet)

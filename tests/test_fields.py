@@ -233,3 +233,46 @@ def test_small_number_theory_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
     assert factorize(26) == {2: 1, 13: 1}
     assert factorize(4160) == {2: 6, 5: 1, 13: 1}
+
+
+def _ref_add(F, a, b):
+    if F.base is None:
+        return (a + b) % F.characteristic
+    return F.encode([_ref_add(F.base, x, y) for x, y in zip(F.decode(a), F.decode(b))])
+
+
+def _ref_neg(F, a):
+    if F.base is None:
+        return -a % F.characteristic
+    return F.encode([_ref_neg(F.base, x) for x in F.decode(a)])
+
+
+def _ref_mul(F, a, b):
+    """Product by the definition: polynomials over the base modulo F's modulus."""
+    if F.base is None:
+        return a * b % F.characteristic
+    B, e = F.base, F.degree
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(F.decode(a)):
+        for j, y in enumerate(F.decode(b)):
+            prod[i + j] = _ref_add(B, prod[i + j], _ref_mul(B, x, y))
+    for i in range(2 * e - 2, e - 1, -1):  # x^e = -(sum of modulus[k] x^k)
+        c = _ref_neg(B, prod[i])
+        for k, m in enumerate(F.modulus):
+            prod[i - e + k] = _ref_add(B, prod[i - e + k], _ref_mul(B, c, m))
+    return F.encode(prod[:e])
+
+
+def test_tables_match_polynomial_arithmetic():
+    F4 = make_field(2, 2)
+    rng = random.Random(8)
+    for F in (F4, make_field(2, 3), make_field(3, 2), extend_field(F4, 2),
+              make_field(3, 3), make_field(2, 8)):
+        add, mul, neg, inv = F.tables()
+        q = F.order
+        rows = range(q) if q < 256 else [0, 1] + rng.sample(range(2, q), 14)
+        for a in rows:
+            assert add[a] == [_ref_add(F, a, b) for b in range(q)], (F, a)
+            assert mul[a] == [_ref_mul(F, a, b) for b in range(q)], (F, a)
+        assert neg == [_ref_neg(F, a) for a in range(q)]
+        assert all(_ref_mul(F, a, inv[a]) == 1 for a in range(1, q))

@@ -18,6 +18,7 @@ from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        orbit_subspace, projected_code, singer_group,
                        subspace_distance, union_flag_codes)
 from flagcodes import flags
+from flagcodes.subspaces import min_pair_distance, orbit_walk
 from flagcodes.errors import AmbientMismatchError, MixedFieldsError, ShapeError
 
 
@@ -96,6 +97,21 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
     pairs.clear()
     assert code.min_distance(full=True) == 18
     assert len(pairs) == 28 * 27 // 2
+
+
+def test_one_representative_per_walk(F2):
+    # m consecutive members of a 15-member Singer orbit: every walk leaves
+    # the code, and each keeps only its start as a representative (two walks
+    # scan 2m - 3 pairs, as many as the full scan at m = 3)
+    g = singer_group(F2, 4).generator
+    orbit = orbit_walk(Subspace(F2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]), g)
+    assert len(orbit) == 15
+    for m in range(4, 15):
+        code = SubspaceCode(orbit[:m], generator=g)
+        pairs = []
+        d = min_pair_distance(code, lambda u, v: pairs.append(1) or subspace_distance(u, v))
+        assert d == code.min_distance(full=True)
+        assert len(pairs) < m * (m - 1) // 2
 
 
 def _assert_exact(code):

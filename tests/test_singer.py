@@ -2,12 +2,16 @@
 
 import random
 
+import pytest
+
+from flagcodes import singer
 from flagcodes import (CyclicMatrixGroup, FieldElement, Matrix, Subspace,
                        is_spread, make_field, matrix_order,
                        orbit_subspace, singer_group,
                        subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               NotADivisorError)
+from flagcodes.constructions import conjugate_spread
 from flagcodes.singer import companion_matrix, field_reduction, phi, psi
 
 
@@ -176,3 +180,25 @@ def test_orbit_input_checks():
         pass
     else:
         raise AssertionError("GF(3) subspace under GF(2) group")
+
+
+def test_group_order_is_always_checked(ctx_q2k2s2, monkeypatch):
+    # a singular generator has no order: the constructor refuses it, and
+    # no switch skips that check (an unchecked one made orbit walks endless)
+    F2 = make_field(2, 1)
+    singular = Matrix(F2, [(1, 1), (0, 0)])
+    with pytest.raises(ValueError):
+        CyclicMatrixGroup(singular, 3)
+    with pytest.raises(TypeError):
+        CyclicMatrixGroup(singular, 3, verify=False)
+    # subgroups and conjugates take their order from a checked group
+    calls = []
+    order = singer.matrix_order
+    monkeypatch.setattr(singer, "matrix_order",
+                        lambda *a, **k: calls.append(1) or order(*a, **k))
+    H = ctx_q2k2s2.group.subgroup_of_order(5)
+    B = random_invertible(random.Random(5), F2, 4)
+    _, C = conjugate_spread(ctx_q2k2s2, B)
+    assert calls == []
+    assert (matrix_order(H.generator), H.order) == (5, 5)
+    assert (matrix_order(C.generator, order_hint=15), C.order) == (15, 15)
