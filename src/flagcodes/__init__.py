@@ -19,12 +19,10 @@ from .subspaces import (Subspace, SubspaceCode, dual_code,
                         enumerate_grassmannian, gaussian_binomial,
                         is_partial_spread, is_spread, max_distance_bound,
                         partial_spread_size_bound, subspace_distance)
-from .flags import (Flag, FlagCode, OrbitalConditionReport,
-                    check_orbital_odfc_conditions, critical_indices,
-                    flag_distance, flag_distance_bound, full_type,
-                    is_disjoint, is_odfc_by_definition,
-                    is_odfc_by_characterization, orbit_flag, projected_code,
-                    union_flag_codes)
+from .flags import (Flag, FlagCode, critical_indices, flag_distance,
+                    flag_distance_bound, full_type, is_disjoint,
+                    is_odfc_by_definition, is_odfc_by_characterization,
+                    orbit_flag, projected_code, union_flag_codes)
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      orbit_subspace, phi, psi, singer_group)
 from .constructions import (FullTypeContext, SpreadContext, TableRow,
@@ -55,8 +53,7 @@ __all__ = [
     "gaussian_binomial", "is_partial_spread", "is_spread",
     "max_distance_bound", "partial_spread_size_bound", "subspace_distance",
     # flags
-    "Flag", "FlagCode", "OrbitalConditionReport",
-    "check_orbital_odfc_conditions", "critical_indices", "flag_distance",
+    "Flag", "FlagCode", "critical_indices", "flag_distance",
     "flag_distance_bound", "full_type", "is_disjoint",
     "is_odfc_by_definition", "is_odfc_by_characterization", "orbit_flag",
     "projected_code", "union_flag_codes",

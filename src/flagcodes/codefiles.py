@@ -13,11 +13,13 @@
 
 `tower=k,s` is optional provenance for spread-type constructions and has no
 effect on parsing.  The ambient field is reconstructed as make_field(p, e),
-so files should only hold codes over fields built that way (element codes
-of a tower over an intermediate field need not match).  A SUBCODE v1 file is identical except the type line
-holds a single dimension and the body is `count` subspace blocks with no
-`flag` separators.  Entries are integer element codes of GF(p^e); members
-are written sorted by canonical basis, so serialization is deterministic.
+so only codes over fields built that way can be written: the element codes
+of a tower over an intermediate field name other elements of GF(p^e), and
+format_* refuse such a code with ValueError.  A SUBCODE v1 file is identical
+except the type line holds a single dimension and the body is `count`
+subspace blocks with no `flag` separators.  Entries are integer element
+codes of GF(p^e); members are written sorted by canonical basis, so
+serialization is deterministic.
 """
 
 import re
@@ -56,6 +58,9 @@ def _field_line(field: FiniteField, tower) -> str:
     e = 0
     while p ** e < q:
         e += 1
+    if field is not make_field(p, e):
+        raise ValueError(f"{field!r} is not make_field({p}, {e}), the field "
+                         f"a file with p={p} e={e} reads back over")
     line = f"field p={p} e={e}"
     if tower is not None:
         line += f" tower={tower[0]},{tower[1]}"

@@ -335,9 +335,8 @@ def full_type_orbit_odfc(ctx: FullTypeContext, flag: Flag) -> FlagCode:
     """Orbit of a full flag under the context group.
 
     Optimum distance exactly when the k-level's left block and the
-    (k+1)-level's right block have full rank (checked by the test suite and
-    check_orbital_odfc_conditions, not gated here, so the degenerate
-    branches stay reachable)."""
+    (k+1)-level's right block have full rank (checked by the test suite,
+    not gated here, so the degenerate branches stay reachable)."""
     if flag.dims != tuple(range(1, ctx.n)):
         raise TypeMismatchError(f"need a full flag on GF(q)^{ctx.n}, got {flag.dims}")
     if flag.n != ctx.n or flag.field is not ctx.base_field:

@@ -240,9 +240,6 @@ class FiniteField:
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
 
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.order))
-
     @property
     def primitive_element(self) -> FieldElement:
         """The residue of x modulo the modulus; generates the unit group."""
@@ -352,19 +349,6 @@ class FiniteField:
                 self._mul = mul  # set after the others: mul_codes keys off _mul
                 self._tables = (add, mul, neg, inv)
         return self._tables
-
-    def log(self, a) -> int:
-        """Discrete log base the primitive element; a may be code or element."""
-        code = a.code if isinstance(a, FieldElement) else a
-        if code == 0:
-            raise ZeroDivisionError("log of zero")
-        self._build_log()
-        return self._log[code]
-
-    def exp(self, i: int) -> FieldElement:
-        """Power i of the primitive element."""
-        self._build_log()
-        return FieldElement(self, self._exp[i % (self.order - 1)])
 
     def _build_log(self):
         if self._exp is not None:

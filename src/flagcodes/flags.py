@@ -17,7 +17,6 @@ projections and unions with it first; min_distance walks it through the
 code, and never trusts it, before it skips any pair (see subspaces).
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
@@ -155,7 +154,8 @@ class FlagCode:
     use once it has walked them.
     """
 
-    __slots__ = ("field", "n", "dims", "members", "_set", "generator")
+    __slots__ = ("field", "n", "dims", "members", "_set", "generator",
+                 "_min_distance", "_projections")
 
     def __init__(self, members, *, generator=None):
         members = list(members)
@@ -178,6 +178,8 @@ class FlagCode:
         self.members = tuple(sorted(
             self._set, key=lambda f: tuple(s.basis.rows for s in f.subspaces)))
         self.generator = generator
+        self._min_distance = None
+        self._projections = None
 
     def __iter__(self):
         return iter(self.members)
@@ -198,8 +200,16 @@ class FlagCode:
         return hash((id(self.field), self.n, self._set))
 
     def min_distance(self, full: bool = False) -> int:
-        """Minimum pairwise distance; 0 for singleton codes."""
-        return min_pair_distance(self, flag_distance, full)
+        """Minimum pairwise distance; 0 for singleton codes.
+
+        Kept after the first call, as in SubspaceCode; full=True always
+        rescans every pair.
+        """
+        if full:
+            return min_pair_distance(self, flag_distance, True)
+        if self._min_distance is None:
+            self._min_distance = min_pair_distance(self, flag_distance)
+        return self._min_distance
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "
@@ -207,11 +217,19 @@ class FlagCode:
 
 
 def projected_code(code: FlagCode, index: int) -> SubspaceCode:
-    """The subspace code of all members' subspaces at one chain position."""
+    """The subspace code of all members' subspaces at one chain position.
+
+    Every level is built on first use and kept on the code, so each
+    projection, and with it its min_distance, exists once per code.
+    """
     if not 1 <= index <= len(code.dims):
         raise IndexError(f"index {index} outside type {code.dims}")
-    return SubspaceCode((f.subspaces[index - 1] for f in code.members),
-                        generator=code.generator)
+    if code._projections is None:
+        code._projections = tuple(
+            SubspaceCode((f.subspaces[i] for f in code.members),
+                         generator=code.generator)
+            for i in range(len(code.dims)))
+    return code._projections[index - 1]
 
 
 def is_disjoint(code: FlagCode) -> bool:
@@ -227,7 +245,11 @@ def is_odfc_by_definition(code: FlagCode) -> bool:
 
 
 def is_odfc_by_characterization(code: FlagCode) -> bool:
-    """Optimum distance decided at the critical levels only."""
+    """Optimum distance decided at the critical levels only.
+
+    On an orbit code Stab(F) <= Stab(F_i), so full cardinality at level i
+    is the paper's orbit condition |Stab(F_i)| = |Stab(F)|.
+    """
     if len(code) < 2:
         return False
     a, b = critical_indices(code.n, code.dims)
@@ -276,52 +298,3 @@ def orbit_flag(group, flag: Flag):
     if meet != stab:
         raise AssertionError("flag stabilizer is not the meet of level stabilizers")
     return FlagCode(members, generator=group.generator), stab
-
-
-@dataclass(frozen=True)
-class OrbitalConditionReport:
-    """Orbit optimality test broken into its conditions at the critical levels."""
-
-    code: FlagCode
-    orbit_size: int
-    flag_stabilizer_order: int
-    a_index: int
-    b_index: int
-    a_attains_max: bool
-    b_attains_max: bool
-    a_stabilizer_order: int
-    b_stabilizer_order: int
-
-    @property
-    def stabilizer_condition(self) -> bool:
-        # Stab(F) always sits inside both level stabilizers, so demanding
-        # |Stab(F_a)| = |Stab(F_b)| <= |Stab(F)| forces equality throughout.
-        return (self.a_stabilizer_order == self.b_stabilizer_order
-                and self.a_stabilizer_order <= self.flag_stabilizer_order)
-
-    @property
-    def verdict(self) -> bool:
-        return self.a_attains_max and self.b_attains_max and self.stabilizer_condition
-
-
-def check_orbital_odfc_conditions(group, flag: Flag) -> OrbitalConditionReport:
-    """Evaluate the orbit-code conditions; verdict matches is_odfc_by_definition."""
-    code, stab = orbit_flag(group, flag)
-    a, b = critical_indices(flag.n, flag.dims)
-    if a is None:
-        a = b
-    if b is None:
-        b = a
-    N = group.order
-
-    def level(idx):
-        proj = projected_code(code, idx)
-        return proj.attains_max_distance(), N // len(proj)
-
-    a_max, a_stab = level(a)
-    b_max, b_stab = (a_max, a_stab) if b == a else level(b)
-    return OrbitalConditionReport(
-        code=code, orbit_size=len(code), flag_stabilizer_order=stab,
-        a_index=a, b_index=b,
-        a_attains_max=a_max, b_attains_max=b_max,
-        a_stabilizer_order=a_stab, b_stabilizer_order=b_stab)

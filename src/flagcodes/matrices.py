@@ -76,34 +76,7 @@ class Matrix:
     def zero(cls, field: FiniteField, nrows: int, ncols: int) -> "Matrix":
         return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
 
-    @classmethod
-    def from_text(cls, field: FiniteField, text: str) -> "Matrix":
-        rows = [[int(tok) for tok in line.split()]
-                for line in text.strip().splitlines() if line.strip()]
-        return cls(field, rows)
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
     # -- shape slicing --------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entry(i, j)
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def cols(self, j0: int, j1: int) -> "Matrix":
-        """Column slice [j0:j1] as a new matrix."""
-        if not 0 <= j0 <= j1 <= self.ncols:
-            raise ShapeError(f"column slice [{j0}:{j1}] out of range")
-        if j0 == j1:
-            raise ShapeError("column count must be positive")
-        return Matrix._trusted(self.field, tuple(r[j0:j1] for r in self.rows), j1 - j0)
 
     def take_rows(self, i0: int, i1: int) -> "Matrix":
         return Matrix._trusted(self.field, self.rows[i0:i1], self.ncols)
@@ -140,11 +113,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, c) -> "Matrix":
-        code = c.code if isinstance(c, FieldElement) else c
-        mul = self.field.mul_codes
-        return Matrix(self.field, [[mul(code, x) for x in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):

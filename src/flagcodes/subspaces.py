@@ -182,7 +182,8 @@ class SubspaceCode:
     min_distance may use once it has walked them (see min_pair_distance).
     """
 
-    __slots__ = ("field", "n", "dim", "members", "_set", "generator")
+    __slots__ = ("field", "n", "dim", "members", "_set", "generator",
+                 "_min_distance")
 
     def __init__(self, members, *, generator=None):
         members = list(members)
@@ -205,6 +206,7 @@ class SubspaceCode:
         self._set = frozenset(members)
         self.members = tuple(sorted(self._set, key=lambda s: s.basis.rows))
         self.generator = generator
+        self._min_distance = None
 
     def __iter__(self):
         return iter(self.members)
@@ -225,8 +227,16 @@ class SubspaceCode:
         return hash((id(self.field), self.n, self._set))
 
     def min_distance(self, full: bool = False) -> int:
-        """Minimum pairwise distance; 0 for singleton codes."""
-        return min_pair_distance(self, subspace_distance, full)
+        """Minimum pairwise distance; 0 for singleton codes.
+
+        A code never changes, so the default answer is computed once and
+        kept.  full=True is the plain pair scan, run on every call.
+        """
+        if full:
+            return min_pair_distance(self, subspace_distance, True)
+        if self._min_distance is None:
+            self._min_distance = min_pair_distance(self, subspace_distance)
+        return self._min_distance
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1

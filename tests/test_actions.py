@@ -68,7 +68,7 @@ def test_misfit_matrices_are_refused():
     F2, F3 = make_field(2, 1), make_field(3, 1)
     sub = Subspace.standard(F2, 4, 2)
     flag = Flag([Subspace.standard(F2, 4, 1), sub])
-    cases = [(Matrix.identity(F2, 4).cols(0, 3), ShapeError),
+    cases = [(Matrix(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]), ShapeError),
              (Matrix(F2, [(1, 0, 0, 0, 0)] * 4, 5), ShapeError),
              (Matrix.identity(F2, 3), AmbientMismatchError),
              (Matrix.identity(F3, 4), MixedFieldsError)]

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from flagcodes import cli
+from flagcodes import (cli, flags, spread_type_orbit_odfc, subspaces,
+                       write_flag_code)
 from flagcodes.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -85,6 +86,27 @@ def test_construct_then_verify_agree(tmp_path, capsys):
     assert report["size"] == 4
     assert report["verdicts_agree"] is True
     assert report["odfc_by_definition"] is True
+
+
+def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
+    # 28 flags of 5 levels: one flag pair scan (5 subspace distances per
+    # pair) and one pair scan per level, which both verdicts then read
+    path = os.path.join(tmp_path, "t56.flagcode")
+    write_flag_code(spread_type_orbit_odfc(ctx_q3k3s2, 56), path)
+    calls = []
+    distance = subspaces.subspace_distance
+
+    def counted(u, v):
+        calls.append(1)
+        return distance(u, v)
+
+    monkeypatch.setattr(subspaces, "subspace_distance", counted)
+    monkeypatch.setattr(flags, "subspace_distance", counted)
+    rc, stdout, _ = run(capsys, "verify", path)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report["size"] == 28 and report["verdicts_agree"] is True
+    assert len(calls) == 2 * 5 * (28 * 27 // 2)
 
 
 def test_table1_golden(capsys):

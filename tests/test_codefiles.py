@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode, build_spread_context,
                        extend_field, make_field,
                        spread_type_orbit_odfc)
@@ -75,6 +77,24 @@ def test_tower_field_round_trip(tmp_path):
     data = read_code_file(path)
     assert data.field.order == 4
     assert data.code == code
+
+
+def test_code_over_an_intermediate_tower_is_refused(tmp_path):
+    # a file records only p and e, so it reads back over make_field(2, 4):
+    # another GF(16), where the same element codes multiply differently
+    tower = extend_field(make_field(2, 2), 2)
+    F16 = make_field(2, 4)
+    assert tower.mul_codes(5, 5) == 7 and F16.mul_codes(5, 5) == 8
+    rows = [[(1, 5)], [(1, 7)]]
+    for fmt, code in [
+            (format_subspace_code, SubspaceCode(Subspace(tower, 2, r) for r in rows)),
+            (format_flag_code, FlagCode([Flag([Subspace(tower, 2, rows[0])])]))]:
+        with pytest.raises(ValueError):
+            fmt(code)
+    code = SubspaceCode(Subspace(F16, 2, r) for r in rows)
+    path = os.path.join(tmp_path, "gf16.subcode")
+    write_subspace_code(code, path)
+    assert read_code_file(path).code == code
 
 
 def test_parse_rejects_with_line_numbers(tmp_path):

@@ -202,13 +202,6 @@ def test_encoding_positional():
     assert F8.decode(5) == (1, 0, 1)
 
 
-def test_log_exp_round_trip():
-    for F in [make_field(2, 3), make_field(3, 2), extend_field(make_field(2, 2), 2)]:
-        for c in range(1, F.order):
-            assert F.exp(F.log(c)).code == c
-        assert F.log(F.primitive_element) == 1
-
-
 def test_frobenius_is_additive():
     F9 = make_field(3, 2)
     for a in range(9):

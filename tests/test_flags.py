@@ -2,9 +2,9 @@
 
 import random
 
-from flagcodes import (Flag, FlagCode, Matrix, Subspace, check_orbital_odfc_conditions,
-                       critical_indices, flag_distance, flag_distance_bound,
-                       full_type, is_disjoint, is_odfc_by_characterization,
+from flagcodes import (Flag, FlagCode, Matrix, Subspace, critical_indices,
+                       flag_distance, flag_distance_bound, full_type,
+                       is_disjoint, is_odfc_by_characterization,
                        is_odfc_by_definition, make_field, orbit_flag,
                        projected_code, singer_group, union_flag_codes)
 from flagcodes.errors import (AdditivityViolatedError, BadDimensionsError,
@@ -94,6 +94,7 @@ def test_projections_and_disjointness():
     assert len(projected_code(code, 1)) == 3
     assert len(projected_code(code, 2)) == 2
     assert projected_code(code, 2).min_distance() == 6
+    assert projected_code(code, 2) is projected_code(code, 2)
     assert not is_disjoint(code)
     assert is_disjoint(FlagCode([f1]))
     try:
@@ -154,23 +155,14 @@ def test_orbit_flag_frozen():
     assert code.min_distance() == 6
     assert flag_distance_bound(4, (1, 2, 3)) == 8
     assert not is_odfc_by_definition(code)
+    assert critical_indices(4, code.dims) == (2, 2)
+    assert not is_odfc_by_characterization(code)
     # the generator certificate agrees with the full pair scan
     assert code.min_distance() == code.min_distance(full=True)
 
     trivial = G.subgroup_of_order(1)
     single, stab = orbit_flag(trivial, flag)
     assert len(single) == 1 and stab == 1
-
-
-def test_orbital_condition_report():
-    F2 = make_field(2, 1)
-    G = singer_group(F2, 4)
-    flag = Flag([Subspace.standard(F2, 4, k) for k in (1, 2, 3)])
-    report = check_orbital_odfc_conditions(G, flag)
-    assert report.orbit_size == 15
-    assert report.a_index == 2 and report.b_index == 2
-    assert report.verdict == is_odfc_by_definition(report.code)
-    assert report.verdict is False
 
 
 def test_union_flag_codes():

@@ -94,9 +94,14 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
                         lambda f, A: applies.append(1) or apply(f, A))
     assert code.min_distance() == 18
     assert (len(pairs), len(applies)) == (27, 28)
+    # a code never changes: the answer is kept, and full=True still scans
     pairs.clear()
-    assert code.min_distance(full=True) == 18
-    assert len(pairs) == 28 * 27 // 2
+    applies.clear()
+    assert code.min_distance() == 18
+    assert (len(pairs), len(applies)) == (0, 0)
+    for _ in range(2):
+        assert code.min_distance(full=True) == 18
+    assert len(pairs) == 2 * (28 * 27 // 2)
 
 
 def test_one_representative_per_walk(F2):
