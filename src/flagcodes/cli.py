@@ -45,17 +45,15 @@ def _field(args):
 
 
 def _flag_summary(code, runtime_ms=None, extra=None) -> dict:
-    bound = flag_distance_bound(code.n, code.dims)
-    dist = code.min_distance()
     out = {
         "kind": "flag-code",
         "q": code.field.order,
         "n": code.n,
         "type": list(code.dims),
         "size": len(code),
-        "distance": dist,
-        "bound": bound,
-        "is_odfc": len(code) > 1 and dist == bound,
+        "distance": code.min_distance(),
+        "bound": flag_distance_bound(code.n, code.dims),
+        "is_odfc": is_odfc_by_definition(code),
     }
     if extra:
         out.update(extra)
@@ -127,18 +125,18 @@ def _verify_flag(data: CodeFileData) -> dict:
 
 def _verify_subspace(data: CodeFileData) -> dict:
     code = data.code
-    dist = code.min_distance()
-    dmax = max_distance_bound(code.n, code.dim)
+    # a spread is a partial spread, so one cover scan answers both
+    spread = is_spread(code)
     return {
         "kind": "subspace-code",
         "q": code.field.order,
         "n": code.n,
         "dim": code.dim,
         "size": len(code),
-        "distance": dist,
-        "max_distance": dmax,
-        "partial_spread": is_partial_spread(code),
-        "spread": is_spread(code),
+        "distance": code.min_distance(),
+        "max_distance": max_distance_bound(code.n, code.dim),
+        "partial_spread": spread or is_partial_spread(code),
+        "spread": spread,
         "partial_spread_bound": partial_spread_size_bound(
             code.n, code.dim, code.field.order),
     }

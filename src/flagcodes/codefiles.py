@@ -69,7 +69,7 @@ def _field_line(field: FiniteField, tower) -> str:
 
 def _subspace_block(sub: Subspace) -> list:
     return [f"subspace k={sub.dim}"] + [
-        " ".join(str(x) for x in row) for row in sub.basis.rows]
+        " ".join(str(x) for x in row) for row in sub.rows]
 
 
 def format_flag_code(code: FlagCode, tower=None) -> str:
@@ -211,15 +211,13 @@ def parse_code_file(text: str) -> CodeFileData:
             except ValueError as exc:
                 raise CodeFileError(fno, f"invalid flag: {exc}") from None
         cur.done()
-        if len(set(members)) != count:
-            raise CodeFileError(cur.last_line, "duplicate flags in file")
         code = FlagCode(members)
     else:
         members = [_parse_subspace(cur, field, n, dims[0]) for _ in range(count)]
         cur.done()
-        if len(set(members)) != count:
-            raise CodeFileError(cur.last_line, "duplicate subspaces in file")
         code = SubspaceCode(members)
+    if len(code) != count:
+        raise CodeFileError(cur.last_line, f"duplicate {kind}s in file")
     return CodeFileData(kind=kind, field=field, n=n, dims=dims,
                         tower=tower, code=code)
 

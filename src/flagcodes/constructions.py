@@ -294,7 +294,7 @@ def _standard_completion(subs, n):
         for m in range(n):
             e = tuple(1 if j == m else 0 for j in range(n))
             if not top.contains_vector(e):
-                top = Subspace(field, n, top.basis.rows + (e,))
+                top = Subspace(field, n, top.rows + (e,))
                 break
         subs.append(top)
     return subs

@@ -23,8 +23,8 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, NotNestedError, SingularMatrixError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, mul_code_rows, rref_code_rows
-from .subspaces import (Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit, min_pair_distance, subspace_distance)
+from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
+                        group_orbit, subspace_distance)
 
 
 class Flag:
@@ -62,6 +62,14 @@ class Flag:
         self._hash = None
         return self
 
+    def _check_mate(self, other: "Flag"):
+        if self.field is not other.field:
+            raise MixedFieldsError("flags over different fields")
+        if self.n != other.n:
+            raise AmbientMismatchError(f"ambient dimensions {self.n} and {other.n}")
+        if self.dims != other.dims:
+            raise TypeMismatchError(f"flag types {self.dims} and {other.dims}")
+
     def apply(self, A: Matrix) -> "Flag":
         """Right action by an invertible matrix.
 
@@ -91,7 +99,7 @@ class Flag:
         rows = []
         pivots = set()
         for s in self.subspaces:
-            for row in s.basis.rows:
+            for row in s.rows:
                 lead = row.index(1)
                 if lead not in pivots:
                     pivots.add(lead)
@@ -105,7 +113,7 @@ class Flag:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(s.basis.rows for s in self.subspaces))
+            self._hash = hash(tuple(s.rows for s in self.subspaces))
         return self._hash
 
     def __repr__(self):
@@ -117,12 +125,7 @@ def full_type(n: int) -> tuple:
 
 
 def flag_distance(F: Flag, G: Flag) -> int:
-    if F.field is not G.field:
-        raise MixedFieldsError("flags over different fields")
-    if F.n != G.n:
-        raise AmbientMismatchError(f"ambient dimensions {F.n} and {G.n}")
-    if F.dims != G.dims:
-        raise TypeMismatchError(f"flag types {F.dims} and {G.dims}")
+    F._check_mate(G)
     return sum(subspace_distance(u, v)
                for u, v in zip(F.subspaces, G.subspaces))
 
@@ -147,69 +150,19 @@ def critical_indices(n: int, dims):
     return a, b
 
 
-class FlagCode:
-    """A nonempty set of flags of one type on a common ambient space.
+class FlagCode(Code):
+    """A nonempty set of flags of one type on a common ambient space."""
 
-    `generator` as in SubspaceCode: a matrix whose orbits min_distance may
-    use once it has walked them.
-    """
-
-    __slots__ = ("field", "n", "dims", "members", "_set", "generator",
-                 "_min_distance", "_projections")
+    __slots__ = ("dims", "_projections")
 
     def __init__(self, members, *, generator=None):
-        members = list(members)
-        if not members:
-            raise BadDimensionsError("a flag code needs at least one member")
-        first = members[0]
-        for m in members:
-            if m.field is not first.field:
-                raise MixedFieldsError("flags over different fields")
-            if m.n != first.n:
-                raise AmbientMismatchError("flags on different ambient spaces")
-            if m.dims != first.dims:
-                raise TypeMismatchError(f"mixed types {m.dims} and {first.dims}")
-        if generator is not None:
-            check_acting_matrix(first.field, first.n, generator)
-        self.field = first.field
-        self.n = first.n
-        self.dims = first.dims
-        self._set = frozenset(members)
-        self.members = tuple(sorted(
-            self._set, key=lambda f: tuple(s.basis.rows for s in f.subspaces)))
-        self.generator = generator
-        self._min_distance = None
+        super().__init__(members, generator,
+                         lambda f: tuple(s.rows for s in f.subspaces))
+        self.dims = self.members[0].dims
         self._projections = None
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, flag):
-        return flag in self._set
-
-    def __eq__(self, other):
-        if not isinstance(other, FlagCode):
-            return NotImplemented
-        return (self.field is other.field and self.n == other.n
-                and self._set == other._set)
-
-    def __hash__(self):
-        return hash((id(self.field), self.n, self._set))
-
-    def min_distance(self, full: bool = False) -> int:
-        """Minimum pairwise distance; 0 for singleton codes.
-
-        Kept after the first call, as in SubspaceCode; full=True always
-        rescans every pair.
-        """
-        if full:
-            return min_pair_distance(self, flag_distance, True)
-        if self._min_distance is None:
-            self._min_distance = min_pair_distance(self, flag_distance)
-        return self._min_distance
+    def _distance(self):
+        return flag_distance  # read at call time, as in SubspaceCode
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "
@@ -262,16 +215,13 @@ def is_odfc_by_characterization(code: FlagCode) -> bool:
 
 def union_flag_codes(codes, require_additive: bool = False) -> FlagCode:
     """Union of flag codes of one type, with the first part's generator;
-    optionally insist nothing collapses."""
+    optionally insist nothing collapses.  Parts of other types fail the
+    members' type check in FlagCode."""
     codes = list(codes)
     if not codes:
         raise BadDimensionsError("nothing to unite")
-    members = []
-    for c in codes:
-        if c.dims != codes[0].dims:
-            raise TypeMismatchError("union of different flag types")
-        members.extend(c.members)
-    out = FlagCode(members, generator=codes[0].generator)
+    out = FlagCode((m for c in codes for m in c.members),
+                   generator=codes[0].generator)
     if require_additive and len(out) != sum(len(c) for c in codes):
         raise AdditivityViolatedError(
             f"union has {len(out)} members, parts have {sum(len(c) for c in codes)}")

@@ -88,7 +88,7 @@ def field_reduction(U: Subspace) -> Subspace:
     if E.base is None:
         raise NotExtendingError("field reduction needs an extension field")
     k = E.degree
-    out = Subspace(E.base, k * U.n, _expanded_rows(E, U.basis.rows))
+    out = Subspace(E.base, k * U.n, _expanded_rows(E, U.rows))
     if out.dim != k * U.dim:
         raise AssertionError("field reduction must be injective")
     return out

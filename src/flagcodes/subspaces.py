@@ -5,9 +5,10 @@ matrix, so equality, hashing and membership are exact.  The subspace metric
 is d(U, V) = dim(U + V) - dim(U \\cap V) = 2 rank(stacked bases) - dim U -
 dim V.
 
-A code may carry a `generator`, an n x n matrix over its field, which it
-never trusts: min_distance walks the generator through the code and lets the
-start of each walk stand for the whole walk.  For invertible g,
+A `Code`, the one base of subspace and flag codes, may carry a `generator`,
+an n x n matrix over its field, which it never trusts: min_distance walks
+the generator through the code and lets the start of each walk stand for
+the whole walk.  For invertible g,
 d(x g^i, y g^j) = d(x g^(i-m), y g^(j-m)), so the minimum over
 (representative, member) pairs is exact whatever the generator; it only
 decides how much of the quadratic pair scan is saved.  Both paths are
@@ -50,9 +51,9 @@ def partial_spread_size_bound(n: int, k: int, q: int) -> int:
 
 
 class Subspace:
-    """A subspace of GF(q)^n, stored by its canonical RREF basis."""
+    """A subspace of GF(q)^n, stored by its canonical RREF rows (code tuples)."""
 
-    __slots__ = ("field", "n", "dim", "basis")
+    __slots__ = ("field", "n", "dim", "rows")
 
     def __init__(self, field: FiniteField, n: int, rows):
         """rows: generator vectors (codes or elements); dependent rows are fine."""
@@ -62,7 +63,7 @@ class Subspace:
         self.field = field
         self.n = n
         self.dim = len(reduced)
-        self.basis = Matrix._trusted(field, reduced, n)
+        self.rows = reduced
 
     @classmethod
     def _from_rref(cls, field: FiniteField, n: int, rref_rows: tuple) -> "Subspace":
@@ -71,7 +72,7 @@ class Subspace:
         self.field = field
         self.n = n
         self.dim = len(rref_rows)
-        self.basis = Matrix._trusted(field, rref_rows, n)
+        self.rows = rref_rows
         return self
 
     @classmethod
@@ -106,7 +107,7 @@ class Subspace:
         if not self.dim:
             return self
         F, n = self.field, self.n
-        rows = rref_code_rows(F, mul_code_rows(F, self.basis.rows, A.rows, n))[0]
+        rows = rref_code_rows(F, mul_code_rows(F, self.rows, A.rows, n))[0]
         if len(rows) != self.dim:
             raise SingularMatrixError(
                 f"a dim {self.dim} subspace maps onto dim {len(rows)}")
@@ -114,18 +115,18 @@ class Subspace:
 
     def _spans(self, rows) -> bool:
         """Whether every vector of rows (code tuples) lies in this subspace."""
-        return len(rref_code_rows(self.field, self.basis.rows + rows)[0]) == self.dim
+        return len(rref_code_rows(self.field, self.rows + rows)[0]) == self.dim
 
     def contains_vector(self, v) -> bool:
         return self._spans(Matrix(self.field, [v], self.n).rows)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_mate(other)
-        return self._spans(other.basis.rows)
+        return self._spans(other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
-        return Subspace(self.field, self.n, self.basis.rows + other.basis.rows)
+        return Subspace(self.field, self.n, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: reduce [[U, U], [V, 0]]; the rows with a pivot in the
@@ -134,7 +135,7 @@ class Subspace:
         self._check_mate(other)
         n = self.n
         z = (0,) * n
-        rows = [r + r for r in self.basis.rows] + [r + z for r in other.basis.rows]
+        rows = [r + r for r in self.rows] + [r + z for r in other.rows]
         reduced = rref_code_rows(self.field, rows)[0]
         return Subspace._from_rref(self.field, n,
                                    tuple(r[n:] for r in reduced if r.index(1) >= n))
@@ -143,16 +144,17 @@ class Subspace:
         """Orthogonal complement under the standard dot product."""
         if self.dim == 0:
             return Subspace.full(self.field, self.n)
-        return Subspace(self.field, self.n, self.basis.kernel().rows)
+        return Subspace(self.field, self.n,
+                        Matrix._trusted(self.field, self.rows, self.n).kernel().rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field is other.field and self.n == other.n
-                and self.basis.rows == other.basis.rows)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((id(self.field), self.n, self.basis.rows))
+        return hash((id(self.field), self.n, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of GF({self.field.order})^{self.n})"
@@ -171,40 +173,36 @@ def check_acting_matrix(field: FiniteField, n: int, A: Matrix):
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """dim(U + V) - dim(U meet V), via one rank computation."""
     U._check_mate(V)
-    rank = len(rref_code_rows(U.field, U.basis.rows + V.basis.rows)[0])
+    rank = len(rref_code_rows(U.field, U.rows + V.rows)[0])
     return 2 * rank - U.dim - V.dim
 
 
-class SubspaceCode:
-    """A nonempty set of equal-dimensional subspaces of a common GF(q)^n.
+class Code:
+    """A nonempty set of members of one shape on a common GF(q)^n.
 
-    `generator`, when given, is an n x n matrix over the field whose orbits
-    min_distance may use once it has walked them (see min_pair_distance).
+    The members are subspaces (SubspaceCode) or flags (FlagCode), kept
+    sorted by `key`, their canonical rows.  `generator`, when given, is an
+    n x n matrix over the field whose orbits min_distance may use once it
+    has walked them (see min_pair_distance) with the distance each kind's
+    `_distance()` returns.  Two codes are equal when they are of one kind
+    and hold the same members.
     """
 
-    __slots__ = ("field", "n", "dim", "members", "_set", "generator",
-                 "_min_distance")
+    __slots__ = ("field", "n", "members", "_set", "generator", "_min_distance")
 
-    def __init__(self, members, *, generator=None):
+    def __init__(self, members, generator, key):
         members = list(members)
         if not members:
             raise BadDimensionsError("a code needs at least one member")
         first = members[0]
         for m in members:
             first._check_mate(m)
-            if m.dim != first.dim:
-                raise BadDimensionsError(
-                    f"mixed dimensions {m.dim} and {first.dim} in one code")
-        if not 0 < first.dim < first.n:
-            raise BadDimensionsError(
-                f"code members must have 0 < dim < {first.n}, got {first.dim}")
         if generator is not None:
             check_acting_matrix(first.field, first.n, generator)
         self.field = first.field
         self.n = first.n
-        self.dim = first.dim
         self._set = frozenset(members)
-        self.members = tuple(sorted(self._set, key=lambda s: s.basis.rows))
+        self.members = tuple(sorted(self._set, key=key))
         self.generator = generator
         self._min_distance = None
 
@@ -214,17 +212,16 @@ class SubspaceCode:
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, sub):
-        return sub in self._set
+    def __contains__(self, member):
+        return member in self._set
 
     def __eq__(self, other):
-        if not isinstance(other, SubspaceCode):
+        if not isinstance(other, Code):
             return NotImplemented
-        return (self.field is other.field and self.n == other.n
-                and self._set == other._set)
+        return type(self) is type(other) and self._set == other._set
 
     def __hash__(self):
-        return hash((id(self.field), self.n, self._set))
+        return hash(self._set)
 
     def min_distance(self, full: bool = False) -> int:
         """Minimum pairwise distance; 0 for singleton codes.
@@ -233,10 +230,30 @@ class SubspaceCode:
         kept.  full=True is the plain pair scan, run on every call.
         """
         if full:
-            return min_pair_distance(self, subspace_distance, True)
+            return min_pair_distance(self, self._distance(), True)
         if self._min_distance is None:
-            self._min_distance = min_pair_distance(self, subspace_distance)
+            self._min_distance = min_pair_distance(self, self._distance())
         return self._min_distance
+
+
+class SubspaceCode(Code):
+    """A nonempty set of equal-dimensional subspaces of a common GF(q)^n."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, members, *, generator=None):
+        super().__init__(members, generator, lambda s: s.rows)
+        self.dim = self.members[0].dim
+        for m in self.members:
+            if m.dim != self.dim:
+                raise BadDimensionsError(
+                    f"mixed dimensions {m.dim} and {self.dim} in one code")
+        if not 0 < self.dim < self.n:
+            raise BadDimensionsError(
+                f"code members must have 0 < dim < {self.n}, got {self.dim}")
+
+    def _distance(self):
+        return subspace_distance  # read at call time, so a wrapper sees each pair
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1
@@ -318,7 +335,7 @@ def member_vectors(sub: Subspace) -> list:
     n = sub.n
     combos = [(0,) * n]
     add, mul = F.tables()[:2]
-    for row in sub.basis.rows:
+    for row in sub.rows:
         scaled = [tuple(mul[c][x] for x in row) for c in range(F.order)]
         combos = [tuple(add[a][b] for a, b in zip(base, s))
                   for s in scaled for base in combos]

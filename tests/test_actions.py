@@ -43,12 +43,12 @@ def test_flag_apply_matches_validated_rebuild():
                 flag = random_flag(rng, F, n, dims)
                 A = random_invertible(rng, F, n)
                 image = flag.apply(A)
-                rebuilt = Flag([Subspace(F, n, (s.basis @ A).rows)
+                rebuilt = Flag([Subspace(F, n, (Matrix(F, s.rows, n) @ A).rows)
                                 for s in flag.subspaces])
                 assert image == rebuilt
                 assert image.dims == rebuilt.dims == dims
-                assert [s.basis.rows for s in image.subspaces] == \
-                       [s.basis.rows for s in rebuilt.subspaces]
+                assert [s.rows for s in image.subspaces] == \
+                       [s.rows for s in rebuilt.subspaces]
                 assert [s.apply(A) for s in flag.subspaces] == list(image.subspaces)
 
 
@@ -125,7 +125,7 @@ def test_kernels_above_the_table_limit():
         flag = random_flag(rng, F, n, (1, 3))
         image = flag.apply(A)
         for s, t in zip(image.subspaces, flag.subspaces):
-            assert s.basis.rows == _ref_rref(F, _ref_product(F, t.basis.rows, A.rows))
+            assert s.rows == _ref_rref(F, _ref_product(F, t.rows, A.rows))
 
 
 def _random_rows(rng, F, count, n):
@@ -184,8 +184,8 @@ def test_row_reduction_kernel_matches_reference(p, e):
             assert subspace_distance(U, V) == 2 * joint - U.dim - V.dim
             assert U.contains(V) == (joint == U.dim)
             assert [U.contains_vector(v) for v in rows[half:]] == \
-                   [rank(U.basis.rows + (v,)) == U.dim for v in rows[half:]]
+                   [rank(U.rows + (v,)) == U.dim for v in rows[half:]]
             meet = U.intersect(V)
-            assert meet.basis.rows == _ref_rref(F, meet.basis.rows)
+            assert meet.rows == _ref_rref(F, meet.rows)
             assert meet.dim == U.dim + V.dim - joint
             assert U.contains(meet) and V.contains(meet)

@@ -109,6 +109,25 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
     assert len(calls) == 2 * 5 * (28 * 27 // 2)
 
 
+def test_verify_spread_runs_one_cover_scan(tmp_path, capsys, monkeypatch):
+    # the 85 lines of GF(2)^8: one member_vectors call per member answers
+    # both the spread and the partial spread verdict
+    path = os.path.join(tmp_path, "s.subcode")
+    rc, _, _ = run(capsys, "spread", "--p", "2", "--k", "2", "--s", "4",
+                   "--out", path)
+    assert rc == 0
+    calls = []
+    vectors = subspaces.member_vectors
+    monkeypatch.setattr(subspaces, "member_vectors",
+                        lambda sub: calls.append(1) or vectors(sub))
+    rc, stdout, _ = run(capsys, "verify", path)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report["size"] == 85
+    assert report["spread"] is True and report["partial_spread"] is True
+    assert len(calls) == 85
+
+
 def test_table1_golden(capsys):
     rc, stdout, _ = run(capsys, "table", "1")
     assert rc == 0

@@ -278,7 +278,7 @@ def test_full_type_context(ftx_q2k2, F2):
 def test_full_type_generator_flag_frozen(ftx_q2k2):
     flag = full_type_generator_flag(ftx_q2k2)
     assert flag.dims == (1, 2, 3, 4)
-    assert [s.basis.rows for s in flag.subspaces] == [
+    assert [s.rows for s in flag.subspaces] == [
         ((1, 0, 0, 1, 0),),
         ((1, 0, 0, 1, 0), (0, 1, 0, 0, 1)),
         ((1, 0, 0, 1, 0), (0, 1, 0, 0, 1), (0, 0, 1, 0, 0)),

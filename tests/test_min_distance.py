@@ -17,9 +17,10 @@ from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        is_odfc_by_definition, is_partial_spread, orbit_flag,
                        orbit_subspace, projected_code, singer_group,
                        subspace_distance, union_flag_codes)
-from flagcodes import flags
+from flagcodes import flags, subspaces
 from flagcodes.subspaces import min_pair_distance, orbit_walk
-from flagcodes.errors import AmbientMismatchError, MixedFieldsError, ShapeError
+from flagcodes.errors import (AmbientMismatchError, MixedFieldsError, ShapeError,
+                              TypeMismatchError)
 
 
 def random_invertible(rng, F, n):
@@ -83,25 +84,52 @@ def test_generator_must_act_on_the_code(F2, F3):
 
 def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
     T = ctx_q3k3s2.group.subgroup_of_order(56)
-    code, _ = orbit_flag(T, canonical_admissible_flag(ctx_q3k3s2))
-    assert len(code) == 28
+    flag_code, _ = orbit_flag(T, canonical_admissible_flag(ctx_q3k3s2))
+    spread = ctx_q3k3s2.spread
+    # a fresh copy: the shared context's spread may keep an earlier answer
+    sub_code = SubspaceCode(spread, generator=spread.generator)
+    assert len(flag_code) == len(sub_code) == 28
     pairs = []
     applies = []
-    distance, apply = flags.flag_distance, Flag.apply
-    monkeypatch.setattr(flags, "flag_distance",
-                        lambda u, v: pairs.append(1) or distance(u, v))
-    monkeypatch.setattr(Flag, "apply",
-                        lambda f, A: applies.append(1) or apply(f, A))
-    assert code.min_distance() == 18
-    assert (len(pairs), len(applies)) == (27, 28)
-    # a code never changes: the answer is kept, and full=True still scans
-    pairs.clear()
-    applies.clear()
-    assert code.min_distance() == 18
-    assert (len(pairs), len(applies)) == (0, 0)
-    for _ in range(2):
-        assert code.min_distance(full=True) == 18
-    assert len(pairs) == 2 * (28 * 27 // 2)
+    for module, name, member in ((flags, "flag_distance", Flag),
+                                 (subspaces, "subspace_distance", Subspace)):
+        distance, apply = getattr(module, name), member.apply
+        monkeypatch.setattr(module, name, lambda u, v, d=distance:
+                            pairs.append(1) or d(u, v))
+        monkeypatch.setattr(member, "apply", lambda x, A, a=apply:
+                            applies.append(1) or a(x, A))
+    for code, d in ((flag_code, 18), (sub_code, 6)):
+        pairs.clear()
+        applies.clear()
+        assert code.min_distance() == d
+        assert (len(pairs), len(applies)) == (27, 28)
+        # a code never changes: the answer is kept, and full=True still scans
+        pairs.clear()
+        applies.clear()
+        assert code.min_distance() == d
+        assert (len(pairs), len(applies)) == (0, 0)
+        for _ in range(2):
+            assert code.min_distance(full=True) == d
+        assert len(pairs) == 2 * (28 * 27 // 2)
+
+
+def test_codes_equal_by_kind_and_members(ctx_q2k2s2):
+    flag_code, _ = orbit_flag(ctx_q2k2s2.group.subgroup_of_order(5),
+                              canonical_admissible_flag(ctx_q2k2s2))
+    spread = ctx_q2k2s2.spread
+    for code in (flag_code, spread):
+        members = list(code)
+        rebuilt = type(code)(reversed(members))
+        assert list(rebuilt) == members
+        assert rebuilt == code and hash(rebuilt) == hash(code)
+        assert rebuilt != type(code)(members[1:])
+    lines = FlagCode(Flag([m]) for m in spread)
+    assert len(lines) == len(spread)
+    assert lines != spread and spread != lines
+    assert len({lines, spread}) == 2
+    # the code's member check refuses a second flag type, also in a union
+    with pytest.raises(TypeMismatchError):
+        union_flag_codes([flag_code, lines])
 
 
 def test_one_representative_per_walk(F2):

@@ -156,7 +156,7 @@ def test_psi_image_of_singer_yields_spread_orbit():
     orbit, stab = orbit_subspace(Gpsi, red)
     assert len(orbit) == 5 and stab == 3
     assert is_spread(orbit)
-    assert sorted(m.basis.rows for m in orbit) == [
+    assert sorted(m.rows for m in orbit) == [
         ((0, 0, 1, 0), (0, 0, 0, 1)),
         ((1, 0, 0, 0), (0, 1, 0, 0)),
         ((1, 0, 0, 1), (0, 1, 1, 1)),
