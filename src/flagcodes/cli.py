@@ -40,10 +40,6 @@ def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _field(args):
-    return make_field(args.p, args.e)
-
-
 def _flag_summary(code, runtime_ms=None, extra=None) -> dict:
     out = {
         "kind": "flag-code",
@@ -62,15 +58,9 @@ def _flag_summary(code, runtime_ms=None, extra=None) -> dict:
     return out
 
 
-def _write_flag(code, args, default_name, tower=None) -> str:
-    path = args.out if args.out else default_name
-    write_flag_code(code, path, tower=tower)
-    return path
-
-
 def cmd_spread_type(args) -> int:
     t0 = time.monotonic()
-    ctx = build_spread_context(_field(args), args.k, args.s)
+    ctx = build_spread_context(make_field(args.p, args.e), args.k, args.s)
     if args.max_size:
         code = spread_type_max_odfc(ctx, args.t)
     else:
@@ -79,14 +69,15 @@ def cmd_spread_type(args) -> int:
     stem = f"spread_type_p{args.p}e{args.e}_k{args.k}s{args.s}_t{args.t}"
     if args.max_size:
         stem += "_max"
-    path = _write_flag(code, args, stem + ".flagcode", tower=(args.k, args.s))
+    path = args.out if args.out else stem + ".flagcode"
+    write_flag_code(code, path, tower=(args.k, args.s))
     _emit(_flag_summary(code, ms, {"t": args.t, "file": path}))
     return 0
 
 
 def cmd_full_type(args) -> int:
     t0 = time.monotonic()
-    ctx = build_full_type_context(_field(args), args.k)
+    ctx = build_full_type_context(make_field(args.p, args.e), args.k)
     if args.max_size:
         code = full_type_max_odfc(ctx)
     else:
@@ -95,7 +86,8 @@ def cmd_full_type(args) -> int:
     stem = f"full_type_p{args.p}e{args.e}_k{args.k}"
     if args.max_size:
         stem += "_max"
-    path = _write_flag(code, args, stem + ".flagcode")
+    path = args.out if args.out else stem + ".flagcode"
+    write_flag_code(code, path)
     _emit(_flag_summary(code, ms, {"file": path}))
     return 0
 
@@ -182,7 +174,7 @@ def cmd_table(args) -> int:
 
 def cmd_spread(args) -> int:
     t0 = time.monotonic()
-    ctx = build_spread_context(_field(args), args.k, args.s)
+    ctx = build_spread_context(make_field(args.p, args.e), args.k, args.s)
     ms = round(1000 * (time.monotonic() - t0), 1)
     stem = f"spread_p{args.p}e{args.e}_k{args.k}s{args.s}"
     path = args.out if args.out else stem + ".subcode"

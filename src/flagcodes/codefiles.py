@@ -45,9 +45,6 @@ MAX_COUNT = 1 << 20
 @dataclass
 class CodeFileData:
     kind: str                 # "flag" or "subspace"
-    field: FiniteField
-    n: int
-    dims: tuple
     tower: tuple              # (k, s) or None
     code: object              # FlagCode or SubspaceCode
 
@@ -218,8 +215,7 @@ def parse_code_file(text: str) -> CodeFileData:
         code = SubspaceCode(members)
     if len(code) != count:
         raise CodeFileError(cur.last_line, f"duplicate {kind}s in file")
-    return CodeFileData(kind=kind, field=field, n=n, dims=dims,
-                        tower=tower, code=code)
+    return CodeFileData(kind=kind, tower=tower, code=code)
 
 
 def read_code_file(path) -> CodeFileData:

@@ -266,24 +266,24 @@ def build_full_type_context(base_field: FiniteField, k: int) -> FullTypeContext:
     return FullTypeContext(base_field, k)
 
 
-def _default_blocks(ctx: FullTypeContext):
-    F = ctx.base_field
-    k = ctx.k
-    U1 = Matrix.identity(F, k)
-    U2 = Matrix.identity(F, k + 1).take_rows(1, k + 1)
-    v2 = Matrix(F, [[1] + [0] * k])
-    return U1, U2, v2
-
-
-def _as_block(ctx, M, nrows, ncols, name):
-    if M is None:
-        return None
-    if not isinstance(M, Matrix):
-        M = Matrix(ctx.base_field, M)
-    if M.field is not ctx.base_field or (M.nrows, M.ncols) != (nrows, ncols):
-        raise BadDimensionsError(
-            f"{name} must be {nrows}x{ncols} over GF({ctx.base_field.order})")
-    return M
+def _blocks(ctx: FullTypeContext, U1, U2, v1, v2) -> tuple:
+    """(U1, U2, v1, v2) checked for shape and field, None replaced by the
+    defaults U1 = I_k, U2 = the last k rows of I_(k+1), v1 = 0, v2 = e_1."""
+    F, k = ctx.base_field, ctx.k
+    out = []
+    for M, nrows, ncols, name, default in [
+            (U1, k, k, "U1", Matrix.identity(F, k)),
+            (U2, k, k + 1, "U2", Matrix.identity(F, k + 1).take_rows(1, k + 1)),
+            (v1, 1, k, "v1", Matrix.zero(F, 1, k)),
+            (v2, 1, k + 1, "v2", Matrix(F, [[1] + [0] * k]))]:
+        if M is None:
+            M = default
+        elif not isinstance(M, Matrix):
+            M = Matrix(F, M)
+        if M.field is not F or (M.nrows, M.ncols) != (nrows, ncols):
+            raise BadDimensionsError(f"{name} must be {nrows}x{ncols} over GF({F.order})")
+        out.append(M)
+    return tuple(out)
 
 
 def _standard_completion(subs, n):
@@ -323,12 +323,7 @@ def full_type_generator_flag(ctx: FullTypeContext, U1=None, U2=None,
     U1 = I_k, U2 = the last k rows of I_(k+1), v1 = 0, v2 = e_1.  U1 and U2
     need rank k; the appended row must leave the row space of (U1 | U2).
     """
-    dU1, dU2, dv2 = _default_blocks(ctx)
-    U1 = _as_block(ctx, U1, ctx.k, ctx.k, "U1") or dU1
-    U2 = _as_block(ctx, U2, ctx.k, ctx.k + 1, "U2") or dU2
-    v1 = _as_block(ctx, v1, 1, ctx.k, "v1") or Matrix.zero(ctx.base_field, 1, ctx.k)
-    v2 = _as_block(ctx, v2, 1, ctx.k + 1, "v2") or dv2
-    return _generator_flag(ctx, U1, U2, v1, v2)
+    return _generator_flag(ctx, *_blocks(ctx, U1, U2, v1, v2))
 
 
 def full_type_orbit_odfc(ctx: FullTypeContext, flag: Flag) -> FlagCode:
@@ -379,9 +374,4 @@ def full_type_max_odfc(ctx: FullTypeContext, U1=None, U2=None, v2=None) -> FlagC
     """Optimum distance full-type code of the largest orbit-reachable size
     q^(k+1) + 1: the generator flag's orbit together with its completions
     through (U1 | 0) and (0 | U2)."""
-    dU1, dU2, dv2 = _default_blocks(ctx)
-    U1 = _as_block(ctx, U1, ctx.k, ctx.k, "U1") or dU1
-    U2 = _as_block(ctx, U2, ctx.k, ctx.k + 1, "U2") or dU2
-    v2 = _as_block(ctx, v2, 1, ctx.k + 1, "v2") or dv2
-    v1 = Matrix.zero(ctx.base_field, 1, ctx.k)
-    return _max_code_with_hook(ctx, U1, U2, v1, v2)
+    return _max_code_with_hook(ctx, *_blocks(ctx, U1, U2, None, v2))

@@ -19,18 +19,15 @@ small to contain an element of that order.
 Fields are interned: make_field with equal arguments returns the same
 object, so field identity doubles as field equality.  Instances never mutate
 after construction apart from idempotent lazy caches (arithmetic tables,
-log/antilog), which makes them safe to share across threads.
+companion-matrix powers), which makes them safe to share across threads.
 """
 
 from functools import partial
-from math import gcd
 
 from .errors import FieldConstructionError, MixedFieldsError
 
 # full add/mul tables are built for fields up to this order
 _TABLE_LIMIT = 1024
-# log/antilog tables up to this order
-_LOG_LIMIT = 1 << 20
 
 _FIELD_CACHE: dict = {}
 
@@ -220,8 +217,6 @@ class FiniteField:
         self._mul = None
         self._neg = None
         self._inv = None
-        self._log = None
-        self._exp = None
         self._companion_powers = None
         self._tables = None
 
@@ -334,9 +329,8 @@ class FiniteField:
                 # powers of x and the Zech table 1 + x^d (as codes) give every
                 # entry: 2 (q - 1) field operations instead of q^2.  A negative
                 # list index below is the exponent mod q - 1.
-                self._build_log()
                 q = self.order
-                exp, logs = self._exp, self._log[1:]
+                exp, logs = self._log_tables()
                 zech = [self.add_codes(1, c) for c in exp]
                 mul = [[0] * q] + [[0] + [exp[i + j - q + 1] for j in logs] for i in logs]
                 add = [list(range(q))] + [
@@ -350,11 +344,8 @@ class FiniteField:
                 self._tables = (add, mul, neg, inv)
         return self._tables
 
-    def _build_log(self):
-        if self._exp is not None:
-            return
-        if self.order > _LOG_LIMIT:
-            raise ValueError(f"log tables limited to order {_LOG_LIMIT}")
+    def _log_tables(self):
+        """(exp, log[1:]): exp[i] is the code of x^i, log[c] its exponent."""
         g = self.primitive_element.code
         exp = []
         log = [0] * self.order
@@ -365,8 +356,7 @@ class FiniteField:
             c = self.mul_codes(c, g)
         if c != 1:
             raise AssertionError("primitive element order check failed")
-        self._log = log
-        self._exp = exp
+        return exp, log[1:]
 
     def __repr__(self):
         if self.base is None or self.base.base is None:
@@ -405,7 +395,7 @@ def _poly_mul(F: FiniteField, a, b):
 
 
 def _poly_rem(F: FiniteField, a, lower):
-    """Remainder of a modulo the monic polynomial x^e + sum lower[i] x^i."""
+    """Remainder of a (at least e coefficients) modulo x^e + sum lower[i] x^i."""
     e = len(lower)
     a = list(a)
     add, mul, neg = F.add_codes, F.mul_codes, F.neg_code
@@ -419,8 +409,6 @@ def _poly_rem(F: FiniteField, a, lower):
             if m:
                 a[i - e + j] = add(a[i - e + j], mul(nc, m))
     del a[e:]
-    while len(a) < e:
-        a.append(0)
     return a
 
 
@@ -440,15 +428,9 @@ def _is_one(poly):
 
 
 def _residue_order_is(F: FiniteField, lower, n: int) -> bool:
-    """Whether x has multiplicative order exactly n in F[x]/(x^e + ...)."""
-    if lower[0] == 0:
-        return False  # x divides the modulus, residue is a zero divisor
-    e = len(lower)
-    x = [0] * e
-    if e == 1:
-        x[0] = F.neg_code(lower[0])
-    else:
-        x[1] = 1
+    """Whether x has multiplicative order exactly n in F[x]/(x^e + ...), e >= 2."""
+    x = [0] * len(lower)
+    x[1] = 1
     if not _is_one(_poly_pow_rem(F, x, n, lower)):
         return False
     for ell in prime_factors(n):

@@ -12,14 +12,14 @@ computed from matrices that were already checked are wrapped with
 """
 
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
-from .fields import FieldElement, FiniteField
+from .fields import FiniteField
 
 
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols", "_hash")
 
     def __init__(self, field: FiniteField, rows, ncols: int = None):
-        """rows: iterable of iterables of codes or FieldElements.
+        """rows: iterable of iterables of element codes in [0, q).
 
         ncols is required when rows is empty (0-row matrices arise as
         kernels of injective maps and bases of the zero subspace).
@@ -29,14 +29,9 @@ class Matrix:
         for row in rows:
             r = []
             for x in row:
-                if isinstance(x, FieldElement):
-                    if x.field is not field:
-                        raise MixedFieldsError(f"entry from {x.field}, matrix over {field}")
-                    r.append(x.code)
-                elif isinstance(x, int) and 0 <= x < q:
-                    r.append(x)
-                else:
+                if not (isinstance(x, int) and 0 <= x < q):
                     raise ValueError(f"bad entry {x!r} for {field}")
+                r.append(x)
             out.append(tuple(r))
         if out:
             ncols_seen = len(out[0])
@@ -103,16 +98,6 @@ class Matrix:
                                tuple(tuple(add(x, y) for x, y in zip(r, s))
                                      for r, s in zip(self.rows, other.rows)),
                                self.ncols)
-
-    def __neg__(self):
-        neg = self.field.neg_code
-        return Matrix._trusted(self.field, tuple(tuple(neg(x) for x in r) for r in self.rows),
-                               self.ncols)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-other)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):

@@ -24,7 +24,8 @@ from .subspaces import Subspace, SubspaceCode, group_orbit
 def companion_matrix(lower, field: FiniteField) -> Matrix:
     """Companion of the monic polynomial x^k + sum lower[i] x^i over field.
 
-    Ones on the superdiagonal, negated lower coefficients in the last row.
+    lower holds element codes.  Ones on the superdiagonal, negated lower
+    coefficients in the last row.
     """
     k = len(lower)
     if k < 1:
@@ -33,8 +34,7 @@ def companion_matrix(lower, field: FiniteField) -> Matrix:
     rows = [[0] * k for _ in range(k)]
     for i in range(k - 1):
         rows[i][i + 1] = 1
-    codes = [c.code if isinstance(c, FieldElement) else c for c in lower]
-    rows[k - 1] = [neg(c) for c in codes]
+    rows[k - 1] = [neg(c) for c in lower]
     return Matrix(field, rows, k)
 
 
@@ -112,8 +112,6 @@ class CyclicMatrixGroup:
     __slots__ = ("field", "degree", "generator", "order")
 
     def __init__(self, generator: Matrix, order: int):
-        if generator.nrows != generator.ncols:
-            raise ValueError("group generator must be square")
         if matrix_order(generator, order_hint=order) != order:
             raise ValueError(f"generator order differs from declared {order}")
         self.field = generator.field

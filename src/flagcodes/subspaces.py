@@ -56,7 +56,7 @@ class Subspace:
     __slots__ = ("field", "n", "dim", "rows")
 
     def __init__(self, field: FiniteField, n: int, rows):
-        """rows: generator vectors (codes or elements); dependent rows are fine."""
+        """rows: generator vectors of element codes; dependent rows are fine."""
         if n < 1:
             raise BadDimensionsError("ambient dimension must be positive")
         reduced = rref_code_rows(field, Matrix(field, rows, n).rows)[0]
@@ -104,8 +104,6 @@ class Subspace:
         Raises SingularMatrixError when the image loses dimension.
         """
         check_acting_matrix(self.field, self.n, A)
-        if not self.dim:
-            return self
         F, n = self.field, self.n
         rows = rref_code_rows(F, mul_code_rows(F, self.rows, A.rows, n))[0]
         if len(rows) != self.dim:
@@ -142,8 +140,6 @@ class Subspace:
 
     def dual(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
-        if self.dim == 0:
-            return Subspace.full(self.field, self.n)
         return Subspace(self.field, self.n,
                         Matrix._trusted(self.field, self.rows, self.n).kernel().rows)
 
@@ -350,15 +346,14 @@ def is_partial_spread(code: SubspaceCode) -> bool:
     """Whether members pairwise intersect trivially.
 
     Two subspaces meet trivially iff they share no nonzero vector, so the
-    whole check is one duplicate scan over |C| q^k vectors.  Singleton codes
-    pass vacuously.
+    whole check is one duplicate scan over |C| q^k vectors.  Above
+    _COVER_LIMIT vectors it asks the code's min_distance() instead: distinct
+    k-subspaces meet trivially iff their distance is 2k, possible only when
+    2k <= n.  Singleton codes pass vacuously.
     """
     q = code.field.order
-    total = len(code) * (q ** code.dim - 1)
-    if total > _COVER_LIMIT:
-        target = 2 * code.dim
-        return all(subspace_distance(u, v) == target
-                   for u, v in combinations(code.members, 2))
+    if len(code) * (q ** code.dim - 1) > _COVER_LIMIT:
+        return len(code) == 1 or code.min_distance() == 2 * code.dim
     seen = set()
     for m in code.members:
         for v in member_vectors(m):

@@ -64,6 +64,22 @@ def test_construct_full_type_max(tmp_path, capsys):
     assert [lv["projected_size"] for lv in report["levels"]] == [9, 9, 9, 9]
 
 
+def test_construct_full_type_orbit(tmp_path, capsys):
+    out = os.path.join(tmp_path, "ft.flagcode")
+    rc, stdout, _ = run(capsys, "construct", "full-type", "--p", "2",
+                        "--k", "2", "--out", out)
+    assert rc == 0
+    rep = json.loads(stdout)
+    assert rep["size"] == 7 and rep["is_odfc"] is True
+
+    rc, stdout, _ = run(capsys, "verify", out)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report["size"] == 7
+    assert report["verdicts_agree"] is True
+    assert report["odfc_by_definition"] is True
+
+
 def test_default_output_name(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc, stdout, _ = run(capsys, "construct", "spread-type", "--p", "2",

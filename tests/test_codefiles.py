@@ -4,9 +4,8 @@ import os
 
 import pytest
 
-from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode, build_spread_context,
-                       extend_field, make_field,
-                       spread_type_orbit_odfc)
+from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode, extend_field,
+                       make_field, spread_type_orbit_odfc)
 from flagcodes.codefiles import (format_flag_code, format_subspace_code,
                                  parse_code_file, read_code_file,
                                  write_flag_code, write_subspace_code)
@@ -27,7 +26,7 @@ def test_flag_round_trip(tmp_path):
     write_flag_code(code, path)
     data = read_code_file(path)
     assert data.kind == "flag"
-    assert data.n == 3 and data.dims == (1, 2)
+    assert data.code.n == 3 and data.code.dims == (1, 2)
     assert data.code == code
     # serialization is canonical: format(parse(format(c))) = format(c)
     assert format_flag_code(data.code) == format_flag_code(code)
@@ -41,7 +40,7 @@ def test_subspace_round_trip(tmp_path):
     write_subspace_code(code, path)
     data = read_code_file(path)
     assert data.kind == "subspace"
-    assert data.dims == (1,)
+    assert data.code.dim == 1
     assert data.code == code
 
 
@@ -75,7 +74,7 @@ def test_tower_field_round_trip(tmp_path):
     path = os.path.join(tmp_path, "gf4.subcode")
     write_subspace_code(code, path)
     data = read_code_file(path)
-    assert data.field.order == 4
+    assert data.code.field.order == 4
     assert data.code == code
 
 
@@ -116,7 +115,12 @@ def test_parse_rejects_with_line_numbers(tmp_path):
     expect_error(good[:4] + ["count 0"] + good[5:], 5)
     expect_error(good[:7] + ["1 0"] + good[8:], 8)        # short row
     expect_error(good[:7] + ["1 0 2"] + good[8:], 8)      # entry out of range
+    expect_error(good[:7] + ["1 x 0"] + good[8:], 8)      # non-integer entry
     expect_error(good[:10], 10)                           # truncated block
+    expect_error(good + ["flag"], 12)                     # trailing content
+    expect_error(good[:6] + ["subspace k=2"] + good[7:], 7)  # k off the type
+    expect_error(good[:10] + ["1 0 0"], 9)                # rows span dim 1
+    expect_error(["SUBCODE v1"] + good[1:], 4)            # two type dims
     # duplicate members, reported once the second copy is complete
     dup = good[:4] + ["count 2"] + good[5:] + good[5:]
     expect_error(dup, 17)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flagcodes import (CyclicMatrixGroup, Flag, Matrix, Subspace,
+from flagcodes import (Flag, Matrix, Subspace,
                        SubspaceCode, admissible_flag_dims, admissible_subgroup_orders,
                        build_full_type_context, build_spread_context,
                        canonical_admissible_flag, conjugate_spread, dual_code,

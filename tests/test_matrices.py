@@ -3,7 +3,7 @@
 import random
 
 from flagcodes import (Matrix, block_diag, hstack, make_field, matrix_order,
-                       vstack)
+                       singer_group, vstack)
 from flagcodes.errors import ShapeError, SingularMatrixError
 from flagcodes.singer import companion_matrix
 
@@ -76,6 +76,10 @@ def test_matrix_order_of_companions():
     assert C27.rows == ((0, 1, 0), (0, 0, 1), (2, 0, 1))
     assert matrix_order(C27) == 26
     assert matrix_order(Matrix.identity(F3, 3)) == 1
+    # hints that are proper multiples of the order are divided down to it
+    g = singer_group(F2, 4).generator
+    assert matrix_order(g, order_hint=60) == 15
+    assert matrix_order(g ** 3, order_hint=15) == 5
 
 
 def test_pow_matches_repeated_product():

@@ -10,7 +10,7 @@ from flagcodes import (CyclicMatrixGroup, FieldElement, Matrix, Subspace,
                        orbit_subspace, singer_group,
                        subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
-                              NotADivisorError)
+                              NotADivisorError, ShapeError)
 from flagcodes.constructions import conjugate_spread
 from flagcodes.singer import companion_matrix, field_reduction, phi, psi
 
@@ -191,6 +191,8 @@ def test_group_order_is_always_checked(ctx_q2k2s2, monkeypatch):
         CyclicMatrixGroup(singular, 3)
     with pytest.raises(TypeError):
         CyclicMatrixGroup(singular, 3, verify=False)
+    with pytest.raises(ShapeError):  # a ValueError, so the CLI exits 2
+        CyclicMatrixGroup(Matrix(F2, [(0, 1, 0), (0, 0, 1)]), 3)
     # subgroups and conjugates take their order from a checked group
     calls = []
     order = singer.matrix_order

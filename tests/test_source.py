@@ -6,7 +6,8 @@ import types
 
 import flagcodes
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flagcodes"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flagcodes"
 
 
 def test_no_assert_statements():
@@ -24,3 +25,21 @@ def test_package_exports_resolve_to_library_objects():
     for name in flagcodes.__all__:
         value = getattr(flagcodes, name)  # raises when the name is stale
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_no_unused_imports():
+    """Every name an import binds is read in its file; `__init__` re-exports."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert paths and not unused, unused

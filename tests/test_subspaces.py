@@ -3,11 +3,13 @@
 import random
 from itertools import combinations
 
-from flagcodes import (Matrix, Subspace, SubspaceCode,
+import pytest
+
+from flagcodes import (Matrix, Subspace, SubspaceCode, build_spread_context,
                        dual_code, enumerate_grassmannian, gaussian_binomial,
                        is_partial_spread, is_spread, make_field,
                        max_distance_bound, partial_spread_size_bound,
-                       subspace_distance)
+                       subspace_distance, subspaces)
 from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
                               EnumerationTooLargeError)
 from flagcodes.subspaces import member_vectors
@@ -128,6 +130,10 @@ def test_dual_subspace_involution():
     for U in enumerate_grassmannian(F2, 2, 4):
         assert U.dual().dim == 2
         assert U.dual().dual() == U
+    zero, full = Subspace.zero(F2, 4), Subspace.full(F2, 4)
+    assert zero.dual() == full and full.dual() == zero
+    A = Matrix(F2, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)])
+    assert zero.apply(A) == zero and full.apply(A) == full
 
 
 def test_code_distance_examples():
@@ -174,6 +180,23 @@ def test_spread_recognition():
                                 Subspace(F2, 4, [e[0], e[2]])])
     assert not is_partial_spread(overlapping)
     assert not is_spread(overlapping)
+
+
+@pytest.mark.parametrize("cover_limit", [subspaces._COVER_LIMIT, 0])
+def test_spread_predicates_agree_on_both_routes(cover_limit, monkeypatch):
+    """The cover scan, and above _COVER_LIMIT the code's min_distance()."""
+    monkeypatch.setattr(subspaces, "_COVER_LIMIT", cover_limit)
+    F2 = make_field(2, 1)
+    ctx = build_spread_context(F2, 2, 3)
+    S, H = ctx.spread, ctx.hyperplanes
+    cases = [(S, (True, True)),
+             (H, (False, False)),
+             (SubspaceCode(S.members[:3]), (True, False)),
+             (SubspaceCode(S.members[:1]), (True, False)),
+             (SubspaceCode(list(enumerate_grassmannian(F2, 2, 4))[:3]), (False, False)),
+             (dual_code(H), (True, True))]
+    for code, expected in cases:
+        assert (is_partial_spread(code), is_spread(code)) == expected, code
 
 
 def test_spread_covers_every_vector_once():
