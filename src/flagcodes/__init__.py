@@ -20,7 +20,7 @@ from .subspaces import (Subspace, SubspaceCode, dual_code,
                         is_partial_spread, is_spread, max_distance_bound,
                         partial_spread_size_bound, subspace_distance)
 from .flags import (Flag, FlagCode, critical_indices, flag_distance,
-                    flag_distance_bound, full_type, is_disjoint,
+                    flag_distance_bound, full_type, is_disjoint, level_distances,
                     is_odfc_by_definition, is_odfc_by_characterization,
                     orbit_flag, projected_code, union_flag_codes)
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
@@ -54,7 +54,7 @@ __all__ = [
     "max_distance_bound", "partial_spread_size_bound", "subspace_distance",
     # flags
     "Flag", "FlagCode", "critical_indices", "flag_distance",
-    "flag_distance_bound", "full_type", "is_disjoint",
+    "flag_distance_bound", "full_type", "is_disjoint", "level_distances",
     "is_odfc_by_definition", "is_odfc_by_characterization", "orbit_flag",
     "projected_code", "union_flag_codes",
     # singer

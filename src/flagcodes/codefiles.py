@@ -23,7 +23,7 @@ serialization is deterministic.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CodeFileError
 from .fields import FiniteField, make_field
@@ -42,8 +42,7 @@ MAX_AMBIENT_DIM = 1024
 MAX_COUNT = 1 << 20
 
 
-@dataclass
-class CodeFileData:
+class CodeFileData(NamedTuple):
     kind: str                 # "flag" or "subspace"
     tower: tuple              # (k, s) or None
     code: object              # FlagCode or SubspaceCode

@@ -12,7 +12,12 @@ critical levels a = max{i : 2 t_i <= n} and b = min{i : 2 t_i >= n}: the
 code is optimum distance iff both projected codes carry the full cardinality
 and attain the maximum subspace distance of their dimension.  Both routes
 (definition and characterization) are implemented and kept in agreement by
-the tests.  An orbit code carries its group generator, and so do its
+the tests.
+
+A pair of flags costs one elimination: level_distances reduces both
+adapted bases level by level and reads every level's distance from its
+snapshot, so a code's one pair pass keeps the flag minimum and each level's
+minimum alike.  An orbit code carries its group generator, and so do its
 projections and unions with it first; min_distance walks it through the
 code, and never trusts it, before it skips any pair (see subspaces).
 """
@@ -24,7 +29,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, mul_code_rows, rref_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit, subspace_distance)
+                        group_orbit, scan_pairs)
 
 
 class Flag:
@@ -124,10 +129,26 @@ def full_type(n: int) -> tuple:
     return tuple(range(1, n))
 
 
-def flag_distance(F: Flag, G: Flag) -> int:
+def level_distances(F: Flag, G: Flag) -> tuple:
+    """(d(F_1, G_1), ..., d(F_r, G_r)) from one elimination.
+
+    The adapted rows of both flags go in level by level, so the first 2 t_i
+    rows span F_i + G_i, and the snapshot after them has its dimension:
+    d_i = 2 dim(F_i + G_i) - 2 t_i.
+    """
     F._check_mate(G)
-    return sum(subspace_distance(u, v)
-               for u, v in zip(F.subspaces, G.subspaces))
+    a, b = F._adapted_rows(), G._adapted_rows()
+    rows = []
+    lo = 0
+    for t in F.dims:
+        rows += a[lo:t] + b[lo:t]
+        lo = t
+    sums = rref_code_rows(F.field, rows, [2 * t for t in F.dims])
+    return tuple(2 * (len(s) - t) for s, t in zip(sums, F.dims))
+
+
+def flag_distance(F: Flag, G: Flag) -> int:
+    return sum(level_distances(F, G))
 
 
 def flag_distance_bound(n: int, dims) -> int:
@@ -163,6 +184,31 @@ class FlagCode(Code):
 
     def _distance(self):
         return flag_distance  # read at call time, as in SubspaceCode
+
+    def _scan(self) -> int:
+        """The flag minimum and every level's minimum, from one pass.
+
+        Each pair scan_pairs gives costs one level_distances, read at call
+        time.  Besides the least flag distance, the pass keeps, for each
+        level, the least nonzero level distance (0 when the level has one
+        distinct member) as that projection's min_distance.  That is exact,
+        also on a generator walk: two distinct level-i subspaces are level i
+        of some pair of flags, and the walk maps that pair to a scanned pair
+        with the same level distances.
+        """
+        best = None
+        levels = [0] * len(self.dims)
+        for f, g in scan_pairs(self):
+            ds = level_distances(f, g)
+            d = sum(ds)
+            if best is None or d < best:
+                best = d
+            for i, x in enumerate(ds):
+                if x and (x < levels[i] or not levels[i]):
+                    levels[i] = x
+        for i, x in enumerate(levels, start=1):
+            projected_code(self, i)._min_distance = x
+        return 0 if best is None else best
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "

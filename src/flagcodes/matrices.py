@@ -248,14 +248,19 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     takes a snapshot, the nonzero rows in pivot order as a tuple of tuples;
     the pivot of a snapshot row is the index of its leading 1.  sizes must be
     increasing and defaults to (len(rows),); a dependent or zero row adds
-    nothing, so a block of rank r yields r rows.  rows is not modified.
+    nothing, so a block of rank r yields r rows.  Once every column has a
+    pivot, every later row reduces to zero and is skipped.  rows is not
+    modified.
     """
     add, mul, neg, inv = F.tables()
     reduced = {}  # pivot column -> row, zero at every other pivot column
+    ncols = len(rows[0]) if rows else 0
     snapshots = []
     done = 0
     for t in (len(rows),) if sizes is None else sizes:
         for row in rows[done:t]:
+            if len(reduced) == ncols:
+                break
             for c, b in reduced.items():
                 x = row[c]
                 if x:

@@ -179,9 +179,10 @@ class Code:
     The members are subspaces (SubspaceCode) or flags (FlagCode), kept
     sorted by `key`, their canonical rows.  `generator`, when given, is an
     n x n matrix over the field whose orbits min_distance may use once it
-    has walked them (see min_pair_distance) with the distance each kind's
-    `_distance()` returns.  Two codes are equal when they are of one kind
-    and hold the same members.
+    has walked them (see scan_pairs).  Each kind names its pair distance in
+    `_distance()` and may replace the scan, `_scan()`, that fills the kept
+    min_distance.  Two codes are equal when they are of one kind and hold
+    the same members.
     """
 
     __slots__ = ("field", "n", "members", "_set", "generator", "_min_distance")
@@ -222,14 +223,18 @@ class Code:
     def min_distance(self, full: bool = False) -> int:
         """Minimum pairwise distance; 0 for singleton codes.
 
-        A code never changes, so the default answer is computed once and
-        kept.  full=True is the plain pair scan, run on every call.
+        A code never changes, so the default answer is computed once, by
+        `_scan`, and kept.  full=True is the plain pair scan, run on every
+        call; it neither reads nor writes the kept answer.
         """
         if full:
             return min_pair_distance(self, self._distance(), True)
         if self._min_distance is None:
-            self._min_distance = min_pair_distance(self, self._distance())
+            self._min_distance = self._scan()
         return self._min_distance
+
+    def _scan(self) -> int:
+        return min_pair_distance(self, self._distance())
 
 
 class SubspaceCode(Code):
@@ -293,24 +298,23 @@ def group_orbit(group, seed):
     return members, group.order // len(members)
 
 
-def min_pair_distance(code, distance, full: bool = False) -> int:
-    """Minimum of distance over pairs of code members; 0 for a singleton.
+def scan_pairs(code, full: bool = False):
+    """The pairs of code members that min_distance scans, each once.
 
     Unless full is set, the code's generator g is walked from each member
     not yet placed, one apply per member, until it gets back to its start
     or leaves the code.  The walks split the code, and each keeps its start
-    as its one representative; a singular g certifies nothing.  Each pair
-    with a representative is scanned once.  That is exact for invertible
-    g: walked members s g^i and t g^j, with m = min(i, j), have the
-    distance of s g^(i-m) and t g^(j-m): one of them is a walk start, the
-    other is still on its walk.  With every member a representative this is
-    the plain pair scan.
+    as its one representative; a singular g certifies nothing.  The pairs
+    are (representative, member), each unordered pair once.  That is exact
+    for invertible g: walked members s g^i and t g^j, with m = min(i, j),
+    are the image under g^m of s g^(i-m) and t g^(j-m): one of them is a
+    walk start, the other is still on its walk, and g^m keeps every
+    distance.  With every member a representative this is the plain pair
+    scan.
     """
     ms = code.members
-    if len(ms) == 1:
-        return 0
     g = code.generator
-    if full or g is None or not g.is_invertible():
+    if full or len(ms) == 1 or g is None or not g.is_invertible():
         reps = list(ms)
     else:
         unplaced = set(ms)
@@ -322,7 +326,12 @@ def min_pair_distance(code, distance, full: bool = False) -> int:
                 reps.append(m)
     chosen = set(reps)
     order = reps + [m for m in ms if m not in chosen]
-    return min(distance(r, m) for i, r in enumerate(reps) for m in order[i + 1:])
+    return ((r, m) for i, r in enumerate(reps) for m in order[i + 1:])
+
+
+def min_pair_distance(code, distance, full: bool = False) -> int:
+    """Minimum of distance over the pairs scan_pairs gives; 0 for a singleton."""
+    return min((distance(r, m) for r, m in scan_pairs(code, full)), default=0)
 
 
 def member_vectors(sub: Subspace) -> list:

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from flagcodes import Flag, Matrix, Subspace, make_field, subspace_distance
+from flagcodes import (Flag, Matrix, Subspace, flag_distance, level_distances,
+                       make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
 from flagcodes.fields import FieldElement
@@ -50,6 +51,44 @@ def test_flag_apply_matches_validated_rebuild():
                 assert [s.rows for s in image.subspaces] == \
                        [s.rows for s in rebuilt.subspaces]
                 assert [s.apply(A) for s in flag.subspaces] == list(image.subspaces)
+
+
+def sharing_flag(rng, F, flag, j):
+    """A random flag of flag's type whose first j levels are flag's."""
+    n, dims = flag.n, flag.dims
+    rows = list(flag._adapted_rows()[:dims[j - 1]] if j else ())
+    while len(rows) < dims[-1]:
+        v = tuple(rng.randrange(F.order) for _ in range(n))
+        if len(rref_code_rows(F, rows + [v])[0]) > len(rows):
+            rows.append(v)
+    return Flag([Subspace(F, n, rows[:t]) for t in dims])
+
+
+def test_level_distances_match_per_level_distances():
+    """One elimination per pair against one subspace_distance per level."""
+    rng = random.Random(909)
+    # full, spread-admissible and gapped types
+    types = [(5, (1, 2, 3, 4)), (6, (1, 2, 4, 5)), (6, (1, 2, 3)), (7, (2, 5))]
+    early_full = 0  # pairs whose sum is the whole space below the top level
+    for q_args in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        F = make_field(*q_args)
+        for n, dims in types:
+            for _ in range(4):
+                f = random_flag(rng, F, n, dims)
+                others = [f, random_flag(rng, F, n, dims)]
+                others += [sharing_flag(rng, F, f, j) for j in range(1, len(dims))]
+                for g in others:
+                    ds = level_distances(f, g)
+                    assert ds == tuple(subspace_distance(u, v) for u, v in
+                                       zip(f.subspaces, g.subspaces))
+                    assert ds == level_distances(g, f)
+                    assert flag_distance(f, g) == sum(ds)
+                    early_full += any(d == 2 * (n - t)
+                                      for d, t in zip(ds[:-1], dims) if 2 * t >= n)
+                assert level_distances(f, f) == (0,) * len(dims)
+                j = rng.randrange(1, len(dims))
+                assert level_distances(f, sharing_flag(rng, F, f, j))[:j] == (0,) * j
+    assert early_full
 
 
 def test_singular_matrix_is_refused():
@@ -153,6 +192,17 @@ def test_row_reduction_kernel_matches_reference(p, e):
     rng = random.Random(f"rref:{p}^{e}")
     assert rref_code_rows(F, []) == [()]
     assert rref_code_rows(F, [], ()) == []
+    for n in (1, 2, 4):
+        # full rank inside the first block, then more rows: every later
+        # snapshot is the identity, whatever the rows after it
+        basis = random_invertible(rng, F, n).rows
+        rows = _random_rows(rng, F, 2, n) + list(basis) + _random_rows(rng, F, 3, n)
+        sizes = list(range(len(rows) + 1))
+        snaps = rref_code_rows(F, rows, sizes)
+        assert snaps == [_ref_rref(F, rows[:t]) for t in sizes]
+        assert snaps[-1] == tuple(tuple(int(i == j) for j in range(n))
+                                  for i in range(n))
+        assert rref_code_rows(F, rows) == [snaps[-1]]
     assert Matrix(F, [], 3).rref()[1:] == (0, ())
     rank = lambda rows: len(_ref_rref(F, rows))
     for n in (1, 3, 5):

@@ -105,24 +105,30 @@ def test_construct_then_verify_agree(tmp_path, capsys):
 
 
 def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
-    # 28 flags of 5 levels: one flag pair scan (5 subspace distances per
-    # pair) and one pair scan per level, which both verdicts then read
+    # 28 flags of 5 levels: one flag pair scan, one elimination per pair,
+    # fills the flag minimum and every level's minimum, which both verdicts
+    # then read; no level is scanned again
     path = os.path.join(tmp_path, "t56.flagcode")
     write_flag_code(spread_type_orbit_odfc(ctx_q3k3s2, 56), path)
-    calls = []
-    distance = subspaces.subspace_distance
+    calls = {"pairs": 0, "eliminations": 0, "subspace pairs": 0}
 
-    def counted(u, v):
-        calls.append(1)
-        return distance(u, v)
+    def counted(module, name, key):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(subspaces, "subspace_distance", counted)
-    monkeypatch.setattr(flags, "subspace_distance", counted)
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(flags, "level_distances", "pairs")
+    counted(flags, "rref_code_rows", "eliminations")
+    counted(subspaces, "subspace_distance", "subspace pairs")
     rc, stdout, _ = run(capsys, "verify", path)
     assert rc == 0
     report = json.loads(stdout)
     assert report["size"] == 28 and report["verdicts_agree"] is True
-    assert len(calls) == 2 * 5 * (28 * 27 // 2)
+    pairs = 28 * 27 // 2
+    assert calls == {"pairs": pairs, "eliminations": pairs, "subspace pairs": 0}
 
 
 def test_verify_spread_runs_one_cover_scan(tmp_path, capsys, monkeypatch):

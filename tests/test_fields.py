@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from flagcodes import FieldElement, extend_field, make_field
 from flagcodes.errors import FieldConstructionError, MixedFieldsError
 from flagcodes.fields import factorize, is_prime
@@ -269,3 +271,23 @@ def test_tables_match_polynomial_arithmetic():
             assert mul[a] == [_ref_mul(F, a, b) for b in range(q)], (F, a)
         assert neg == [_ref_neg(F, a) for a in range(q)]
         assert all(_ref_mul(F, a, inv[a]) == 1 for a in range(1, q))
+
+
+def test_int_operands_are_codes_of_the_field():
+    F4 = make_field(2, 2)
+    add, mul, neg, inv = F4.tables()
+    for a in range(4):
+        x = F4.element(a)
+        for b in range(4):
+            assert (b - x).code == add[b][neg[a]]
+            assert (x - b).code == add[a][neg[b]]
+            assert (b + x).code == (x + b).code == add[a][b]
+            assert (b * x).code == (x * b).code == mul[a][b]
+            if a:
+                assert (b / x).code == mul[b][inv[a]]
+            if b:
+                assert (x / b).code == mul[a][inv[b]]
+    with pytest.raises(ZeroDivisionError):
+        1 / F4.zero
+    with pytest.raises(ValueError):
+        4 - F4.element(1)

@@ -142,3 +142,15 @@ def test_rref_idempotent_seeded():
         R2, rk2, piv2 = R.rref()
         assert (R2, rk2, piv2) == (R, rk, piv)
         assert rk == M.rank() == M.transpose().rank()
+
+
+def test_matrices_hash_by_value_and_print():
+    F3 = make_field(3, 1)
+    a = Matrix(F3, [(1, 2), (0, 1)])
+    b = Matrix(F3, [[1, 2], [0, 1]])
+    assert a == b and a is not b and hash(a) == hash(b)
+    table = {a: "a"}
+    assert table[b] == "a"
+    assert len({a, b, Matrix.identity(F3, 2), a @ a.inverse()}) == 2
+    assert repr(Matrix(F3, [], 3)) == f"Matrix({F3!r}, 0x3)"
+    assert repr(a) == "[1 2; 0 1]"

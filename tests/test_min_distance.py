@@ -91,7 +91,7 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
     assert len(flag_code) == len(sub_code) == 28
     pairs = []
     applies = []
-    for module, name, member in ((flags, "flag_distance", Flag),
+    for module, name, member in ((flags, "level_distances", Flag),
                                  (subspaces, "subspace_distance", Subspace)):
         distance, apply = getattr(module, name), member.apply
         monkeypatch.setattr(module, name, lambda u, v, d=distance:
@@ -184,3 +184,62 @@ def test_certificate_matches_full_scan_seeded(name, request):
         _assert_exact(SubspaceCode(list(sub_orbit) + [
             level.apply(random_invertible(rng, F, n)) for _ in range(2)],
             generator=T.generator))
+
+
+def _sharing(rng, flag, j):
+    """A random flag of flag's type whose first j levels are flag's."""
+    F, n = flag.field, flag.n
+    rows = list(flag._adapted_rows()[:flag.dims[j - 1]])
+    while len(rows) < flag.dims[-1]:
+        v = tuple(rng.randrange(F.order) for _ in range(n))
+        if Subspace(F, n, rows + [v]).dim > len(rows):
+            rows.append(v)
+    return Flag([Subspace(F, n, rows[:t]) for t in flag.dims])
+
+
+@pytest.mark.parametrize("name, t", [("ctx_q2k2s2", 5), ("ctx_q3k3s2", 56)])
+def test_flag_scan_keeps_every_level_minimum(name, t, request, monkeypatch):
+    """One flag pass fills every projection's min_distance, exactly."""
+    ctx = request.getfixturevalue(name)
+    rng = random.Random(f"levels:{name}")
+    base = canonical_admissible_flag(ctx)
+    T = ctx.group.subgroup_of_order(t)
+    orbit, _ = orbit_flag(T, base)
+    # another line of level 2 under the same upper levels: every level
+    # above the first repeats in the union of the two orbits
+    line = next(s for s in (Subspace(ctx.base_field, ctx.n, [r])
+                            for r in base.subspaces[1].rows)
+                if s != base.subspaces[0])
+    shared, _ = orbit_flag(T, Flag((line,) + base.subspaces[1:]))
+    # flags that share level 1 with orbit members: level 1 repeats
+    first = FlagCode(_sharing(rng, m, 1) for m in orbit.members[:3])
+    codes = [orbit, union_flag_codes([orbit, shared]),
+             union_flag_codes([orbit, first]),
+             FlagCode(list(orbit) + list(first)),  # no generator
+             FlagCode([base]),
+             # level 1 has one distinct member, level 2 two
+             FlagCode([base, _sharing(rng, base, 1), _sharing(rng, base, 2)])]
+    distance = subspaces.subspace_distance
+    for code in codes:
+        assert projected_code(code, 1)._min_distance is None
+        d = code.min_distance()
+        calls = []
+        monkeypatch.setattr(subspaces, "subspace_distance",
+                            lambda u, v: calls.append(1) or distance(u, v))
+        kept = [projected_code(code, i).min_distance()
+                for i in range(1, len(code.dims) + 1)]
+        assert not calls  # every level was kept by the flag scan
+        monkeypatch.setattr(subspaces, "subspace_distance", distance)
+        assert d == code.min_distance(full=True)
+        assert kept == [projected_code(code, i).min_distance(full=True)
+                        for i in range(1, len(code.dims) + 1)], code
+    assert [len(projected_code(codes[1], i)) for i in (1, 2)] == \
+           [2 * len(orbit), len(orbit)]
+    assert len(projected_code(codes[2], 1)) == len(orbit)
+    assert kept[0] == 0 and kept[1] > 0
+    assert codes[4].min_distance() == 0
+    # a projection asked before the flag scan scans itself, and agrees
+    code = FlagCode(list(codes[2]), generator=T.generator)
+    before = projected_code(code, 2).min_distance()
+    assert code.min_distance() == codes[2].min_distance()
+    assert projected_code(code, 2).min_distance() == before

@@ -1,7 +1,10 @@
 """Properties of the library source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import flagcodes
@@ -43,3 +46,15 @@ def test_no_unused_imports():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert paths and not unused, unused
+
+
+def test_cli_import_stays_light():
+    """The CLI pulls in no module that loads the compiler and introspection
+    stack (dataclasses brings inspect, ast, dis and tokenize)."""
+    heavy = ("dataclasses", "inspect", "ast")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import flagcodes.cli, sys; "
+         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == [], out.stdout
