@@ -175,20 +175,23 @@ def cmd_table(args) -> int:
 def cmd_spread(args) -> int:
     t0 = time.monotonic()
     ctx = build_spread_context(make_field(args.p, args.e), args.k, args.s)
+    # the orbits are walked on first read, so read them inside the timing
+    spread = ctx.spread
+    hyperplanes = ctx.hyperplanes if args.hyperplanes else None
     ms = round(1000 * (time.monotonic() - t0), 1)
     stem = f"spread_p{args.p}e{args.e}_k{args.k}s{args.s}"
     path = args.out if args.out else stem + ".subcode"
-    write_subspace_code(ctx.spread, path, tower=(args.k, args.s))
+    write_subspace_code(spread, path, tower=(args.k, args.s))
     files = [path]
-    if args.hyperplanes:
+    if hyperplanes is not None:
         root = path[:-len(".subcode")] if path.endswith(".subcode") else path
         hpath = root + "_hyperplanes.subcode"
-        write_subspace_code(ctx.hyperplanes, hpath, tower=(args.k, args.s))
+        write_subspace_code(hyperplanes, hpath, tower=(args.k, args.s))
         files.append(hpath)
     _emit({
         "kind": "spread",
         "q": ctx.base_field.order, "k": args.k, "s": args.s, "n": ctx.n,
-        "size": len(ctx.spread),
+        "size": len(spread),
         "is_spread": True,
         "stabilizer_order": ctx.member_stabilizer_order,
         "files": files,

@@ -63,9 +63,22 @@ def _field_line(field: FiniteField, tower) -> str:
     return line
 
 
-def _subspace_block(sub: Subspace) -> list:
-    return [f"subspace k={sub.dim}"] + [
-        " ".join(str(x) for x in row) for row in sub.rows]
+def _subspace_writer(field: FiniteField, lines: list):
+    """A function appending one subspace block to lines.  Each distinct row
+    is joined once per call of this, from a digit table of the field, and
+    the lines of a repeated row share its string."""
+    digits = [str(x) for x in range(field.order)]
+    texts = {}
+    append = lines.append
+
+    def write(sub: Subspace):
+        append(f"subspace k={sub.dim}")
+        for row in sub.rows:
+            text = texts.get(row)
+            if text is None:
+                text = texts[row] = " ".join([digits[x] for x in row])
+            append(text)
+    return write
 
 
 def format_flag_code(code: FlagCode, tower=None) -> str:
@@ -73,10 +86,11 @@ def format_flag_code(code: FlagCode, tower=None) -> str:
              f"ambient n={code.n}",
              "type " + ",".join(str(t) for t in code.dims),
              f"count {len(code)}"]
+    write = _subspace_writer(code.field, lines)
     for flag in code.members:
         lines.append("flag")
         for sub in flag.subspaces:
-            lines.extend(_subspace_block(sub))
+            write(sub)
     return "\n".join(lines) + "\n"
 
 
@@ -85,8 +99,9 @@ def format_subspace_code(code: SubspaceCode, tower=None) -> str:
              f"ambient n={code.n}",
              f"type {code.dim}",
              f"count {len(code)}"]
+    write = _subspace_writer(code.field, lines)
     for sub in code.members:
-        lines.extend(_subspace_block(sub))
+        write(sub)
     return "\n".join(lines) + "\n"
 
 

@@ -4,10 +4,11 @@ Two families are built here, both as orbits of cyclic matrix groups.
 
 Spread type: with n = k s, the Desarguesian spread S and the hyperplane code
 H of GF(q)^n (the field-reduced lines and hyperplanes of GF(q^k)^s) are
-single orbits of the embedded Singer group ⟨psi(M_s)⟩, built from one seed
-each and certified exactly by the seed's stabilizer order q^k - 1.  For
-k = 1 there is nothing to reduce: the group is the Singer group of GF(q)^s
-itself, S holds every point and H every hyperplane.  The flag
+single orbits of the embedded Singer group ⟨psi(M_s)⟩ of one seed each.
+Set-up certifies each seed's stabilizer order q^k - 1 with a few matrix
+powers; an orbit is walked only when it is read.  For k = 1 there is
+nothing to reduce: the group is the Singer group of GF(q)^s itself, S
+holds every point and H every hyperplane.  The flag
 E_1 < ... < E_k < E_(n-k) < ... < E_(n-1) of standard coordinate subspaces
 has its two critical levels in S and H; its orbit under the subgroup T of
 order t is an optimum distance flag code exactly when
@@ -38,27 +39,34 @@ from .flags import Flag, FlagCode, orbit_flag, union_flag_codes
 
 
 class SpreadContext:
-    """A Desarguesian spread S and hyperplane code H of GF(q)^(ks), built as
-    the orbits of the reductions of <e_1> and <e_1, ..., e_(s-1)> under the
+    """A Desarguesian spread S and hyperplane code H of GF(q)^(ks), the
+    orbits of the reductions of <e_1> and <e_1, ..., e_(s-1)> under the
     embedded Singer group.
 
     Attributes: base_field, k, s, n, extension (GF(q^k)), group, spread,
     hyperplanes (SubspaceCodes carrying the group generator),
     member_stabilizer_order (q^k - 1).  For k = 1 the extension is the base
     field, g is the companion matrix itself and the seeds are not reduced.
+    Set-up certifies the two seeds; spread and hyperplanes walk their orbit
+    on first read and keep it.
 
     Certificate: g = psi(M_s) is checked to have order q^n - 1, so GF(q)[g]
     has q^n - 1 units among at most q^n elements: it is a field L = GF(q^n),
     the centralizer of g, and GF(q)^n is a one-dimensional L-space.  The
     elements of L mapping U into itself form a subfield K, and the
-    stabilizer of U in <g> is K^*.  So a stabilizer of order q^k - 1 makes
-    the seed, and with it every member of its orbit, a subspace over
-    K = GF(q^k), which is psi(E) (its block scalars commute with g).  An
-    orbit of (q^n - 1)/(q^k - 1) such members is the whole K-Grassmannian:
-    all K-lines (the Desarguesian spread) for a dim-k seed, all
-    K-hyperplanes for a dim-(n-k) seed.  Two K-hyperplanes meet in
-    K-dimension s - 2, so H has distance 2k.
+    stabilizer of U in <g> is K^*.  Each seed is checked to have orbit
+    length exactly m = (q^n - 1)/(q^k - 1): g^m fixes it and no g^(m/l)
+    does, for l a prime divisor of m.  So its stabilizer has order q^k - 1,
+    which makes the seed, and with it every member of its orbit, a subspace
+    over K = GF(q^k), which is psi(E) (its block scalars commute with g).
+    An orbit of m such members is the whole K-Grassmannian: all K-lines
+    (the Desarguesian spread) for a dim-k seed, all K-hyperplanes for a
+    dim-(n-k) seed.  Two K-hyperplanes meet in K-dimension s - 2, so H has
+    distance 2k.
     """
+
+    __slots__ = ("base_field", "k", "s", "n", "extension", "group",
+                 "member_stabilizer_order", "_seeds", "_orbits")
 
     def __init__(self, base_field: FiniteField, k: int, s: int):
         if k < 1 or s < 2:
@@ -73,6 +81,8 @@ class SpreadContext:
             g = psi(g)
             line, hyperplane = field_reduction(line), field_reduction(hyperplane)
         group = CyclicMatrixGroup(g, q ** n - 1)
+        for seed in (line, hyperplane):
+            _certify_seed(group, seed, k)
 
         self.base_field = base_field
         self.k = k
@@ -80,25 +90,51 @@ class SpreadContext:
         self.n = n
         self.extension = E
         self.group = group
-        self.spread = _certified_orbit(group, line, k)
-        self.hyperplanes = _certified_orbit(group, hyperplane, k)
         self.member_stabilizer_order = q ** k - 1
+        self._seeds = (line, hyperplane)
+        self._orbits = [None, None]
+
+    def _orbit(self, i: int) -> SubspaceCode:
+        """The orbit of seed i, walked on first use and kept."""
+        if self._orbits[i] is None:
+            code, _ = orbit_subspace(self.group, self._seeds[i])
+            if len(code) != self.group.order // self.member_stabilizer_order:
+                raise AssertionError(
+                    f"orbit of {len(code)} members contradicts its certificate")
+            self._orbits[i] = code
+        return self._orbits[i]
+
+    @property
+    def spread(self) -> SubspaceCode:
+        """S, the orbit of the reduced line <e_1>."""
+        return self._orbit(0)
+
+    @property
+    def hyperplanes(self) -> SubspaceCode:
+        """H, the orbit of the reduced hyperplane <e_1, ..., e_(s-1)>."""
+        return self._orbit(1)
 
     def __repr__(self):
         return (f"SpreadContext(q={self.base_field.order}, k={self.k}, "
                 f"s={self.s}, n={self.n})")
 
 
-def _certified_orbit(group: CyclicMatrixGroup, seed: Subspace, k: int) -> SubspaceCode:
-    """Singer orbit of seed; raises unless the stabilizer has order q^k - 1 and
-    the orbit (q^n - 1)/(q^k - 1) members (see SpreadContext)."""
+def _certify_seed(group: CyclicMatrixGroup, seed: Subspace, k: int):
+    """Raise unless the orbit of seed has exactly m = (q^n - 1)/(q^k - 1)
+    members, i.e. its stabilizer order is q^k - 1 (see SpreadContext)."""
     q = group.field.order
-    code, stab = orbit_subspace(group, seed)
-    if stab != q ** k - 1 or len(code) != (q ** group.degree - 1) // (q ** k - 1):
+    m = (q ** group.degree - 1) // (q ** k - 1)
+    g = group.generator
+    if seed.apply(g ** m) != seed:
         raise AssertionError(
-            f"orbit of {len(code)} members with stabilizer order {stab} is "
-            f"not certified as a GF({q}^{k})-Grassmannian")
-    return code
+            f"g^{m} moves the seed: its orbit length does not divide {m}, so "
+            f"it is not certified as a member of a GF({q}^{k})-Grassmannian")
+    for ell in factorize(m):
+        if seed.apply(g ** (m // ell)) == seed:
+            raise AssertionError(
+                f"g^{m // ell} fixes the seed: its orbit is shorter than {m}, "
+                f"so it is not certified as a member of a "
+                f"GF({q}^{k})-Grassmannian")
 
 
 def build_spread_context(base_field: FiniteField, k: int, s: int) -> SpreadContext:
@@ -132,7 +168,8 @@ def canonical_admissible_flag(ctx: SpreadContext) -> Flag:
     flag = Flag(subs)
     k_sub = flag.subspaces[ctx.k - 1]
     h_sub = flag.subspaces[list(flag.dims).index(ctx.n - ctx.k)]
-    if k_sub not in ctx.spread or h_sub not in ctx.hyperplanes:
+    # each orbit holds its seed, so this is membership in S and H
+    if (k_sub, h_sub) != ctx._seeds:
         raise AssertionError("canonical flag misses the spread or hyperplane code")
     return flag
 

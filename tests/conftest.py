@@ -1,17 +1,35 @@
 """Shared fixtures: fields and the construction contexts used across files.
 
-Contexts are session-scoped because several files share them; the largest,
-(q=4, k=3, s=3), builds its two certified Singer orbits of 4,161 members
-in under a second.  The terminal-summary hook at the bottom turns the
-test_acceptance results into one PASS/FAIL line per criterion.
+Contexts are session-scoped because several files share them; each
+certifies its two Singer seeds when built and walks the 4,161-member
+orbits of the largest, (q=4, k=3, s=3), only when a test reads them.
+random_invertible is shared by the test files that draw random bases.
+The terminal-summary hook at the bottom turns the test_acceptance results
+into one PASS/FAIL line per criterion.
 """
 
 import re
 
 import pytest
 
-from flagcodes import (build_full_type_context, build_spread_context,
+from flagcodes import (Matrix, build_full_type_context, build_spread_context,
                        extend_field, make_field)
+
+# An n x n matrix over GF(q) is invertible with probability above 0.28, so
+# 200 draws all singular is a broken kernel, not bad luck (below 1e-28).
+_INVERTIBLE_DRAWS = 200
+
+
+def random_invertible(rng, F, n):
+    """A random invertible n x n matrix over F; fails the test after a fixed
+    number of singular draws instead of looping forever."""
+    for _ in range(_INVERTIBLE_DRAWS):
+        M = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
+                       for _ in range(n)], n)
+        if M.is_invertible():
+            return M
+    pytest.fail(f"{_INVERTIBLE_DRAWS} random {n}x{n} matrices over "
+                f"GF({F.order}) were all singular")
 
 
 @pytest.fixture(scope="session")

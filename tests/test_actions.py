@@ -12,20 +12,13 @@ import random
 
 import pytest
 
+from conftest import random_invertible
 from flagcodes import (Flag, Matrix, Subspace, flag_distance, level_distances,
                        make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
 from flagcodes.fields import FieldElement
 from flagcodes.matrices import rref_code_rows
-
-
-def random_invertible(rng, F, n):
-    while True:
-        M = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
-                       for _ in range(n)], n)
-        if M.is_invertible():
-            return M
 
 
 def random_flag(rng, F, n, dims):

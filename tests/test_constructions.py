@@ -16,7 +16,7 @@ from flagcodes import (Flag, Matrix, Subspace,
                        projected_code, spread_type_max_odfc,
                        spread_type_orbit_odfc, table_row)
 from flagcodes import constructions, singer, subspaces
-from flagcodes.constructions import _certified_orbit, _max_code_with_hook
+from flagcodes.constructions import _certify_seed, _max_code_with_hook
 from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
                               GcdConditionFailedError, NotADivisorError,
                               NotExtendingError, RankDeficientError,
@@ -73,11 +73,66 @@ def test_certificate_rejects_a_non_spread_seed(ctx_q2k2s2, F2):
     assert seed not in ctx_q2k2s2.spread
     orbit, stab = orbit_subspace(ctx_q2k2s2.group, seed)
     assert (len(orbit), stab) == (15, 1)
-    with pytest.raises(AssertionError, match="stabilizer order 1"):
-        _certified_orbit(ctx_q2k2s2.group, seed, 2)
-    # the spread seed passes and gives back the context's code
-    assert _certified_orbit(ctx_q2k2s2.group, ctx_q2k2s2.spread.members[0],
-                            2) == ctx_q2k2s2.spread
+    with pytest.raises(AssertionError, match=r"g\^5 moves the seed"):
+        _certify_seed(ctx_q2k2s2.group, seed, 2)
+
+
+def test_certificate_rejects_an_orbit_shorter_than_m(F2):
+    # e_1 GF(16) in GF(256) = GF(2)^8: stabilizer GF(16)^* of order 15, so
+    # 17 members where the (q=2, k=2, s=4) certificate wants m = 85; g^85
+    # fixes it, and so does g^17 = g^(85/5)
+    ctx = build_spread_context(F2, 2, 4)
+    g = ctx.group.generator
+    e1 = Matrix(F2, [[1] + [0] * 7])
+    seed = Subspace(F2, 8, [(e1 @ g ** (17 * j)).rows[0] for j in range(4)])
+    assert seed.dim == 4
+    orbit, stab = orbit_subspace(ctx.group, seed)
+    assert (len(orbit), stab) == (17, 15)
+    with pytest.raises(AssertionError, match=r"g\^17 fixes the seed"):
+        _certify_seed(ctx.group, seed, 2)
+
+
+@pytest.mark.parametrize("name", [
+    "ctx_q2k2s2", "ctx_q2k3s2", "ctx_q3k3s2", "ctx_q4k3s3"])
+def test_certificate_accepts_both_context_seeds(name, request):
+    ctx = request.getfixturevalue(name)
+    for seed in ctx._seeds:
+        _certify_seed(ctx.group, seed, ctx.k)
+        _, stab = orbit_subspace(ctx.group, seed)
+        assert stab == ctx.member_stabilizer_order
+
+
+def test_orbits_are_walked_only_when_read(monkeypatch, F2):
+    # op counts, not timings: constructing codes walks no Singer orbit, and
+    # the first read of spread walks its orbit once and keeps it
+    calls = []
+
+    def counting(group, seed):
+        calls.append(seed)
+        return orbit_subspace(group, seed)
+
+    monkeypatch.setattr(constructions, "orbit_subspace", counting)
+    ctx = build_spread_context(F2, 2, 4)
+    assert len(spread_type_orbit_odfc(ctx, 85)) == 85
+    assert len(spread_type_max_odfc(ctx, 17)) == 85
+    assert calls == []
+    spread = ctx.spread
+    assert ctx.spread is spread and len(calls) == 1
+    assert spread == SubspaceCode(field_reduction(U) for U in
+                                  enumerate_grassmannian(ctx.extension, 1, 4))
+    assert is_spread(spread)
+    assert len(ctx.hyperplanes) == 85 and len(calls) == 2
+
+
+def test_q7_scale_rung_builds_without_walking_orbits():
+    # (q=7, k=3, s=3): S and H have 117,993 members each, so this must not
+    # read ctx.spread or ctx.hyperplanes
+    ctx = build_spread_context(make_field(7, 1), 3, 3)
+    code = spread_type_orbit_odfc(ctx, 37)
+    assert len(code) == 37  # t / gcd(t, q - 1)
+    assert code.dims == (1, 2, 3, 6, 7, 8)
+    assert is_odfc_by_definition(code) and is_odfc_by_characterization(code)
+    assert ctx._orbits == [None, None]
 
 
 def test_spread_context_setup_skips_full_code_checks(monkeypatch, F2):

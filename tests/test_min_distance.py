@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conftest import random_invertible
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        canonical_admissible_flag, enumerate_grassmannian,
                        full_type_generator_flag, is_odfc_by_characterization,
@@ -21,14 +22,6 @@ from flagcodes import flags, subspaces
 from flagcodes.subspaces import min_pair_distance, orbit_walk
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError, ShapeError,
                               TypeMismatchError)
-
-
-def random_invertible(rng, F, n):
-    while True:
-        M = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
-                       for _ in range(n)], n)
-        if M.is_invertible():
-            return M
 
 
 def test_union_with_a_foreign_flag_is_not_odfc(ctx_q2k2s2, F2):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import random_invertible
 from flagcodes import singer
 from flagcodes import (CyclicMatrixGroup, FieldElement, Matrix, Subspace,
                        is_spread, make_field, matrix_order,
@@ -17,14 +18,6 @@ from flagcodes.singer import companion_matrix, field_reduction, phi, psi
 
 def all_elements(F):
     return [FieldElement(F, c) for c in range(F.order)]
-
-
-def random_invertible(rng, F, n):
-    while True:
-        M = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
-                       for _ in range(n)], n)
-        if M.is_invertible():
-            return M
 
 
 def test_companion_matrices_frozen():
