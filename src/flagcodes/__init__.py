@@ -13,7 +13,7 @@ from .errors import (AdditivityViolatedError, AmbientMismatchError,
                      NotADivisorError, NotExtendingError, NotNestedError,
                      RankDeficientError, ShapeError, SingularMatrixError,
                      TypeMismatchError)
-from .fields import FieldElement, FiniteField, extend_field, make_field
+from .fields import FiniteField, extend_field, make_field
 from .matrices import Matrix, block_diag, hstack, matrix_order, vstack
 from .subspaces import (Subspace, SubspaceCode, dual_code,
                         enumerate_grassmannian, gaussian_binomial,
@@ -46,7 +46,7 @@ __all__ = [
     "NotExtendingError", "NotNestedError", "RankDeficientError", "ShapeError",
     "SingularMatrixError", "TypeMismatchError",
     # fields and matrices
-    "FieldElement", "FiniteField", "extend_field", "make_field",
+    "FiniteField", "extend_field", "make_field",
     "Matrix", "block_diag", "hstack", "matrix_order", "vstack",
     # subspaces
     "Subspace", "SubspaceCode", "dual_code", "enumerate_grassmannian",

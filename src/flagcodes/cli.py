@@ -20,8 +20,8 @@ import os
 import sys
 import time
 
-from .codefiles import (CodeFileData, read_code_file, write_flag_code,
-                        write_subspace_code)
+from .codefiles import (CodeFileData, check_field_order, read_code_file,
+                        write_flag_code, write_subspace_code)
 from .constructions import (admissible_subgroup_orders, build_full_type_context,
                             build_spread_context, full_type_max_odfc,
                             full_type_orbit_odfc, full_type_generator_flag,
@@ -58,9 +58,15 @@ def _flag_summary(code, runtime_ms=None, extra=None) -> dict:
     return out
 
 
+def _field(args):
+    """GF(p^e) from --p/--e, refused above the code-file limit before it is built."""
+    check_field_order(args.p, args.e)
+    return make_field(args.p, args.e)
+
+
 def cmd_spread_type(args) -> int:
     t0 = time.monotonic()
-    ctx = build_spread_context(make_field(args.p, args.e), args.k, args.s)
+    ctx = build_spread_context(_field(args), args.k, args.s)
     if args.max_size:
         code = spread_type_max_odfc(ctx, args.t)
     else:
@@ -77,7 +83,7 @@ def cmd_spread_type(args) -> int:
 
 def cmd_full_type(args) -> int:
     t0 = time.monotonic()
-    ctx = build_full_type_context(make_field(args.p, args.e), args.k)
+    ctx = build_full_type_context(_field(args), args.k)
     if args.max_size:
         code = full_type_max_odfc(ctx)
     else:
@@ -174,7 +180,7 @@ def cmd_table(args) -> int:
 
 def cmd_spread(args) -> int:
     t0 = time.monotonic()
-    ctx = build_spread_context(make_field(args.p, args.e), args.k, args.s)
+    ctx = build_spread_context(_field(args), args.k, args.s)
     # the orbits are walked on first read, so read them inside the timing
     spread = ctx.spread
     hyperplanes = ctx.hyperplanes if args.hyperplanes else None

@@ -42,6 +42,12 @@ MAX_AMBIENT_DIM = 1024
 MAX_COUNT = 1 << 20
 
 
+def check_field_order(p: int, e: int):
+    """ValueError above MAX_FIELD_ORDER; p and e are bounded before p ** e."""
+    if p > MAX_FIELD_ORDER or e > MAX_FIELD_ORDER or (p > 1 and p ** e > MAX_FIELD_ORDER):
+        raise ValueError(f"field order {p}^{e} exceeds the limit {MAX_FIELD_ORDER}")
+
+
 class CodeFileData(NamedTuple):
     kind: str                 # "flag" or "subspace"
     tower: tuple              # (k, s) or None
@@ -187,11 +193,10 @@ def parse_code_file(text: str) -> CodeFileData:
     no, m = _expect(cur, r"field p=(\d+) e=(\d+)(?: tower=(\d+),(\d+))?",
                     "a field line")
     p, e = (_number(no, d, MAX_FIELD_ORDER, "field order") for d in m.group(1, 2))
-    if p > 1 and p ** e > MAX_FIELD_ORDER:
-        raise CodeFileError(no, f"field order {p}^{e} exceeds the limit {MAX_FIELD_ORDER}")
     tower = (tuple(_number(no, d, MAX_AMBIENT_DIM, "tower") for d in m.group(3, 4))
              if m.group(3) else None)
     try:
+        check_field_order(p, e)
         field = make_field(p, e)
     except ValueError as exc:
         raise CodeFileError(no, str(exc)) from None
@@ -233,5 +238,12 @@ def parse_code_file(text: str) -> CodeFileData:
 
 
 def read_code_file(path) -> CodeFileData:
-    with open(path) as fh:
-        return parse_code_file(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the valid prefix plus one character ends on the bad byte's line
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CodeFileError(line, "not valid UTF-8") from None
+    return parse_code_file(text)

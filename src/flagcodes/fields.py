@@ -1,7 +1,9 @@
 """Finite fields GF(p^e), including towers GF(q^k) built over a smaller field.
 
-Elements are carried as integer codes in [0, q).  For a prime field the code
-is the residue itself; for an extension of degree e over a base of order b,
+Elements are integer codes in [0, q) and nothing else: there is no element
+type, and the arithmetic (add_codes, mul_codes, neg_code, inv_code, pow_code,
+order_of_code) takes and returns codes.  For a prime field the code is the
+residue itself; for an extension of degree e over a base of order b,
 the code is the base-b positional value of the coefficient vector
 (c_0, ..., c_{e-1}) with respect to the power basis of the residue x, the
 constant coefficient c_0 being the least significant digit.  The encoding
@@ -24,7 +26,7 @@ companion-matrix powers), which makes them safe to share across threads.
 
 from functools import partial
 
-from .errors import FieldConstructionError, MixedFieldsError
+from .errors import FieldConstructionError
 
 # full add/mul tables are built for fields up to this order
 _TABLE_LIMIT = 1024
@@ -76,116 +78,6 @@ def prime_factors(n: int) -> list:
     return sorted(factorize(n))
 
 
-class FieldElement:
-    """An element of a FiniteField, identified by its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FiniteField", code: int):
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise MixedFieldsError(
-                    f"operands live in {self.field} and {other.field}")
-            return other
-        if isinstance(other, int):
-            # ints are accepted as codes of the same field
-            return self.field.element(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add_codes(self.code, o.code))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(
-            self.field, self.field.add_codes(self.code, self.field.neg_code(o.code)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_codes(self.code, o.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FieldElement(self.field, self.field.pow_code(self.code, n))
-
-    def inverse(self) -> "FieldElement":
-        if self.code == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(self.field, self.field.inv_code(self.code))
-
-    def order(self) -> int:
-        """Multiplicative order; zero has none."""
-        if self.code == 0:
-            raise ZeroDivisionError("multiplicative order of zero")
-        return self.field.order_of_code(self.code)
-
-    @property
-    def vector(self) -> tuple:
-        """Coefficient vector over the base field, low-order first.
-
-        Prime-field elements are their own length-1 vector.
-        """
-        F = self.field
-        if F.base is None:
-            return (self,)
-        return tuple(F.base.element(d) for d in F.decode(self.code))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return 0 <= other < self.field.order and self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return f"{self.field.order}#{self.code}"
-
-
 class _CodeTable:
     """Read-only table whose entry t[a] is fn(a), computed on access."""
 
@@ -219,28 +111,6 @@ class FiniteField:
         self._inv = None
         self._companion_powers = None
         self._tables = None
-
-    # -- construction of elements ------------------------------------------
-
-    def element(self, code: int) -> FieldElement:
-        if not isinstance(code, int) or not 0 <= code < self.order:
-            raise ValueError(f"element code {code!r} outside [0, {self.order})")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def primitive_element(self) -> FieldElement:
-        """The residue of x modulo the modulus; generates the unit group."""
-        if self.base is None:
-            return FieldElement(self, (-self.modulus[0]) % self.characteristic)
-        return FieldElement(self, self.base.order)
 
     # -- code arithmetic ----------------------------------------------------
 
@@ -281,9 +151,6 @@ class FiniteField:
         return self.encode(_poly_rem(self.base, prod, self.modulus))
 
     def pow_code(self, a: int, n: int) -> int:
-        if n < 0:
-            a = self.inv_code(a)
-            n = -n
         out = 1
         while n:
             if n & 1:
@@ -346,7 +213,8 @@ class FiniteField:
 
     def _log_tables(self):
         """(exp, log[1:]): exp[i] is the code of x^i, log[c] its exponent."""
-        g = self.primitive_element.code
+        # the residue of x: code b over a base of order b, -p_0 modulo x + p_0
+        g = self.base.order if self.base else -self.modulus[0] % self.characteristic
         exp = []
         log = [0] * self.order
         c = 1

@@ -16,7 +16,7 @@ with scalar one-space stabilizers of order q - 1.
 """
 
 from .errors import NotADivisorError, NotExtendingError
-from .fields import FieldElement, FiniteField, extend_field
+from .fields import FiniteField, extend_field
 from .matrices import Matrix, matrix_order
 from .subspaces import Subspace, SubspaceCode, group_orbit
 
@@ -51,15 +51,14 @@ def _companion_powers(E: FiniteField):
     return E._companion_powers
 
 
-def phi(a: FieldElement) -> Matrix:
-    """The k x k matrix over the base field representing a under the power basis."""
-    E = a.field
+def phi(E: FiniteField, code: int) -> Matrix:
+    """The k x k matrix over E.base representing code under E's power basis."""
     powers = _companion_powers(E)
     B = E.base
     k = E.degree
     out = [[0] * k for _ in range(k)]
     add, mul = B.add_codes, B.mul_codes
-    for digit, P in zip(E.decode(a.code), powers):
+    for digit, P in zip(E.decode(code), powers):
         if digit:
             for i in range(k):
                 prow = P.rows[i]
@@ -73,7 +72,7 @@ def _expanded_rows(E: FiniteField, rows):
     k = E.degree
     out = []
     for row in rows:
-        blocks = [phi(FieldElement(E, c)).rows for c in row]
+        blocks = [phi(E, c).rows for c in row]
         for i in range(k):
             new = []
             for blk in blocks:

@@ -3,7 +3,11 @@
 Contexts are session-scoped because several files share them; each
 certifies its two Singer seeds when built and walks the 4,161-member
 orbits of the largest, (q=4, k=3, s=3), only when a test reads them.
-random_invertible is shared by the test files that draw random bases.
+random_invertible is shared by the test files that draw random bases, and
+the ref_* functions are the field oracle: arithmetic by the definition
+(polynomials over the base modulo the pinned modulus), reading only a
+field's base, characteristic, order, modulus and digit encoding, never the
+tables or code methods under test.
 The terminal-summary hook at the bottom turns the test_acceptance results
 into one PASS/FAIL line per criterion.
 """
@@ -30,6 +34,56 @@ def random_invertible(rng, F, n):
             return M
     pytest.fail(f"{_INVERTIBLE_DRAWS} random {n}x{n} matrices over "
                 f"GF({F.order}) were all singular")
+
+
+def ref_add(F, a, b):
+    if F.base is None:
+        return (a + b) % F.characteristic
+    return F.encode([ref_add(F.base, x, y) for x, y in zip(F.decode(a), F.decode(b))])
+
+
+def ref_neg(F, a):
+    if F.base is None:
+        return -a % F.characteristic
+    return F.encode([ref_neg(F.base, x) for x in F.decode(a)])
+
+
+def ref_mul(F, a, b):
+    """Product by the definition: polynomials over the base modulo F's modulus."""
+    if F.base is None:
+        return a * b % F.characteristic
+    B, e = F.base, len(F.modulus)
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(F.decode(a)):
+        for j, y in enumerate(F.decode(b)):
+            prod[i + j] = ref_add(B, prod[i + j], ref_mul(B, x, y))
+    for i in range(2 * e - 2, e - 1, -1):  # x^e = -(sum of modulus[k] x^k)
+        c = ref_neg(B, prod[i])
+        for k, m in enumerate(F.modulus):
+            prod[i - e + k] = ref_add(B, prod[i - e + k], ref_mul(B, c, m))
+    return F.encode(prod[:e])
+
+
+def ref_pow(F, a, n):
+    out = 1
+    while n:
+        if n & 1:
+            out = ref_mul(F, out, a)
+        a = ref_mul(F, a, a)
+        n >>= 1
+    return out
+
+
+def ref_inv(F, a):
+    """a^(q - 2), the inverse of a nonzero a."""
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return ref_pow(F, a, F.order - 2)
+
+
+def ref_order(F, a):
+    """Multiplicative order of a nonzero a: the least d with a^d = 1."""
+    return next(d for d in range(1, F.order) if ref_pow(F, a, d) == 1)
 
 
 @pytest.fixture(scope="session")

@@ -1,23 +1,24 @@
 """Right actions of matrices on subspaces and flags.
 
 Subspace.apply and Flag.apply run on trusted kernel output; these tests hold
-them to the public, validated constructors and to plain FieldElement
-arithmetic, and check that a bad matrix is refused rather than producing an
-invalid subspace or flag.  Every row reduction runs through one kernel,
-`matrices.rref_code_rows`; a FieldElement Gauss-Jordan is the independent
-check of it and of each of its callers.
+them to the public, validated constructors and to the reference field
+arithmetic of conftest, and check that a bad matrix is refused rather than
+producing an invalid subspace or flag.  Every row reduction runs through one
+kernel, `matrices.rref_code_rows`; a Gauss-Jordan on the reference
+arithmetic, which never reads the field tables, is the independent check of
+it and of each of its callers.
 """
 
 import random
+from functools import partial, reduce
 
 import pytest
 
-from conftest import random_invertible
+from conftest import random_invertible, ref_add, ref_inv, ref_mul, ref_neg
 from flagcodes import (Flag, Matrix, Subspace, flag_distance, level_distances,
                        make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
-from flagcodes.fields import FieldElement
 from flagcodes.matrices import rref_code_rows
 
 
@@ -111,19 +112,24 @@ def test_misfit_matrices_are_refused():
 
 
 def _ref_rref(F, rows):
-    """Gauss-Jordan with FieldElement arithmetic; nonzero rows only."""
-    rows = [[FieldElement(F, x) for x in r] for r in rows]
+    """Gauss-Jordan with the reference arithmetic; nonzero rows only."""
+    def eliminate(r, c, piv):  # r - r[c] * piv
+        m = ref_neg(F, r[c])
+        return [ref_add(F, x, ref_mul(F, m, y)) for x, y in zip(r, piv)]
+
+    rows = [list(r) for r in rows]
     out = []
     for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in rows if not r[c].is_zero()), None)
+        piv = next((r for r in rows if r[c]), None)
         if piv is None:
             continue
         rows.remove(piv)
-        piv = [x / piv[c] for x in piv]
-        rows = [[x - r[c] * y for x, y in zip(r, piv)] for r in rows]
-        out = [[x - r[c] * y for x, y in zip(r, piv)] for r in out]
+        inv = ref_inv(F, piv[c])
+        piv = [ref_mul(F, inv, x) for x in piv]
+        rows = [eliminate(r, c, piv) for r in rows]
+        out = [eliminate(r, c, piv) for r in out]
         out.append(piv)
-    return tuple(tuple(x.code for x in r) for r in out)
+    return tuple(map(tuple, out))
 
 
 def _ref_inverse(F, rows):
@@ -133,9 +139,9 @@ def _ref_inverse(F, rows):
 
 
 def _ref_product(F, arows, brows):
-    cols = list(zip(*brows))
-    return [[sum((FieldElement(F, a) * FieldElement(F, b) for a, b in zip(r, c)),
-                 F.zero).code for c in cols] for r in arows]
+    add = partial(ref_add, F)
+    return [[reduce(add, (ref_mul(F, a, b) for a, b in zip(r, c)), 0)
+             for c in zip(*brows)] for r in arows]
 
 
 def test_kernels_above_the_table_limit():
@@ -169,9 +175,8 @@ def _random_rows(rng, F, count, n):
             rows.append((0,) * n)
         elif kind < 0.45 and rows:
             a, b = rng.choice(rows), rng.choice(rows)
-            c = FieldElement(F, rng.randrange(F.order))
-            rows.append(tuple((FieldElement(F, x) + c * FieldElement(F, y)).code
-                              for x, y in zip(a, b)))
+            c = rng.randrange(F.order)
+            rows.append(tuple(ref_add(F, x, ref_mul(F, c, y)) for x, y in zip(a, b)))
         else:
             rows.append(tuple(rng.randrange(F.order) for _ in range(n)))
     return rows
@@ -180,7 +185,7 @@ def _random_rows(rng, F, count, n):
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 11)])
 def test_row_reduction_kernel_matches_reference(p, e):
     """Every reduction runs through rref_code_rows; check it and each caller
-    against Gauss-Jordan in FieldElement arithmetic, GF(2^11) included."""
+    against Gauss-Jordan in the reference arithmetic, GF(2^11) included."""
     F = make_field(p, e)
     rng = random.Random(f"rref:{p}^{e}")
     assert rref_code_rows(F, []) == [()]

@@ -255,6 +255,13 @@ def test_exit_code_3_on_parse_error(tmp_path, capsys):
         rc, _, err = run(capsys, "verify", bad)
         assert rc == 3
         assert "line 4" in err and "type line" in err
+    for raw, line in [(b"\xff\xfeFLAGCODE v1\n", 1),
+                      (b"FLAGCODE v1\r\nfield p=2 e=1\n\xff\n", 3)]:
+        with open(bad, "wb") as fh:
+            fh.write(raw)
+        rc, _, err = run(capsys, "verify", bad)
+        assert rc == 3
+        assert err == f"error: line {line}: not valid UTF-8\n"
 
 
 # p - 1 = 2r with r a 101-bit prime: trial division of p - 1 never finishes
@@ -287,6 +294,22 @@ def test_hostile_header_exits_3_in_bounded_time(tmp_path, field_line, ambient,
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: line {line_no}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "spread-type", "--p", "1000000007", "--k", "2", "--s", "2", "--t", "1"),
+    ("construct", "full-type", "--p", "17", "--e", "2", "--k", "2"),
+    ("spread", "--p", "2", "--e", "9" * 20, "--k", "2", "--s", "2"),
+], ids=["huge-prime-p", "q=289", "huge-e"])
+def test_field_above_the_file_limit_exits_2_in_bounded_time(tmp_path, argv):
+    # the CLI refuses a field that verify would refuse, before building it
+    out = os.path.join(tmp_path, "x")
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", *argv, "--out", out],
+                          capture_output=True, text=True, timeout=15,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.endswith("exceeds the limit 256\n")
+    assert not os.path.exists(out)
 
 
 def test_header_limits_are_inclusive(capsys, tmp_path):
