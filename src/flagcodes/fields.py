@@ -58,19 +58,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# trial division stops below this bound, so a factorization ends in bounded time
+_TRIAL_DIVISION_BOUND = 1 << 20
+
+
 def factorize(n: int) -> dict:
-    """Prime factorization {p: multiplicity} by trial division."""
+    """Prime factorization {p: multiplicity} by trial division below
+    _TRIAL_DIVISION_BOUND = B.
+
+    What is left has no prime factor below B, so it is 1 or prime when it
+    is below B^2.  A larger cofactor raises FieldConstructionError naming
+    n, where dividing on could take hours (2^127 - 1 is one such n).
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
+    m = n
     out: dict = {}
     d = 2
-    while d * d <= n:
-        while n % d == 0:
+    while d * d <= m and d < _TRIAL_DIVISION_BOUND:
+        while m % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
+            m //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if m >= _TRIAL_DIVISION_BOUND ** 2:
+        raise FieldConstructionError(
+            f"cannot factor {n}: trial division below {_TRIAL_DIVISION_BOUND} "
+            f"leaves a cofactor of {m.bit_length()} bits")
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
     return out
 
 

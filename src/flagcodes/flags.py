@@ -14,12 +14,15 @@ and attain the maximum subspace distance of their dimension.  Both routes
 (definition and characterization) are implemented and kept in agreement by
 the tests.
 
-A pair of flags costs one elimination: level_distances reduces both
-adapted bases level by level and reads every level's distance from its
-snapshot, so a code's one pair pass keeps the flag minimum and each level's
-minimum alike.  An orbit code carries its group generator, and so do its
-projections and unions with it first; min_distance walks it through the
-code, and never trusts it, before it skips any pair (see subspaces).
+A pair of flags costs one elimination, and a distance is a rank, so it is
+the forward-only rank_code_rows, not the canonical rref_code_rows:
+level_distances feeds both adapted bases in level by level and reads every
+level's distance from the rank after it, so a code's one pair pass keeps
+the flag minimum and each level's minimum alike.  That pass builds each
+member's adapted basis once, not once per pair.  An orbit code carries its
+group generator, and so do its projections and unions with it first;
+min_distance walks it through the code, and never trusts it, before it
+skips any pair (see subspaces).
 """
 
 from math import gcd
@@ -27,7 +30,7 @@ from math import gcd
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, NotNestedError, SingularMatrixError,
                      TypeMismatchError, AdditivityViolatedError)
-from .matrices import Matrix, mul_code_rows, rref_code_rows
+from .matrices import Matrix, mul_code_rows, rank_code_rows, rref_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
                         group_orbit, scan_pairs)
 
@@ -130,21 +133,26 @@ def full_type(n: int) -> tuple:
 
 
 def level_distances(F: Flag, G: Flag) -> tuple:
-    """(d(F_1, G_1), ..., d(F_r, G_r)) from one elimination.
+    """(d(F_1, G_1), ..., d(F_r, G_r)) from one rank elimination."""
+    F._check_mate(G)
+    return _adapted_level_distances(F.field, F.dims, F._adapted_rows(),
+                                    G._adapted_rows())
 
-    The adapted rows of both flags go in level by level, so the first 2 t_i
-    rows span F_i + G_i, and the snapshot after them has its dimension:
+
+def _adapted_level_distances(field, dims, a, b) -> tuple:
+    """level_distances of two flags of type dims given by adapted rows a, b.
+
+    The rows of both go in level by level, so the first 2 t_i rows span
+    F_i + G_i, and the rank after them is its dimension:
     d_i = 2 dim(F_i + G_i) - 2 t_i.
     """
-    F._check_mate(G)
-    a, b = F._adapted_rows(), G._adapted_rows()
     rows = []
     lo = 0
-    for t in F.dims:
+    for t in dims:
         rows += a[lo:t] + b[lo:t]
         lo = t
-    sums = rref_code_rows(F.field, rows, [2 * t for t in F.dims])
-    return tuple(2 * (len(s) - t) for s, t in zip(sums, F.dims))
+    ranks = rank_code_rows(field, rows, [2 * t for t in dims])
+    return tuple(2 * (r - t) for r, t in zip(ranks, dims))
 
 
 def flag_distance(F: Flag, G: Flag) -> int:
@@ -188,18 +196,22 @@ class FlagCode(Code):
     def _scan(self) -> int:
         """The flag minimum and every level's minimum, from one pass.
 
-        Each pair scan_pairs gives costs one level_distances, read at call
-        time.  Besides the least flag distance, the pass keeps, for each
+        Each member's adapted rows are built once, in a table local to the
+        scan, and each pair scan_pairs gives costs one
+        _adapted_level_distances, read at call time: one rank elimination.
+        Besides the least flag distance, the pass keeps, for each
         level, the least nonzero level distance (0 when the level has one
         distinct member) as that projection's min_distance.  That is exact,
         also on a generator walk: two distinct level-i subspaces are level i
         of some pair of flags, and the walk maps that pair to a scanned pair
         with the same level distances.
         """
+        field, dims = self.field, self.dims
+        adapted = {f: f._adapted_rows() for f in self.members}
         best = None
-        levels = [0] * len(self.dims)
+        levels = [0] * len(dims)
         for f, g in scan_pairs(self):
-            ds = level_distances(f, g)
+            ds = _adapted_level_distances(field, dims, adapted[f], adapted[g])
             d = sum(ds)
             if best is None or d < best:
                 best = d

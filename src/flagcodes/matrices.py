@@ -136,7 +136,7 @@ class Matrix:
                 len(reduced), tuple(r.index(1) for r in reduced))
 
     def rank(self) -> int:
-        return len(rref_code_rows(self.field, self.rows)[0])
+        return rank_code_rows(self.field, self.rows)[0]
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -282,6 +282,44 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
         done = t
         snapshots.append(tuple(reduced[c] for c in sorted(reduced)))
     return snapshots
+
+
+def rank_code_rows(F: FiniteField, rows, sizes=None) -> list:
+    """Rank of each leading block rows[:t], t in sizes.
+
+    The forward half of rref_code_rows, for callers that read only a rank:
+    each new row is reduced against the rows kept so far, in the order they
+    were kept, and kept scaled to a leading 1 when it is not zero.  A kept
+    row is zero at the pivots of the rows kept before it, so each step
+    clears its pivot column for good and a row that ends nonzero is
+    independent of them.  No back-substitution, no snapshot rows.  sizes
+    is as in rref_code_rows, and so is the stop at full rank.  rows is not
+    modified.
+    """
+    add, mul, neg, inv = F.tables()
+    kept = []  # (pivot column, row) in the order kept
+    ncols = len(rows[0]) if rows else 0
+    ranks = []
+    done = 0
+    for t in (len(rows),) if sizes is None else sizes:
+        for row in rows[done:t]:
+            if len(kept) == ncols:
+                break
+            for c, b in kept:
+                x = row[c]
+                if x:
+                    mrow = mul[neg[x]]
+                    row = [add[y][mrow[z]] for y, z in zip(row, b)]
+            pv = next(filter(None, row), 0)  # leading entry, 0 for a zero row
+            if pv:
+                lead = row.index(pv)
+                if pv != 1:
+                    mrow = mul[inv[pv]]
+                    row = [mrow[x] for x in row]
+                kept.append((lead, row))
+        done = t
+        ranks.append(len(kept))
+    return ranks
 
 
 def matrix_order(A: Matrix, order_hint: int = None) -> int:

@@ -15,13 +15,14 @@ decides how much of the quadratic pair scan is saved.  Both paths are
 cross-checked in the test suite.
 """
 
+import operator
 from itertools import combinations, product
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      EnumerationTooLargeError, MixedFieldsError, ShapeError,
                      SingularMatrixError)
 from .fields import FiniteField
-from .matrices import Matrix, mul_code_rows, rref_code_rows
+from .matrices import Matrix, mul_code_rows, rank_code_rows, rref_code_rows
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -113,7 +114,7 @@ class Subspace:
 
     def _spans(self, rows) -> bool:
         """Whether every vector of rows (code tuples) lies in this subspace."""
-        return len(rref_code_rows(self.field, self.rows + rows)[0]) == self.dim
+        return rank_code_rows(self.field, self.rows + rows)[0] == self.dim
 
     def contains_vector(self, v) -> bool:
         return self._spans(Matrix(self.field, [v], self.n).rows)
@@ -169,8 +170,7 @@ def check_acting_matrix(field: FiniteField, n: int, A: Matrix):
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """dim(U + V) - dim(U meet V), via one rank computation."""
     U._check_mate(V)
-    rank = len(rref_code_rows(U.field, U.rows + V.rows)[0])
-    return 2 * rank - U.dim - V.dim
+    return 2 * rank_code_rows(U.field, U.rows + V.rows)[0] - U.dim - V.dim
 
 
 class Code:
@@ -347,28 +347,67 @@ def member_vectors(sub: Subspace) -> list:
     return combos[1:]  # ordering keeps the zero vector first
 
 
-# above this many enumerated vectors, spread checks fall back to pair scans
-_COVER_LIMIT = 5_000_000
+def member_points(sub: Subspace) -> list:
+    """The projective points of a subspace, as ranks in [0, (q^n - 1)/(q - 1)).
+
+    A point is written as its vector with leading entry 1.  For canonical
+    rows r_1, ..., r_k those are the vectors r_i + span(r_(i+1), ..., r_k),
+    (q^k - 1)/(q - 1) in all, with no normalizing.  A point with its leading
+    1 in column j and digits v after it has rank (q^(n-1-j) - 1)/(q - 1) + v
+    read in base q, so the ranks of GF(q)^n's points fill the range once.
+    """
+    F, n = sub.field, sub.n
+    q = F.order
+    add, mul = F.tables()[:2]
+    weights = [q ** (n - 1 - c) for c in range(n)]
+    points = []
+    span = [(0,) * n]  # span(r_(i+1), ..., r_k)
+    for i in range(sub.dim - 1, -1, -1):
+        row = sub.rows[i]
+        w = weights[row.index(1)]
+        offset = (w - 1) // (q - 1) - w  # the leading 1 counts w in the value
+        lifted = [tuple([add[a][b] for a, b in zip(row, v)]) for v in span]
+        points += [offset + sum(map(operator.mul, v, weights)) for v in lifted]
+        if i:
+            span += lifted + [tuple([add[a][mrow[b]] for a, b in zip(v, row)])
+                              for mrow in map(mul.__getitem__, range(2, q))
+                              for v in span]
+    return points
+
+
+# above a bitmap of this many points the spread checks ask min_distance()
+_COVER_LIMIT_BITS = 1 << 25
 
 
 def is_partial_spread(code: SubspaceCode) -> bool:
     """Whether members pairwise intersect trivially.
 
-    Two subspaces meet trivially iff they share no nonzero vector, so the
-    whole check is one duplicate scan over |C| q^k vectors.  Above
-    _COVER_LIMIT vectors it asks the code's min_distance() instead: distinct
-    k-subspaces meet trivially iff their distance is 2k, possible only when
-    2k <= n.  Singleton codes pass vacuously.
+    Two subspaces meet trivially iff they share no point, so the whole
+    check is one scan over the members' points (member_points), each marked
+    in a bitmap of the (q^n - 1)/(q - 1) points of the ambient space; the
+    first point marked twice ends it.  Singleton codes pass vacuously, and
+    distinct k-subspaces with 2k > n always meet, so both are answered
+    before any point is built; a member that reaches the scan then has
+    (q^k - 1)/(q - 1) points with 2k <= n, about the square root of the
+    bitmap's size.  Above _COVER_LIMIT_BITS points, a size the header fixes,
+    it asks the code's min_distance() instead: distinct k-subspaces meet
+    trivially iff their distance is 2k.
     """
+    if len(code) == 1:
+        return True
+    if 2 * code.dim > code.n:
+        return False
     q = code.field.order
-    if len(code) * (q ** code.dim - 1) > _COVER_LIMIT:
-        return len(code) == 1 or code.min_distance() == 2 * code.dim
-    seen = set()
+    bits = (q ** code.n - 1) // (q - 1)
+    if bits > _COVER_LIMIT_BITS:
+        return code.min_distance() == 2 * code.dim
+    seen = bytearray((bits + 7) >> 3)
     for m in code.members:
-        for v in member_vectors(m):
-            if v in seen:
+        for x in member_points(m):
+            byte, bit = x >> 3, 1 << (x & 7)
+            if seen[byte] & bit:
                 return False
-            seen.add(v)
+            seen[byte] |= bit
     return True
 
 

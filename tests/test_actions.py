@@ -4,9 +4,10 @@ Subspace.apply and Flag.apply run on trusted kernel output; these tests hold
 them to the public, validated constructors and to the reference field
 arithmetic of conftest, and check that a bad matrix is refused rather than
 producing an invalid subspace or flag.  Every row reduction runs through one
-kernel, `matrices.rref_code_rows`; a Gauss-Jordan on the reference
+kernel, `matrices.rref_code_rows`, or, where only a rank is read, its
+forward half `matrices.rank_code_rows`; a Gauss-Jordan on the reference
 arithmetic, which never reads the field tables, is the independent check of
-it and of each of its callers.
+both and of each of their callers.
 """
 
 import random
@@ -19,7 +20,7 @@ from flagcodes import (Flag, Matrix, Subspace, flag_distance, level_distances,
                        make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
-from flagcodes.matrices import rref_code_rows
+from flagcodes.matrices import rank_code_rows, rref_code_rows
 
 
 def random_flag(rng, F, n, dims):
@@ -184,12 +185,16 @@ def _random_rows(rng, F, count, n):
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 11)])
 def test_row_reduction_kernel_matches_reference(p, e):
-    """Every reduction runs through rref_code_rows; check it and each caller
-    against Gauss-Jordan in the reference arithmetic, GF(2^11) included."""
+    """Every reduction runs through rref_code_rows, or rank_code_rows where
+    only a rank is read; check both, every prefix rank of the second, and
+    each caller against Gauss-Jordan in the reference arithmetic, GF(2^11)
+    included."""
     F = make_field(p, e)
     rng = random.Random(f"rref:{p}^{e}")
     assert rref_code_rows(F, []) == [()]
     assert rref_code_rows(F, [], ()) == []
+    assert rank_code_rows(F, []) == [0]
+    assert rank_code_rows(F, [], ()) == []
     for n in (1, 2, 4):
         # full rank inside the first block, then more rows: every later
         # snapshot is the identity, whatever the rows after it
@@ -201,6 +206,8 @@ def test_row_reduction_kernel_matches_reference(p, e):
         assert snaps[-1] == tuple(tuple(int(i == j) for j in range(n))
                                   for i in range(n))
         assert rref_code_rows(F, rows) == [snaps[-1]]
+        assert rank_code_rows(F, rows, sizes) == [len(ref) for ref in snaps]
+        assert rank_code_rows(F, rows) == [n]
     assert Matrix(F, [], 3).rref()[1:] == (0, ())
     rank = lambda rows: len(_ref_rref(F, rows))
     for n in (1, 3, 5):
@@ -210,6 +217,10 @@ def test_row_reduction_kernel_matches_reference(p, e):
             assert rref_code_rows(F, rows, sizes) == [_ref_rref(F, rows[:t]) for t in sizes]
             ref = _ref_rref(F, rows)
             assert rref_code_rows(F, rows) == [ref]
+            prefixes = range(len(rows) + 1)
+            assert rank_code_rows(F, rows, prefixes) == [rank(rows[:t]) for t in prefixes]
+            assert rank_code_rows(F, rows, sizes) == [rank(rows[:t]) for t in sizes]
+            assert rank_code_rows(F, rows) == [len(ref)]
             if not rows:
                 continue
             M = Matrix(F, rows, n)

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from flagcodes import (cli, flags, spread_type_orbit_odfc, subspaces,
-                       write_flag_code)
+from flagcodes import (cli, flags, matrices, spread_type_orbit_odfc,
+                       subspaces, write_flag_code)
 from flagcodes.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -105,49 +105,119 @@ def test_construct_then_verify_agree(tmp_path, capsys):
 
 
 def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
-    # 28 flags of 5 levels: one flag pair scan, one elimination per pair,
-    # fills the flag minimum and every level's minimum, which both verdicts
-    # then read; no level is scanned again
+    # 28 flags of 5 levels: one flag pair scan builds each flag's adapted
+    # rows once and runs one rank elimination per pair, and no canonical
+    # one; it fills the flag minimum and every level's minimum, which both
+    # verdicts then read; no level is scanned again
     path = os.path.join(tmp_path, "t56.flagcode")
     write_flag_code(spread_type_orbit_odfc(ctx_q3k3s2, 56), path)
-    calls = {"pairs": 0, "eliminations": 0, "subspace pairs": 0}
+    calls = dict.fromkeys(("scans", "pairs", "ranks", "rrefs", "adapted",
+                           "subspace pairs"), 0)
+    scanning = []
 
-    def counted(module, name, key):
-        original = getattr(module, name)
+    def counted(owner, name, key, scan_only=True):
+        original = getattr(owner, name)
 
         def wrapper(*args):
-            calls[key] += 1
+            if scanning or not scan_only:
+                calls[key] += 1
             return original(*args)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(flags, "level_distances", "pairs")
-    counted(flags, "rref_code_rows", "eliminations")
-    counted(subspaces, "subspace_distance", "subspace pairs")
+    counted(flags, "_adapted_level_distances", "pairs")
+    counted(flags, "rank_code_rows", "ranks")
+    for module in (flags, subspaces, matrices):
+        counted(module, "rref_code_rows", "rrefs")
+    counted(flags.Flag, "_adapted_rows", "adapted")
+    counted(subspaces, "subspace_distance", "subspace pairs", scan_only=False)
+    scan = flags.FlagCode._scan
+
+    def counted_scan(code):
+        calls["scans"] += 1
+        scanning.append(code)
+        try:
+            return scan(code)
+        finally:
+            scanning.pop()
+    monkeypatch.setattr(flags.FlagCode, "_scan", counted_scan)
     rc, stdout, _ = run(capsys, "verify", path)
     assert rc == 0
     report = json.loads(stdout)
     assert report["size"] == 28 and report["verdicts_agree"] is True
     pairs = 28 * 27 // 2
-    assert calls == {"pairs": pairs, "eliminations": pairs, "subspace pairs": 0}
+    assert calls == {"scans": 1, "pairs": pairs, "ranks": pairs, "rrefs": 0,
+                     "adapted": 28, "subspace pairs": 0}
 
 
 def test_verify_spread_runs_one_cover_scan(tmp_path, capsys, monkeypatch):
-    # the 85 lines of GF(2)^8: one member_vectors call per member answers
+    # the 85 lines of GF(2)^8: one member_points call per member answers
     # both the spread and the partial spread verdict
     path = os.path.join(tmp_path, "s.subcode")
     rc, _, _ = run(capsys, "spread", "--p", "2", "--k", "2", "--s", "4",
                    "--out", path)
     assert rc == 0
     calls = []
-    vectors = subspaces.member_vectors
-    monkeypatch.setattr(subspaces, "member_vectors",
-                        lambda sub: calls.append(1) or vectors(sub))
+    points = subspaces.member_points
+    monkeypatch.setattr(subspaces, "member_points",
+                        lambda sub: calls.append(1) or points(sub))
     rc, stdout, _ = run(capsys, "verify", path)
     assert rc == 0
     report = json.loads(stdout)
     assert report["size"] == 85
     assert report["spread"] is True and report["partial_spread"] is True
     assert len(calls) == 85
+
+
+def test_verify_large_field_partial_spread_scans_points(tmp_path, capsys, monkeypatch):
+    # 76 lines {(x, y, c x, c y)} of GF(256)^4, c = 0..75: a partial spread
+    # whose cover scan marks 76 x 257 points in a bitmap of the 16,843,009
+    # points of the space, not 76 x 65,535 vectors in a set
+    path = os.path.join(tmp_path, "ps.subcode")
+    lines = ["SUBCODE v1", "field p=2 e=8", "ambient n=4", "type 2", "count 76"]
+    for c in range(76):
+        lines += ["subspace k=2", f"1 0 {c} 0", f"0 1 0 {c}"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    marked = []
+    points = subspaces.member_points
+
+    def counted(sub):
+        out = points(sub)
+        marked.append(len(out))
+        return out
+    monkeypatch.setattr(subspaces, "member_points", counted)
+    rc, stdout, _ = run(capsys, "verify", path)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert (report["q"], report["n"], report["dim"], report["size"]) == (256, 4, 2, 76)
+    assert report["partial_spread"] is True and report["spread"] is False
+    assert report["distance"] == report["max_distance"] == 4
+    assert marked == [257] * 76
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["one-member", "two-members"])
+def test_verify_wide_members_answers_spread_in_bounded_time(tmp_path, members):
+    # hyperplanes of GF(2)^25 have 2^24 - 1 points each; a singleton passes
+    # vacuously and two of them must meet (2k > n), so no point is built
+    # and the subprocess timeout turns a blow-up into a failure
+    n, k = 25, 24
+    path = os.path.join(tmp_path, "wide.subcode")
+    lines = ["SUBCODE v1", "field p=2 e=1", f"ambient n={n}", f"type {k}",
+             f"count {members}"]
+    for shift in range(members):
+        lines.append(f"subspace k={k}")
+        lines += [" ".join("1" if c == r + shift else "0" for c in range(n))
+                  for r in range(k)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", "verify", path],
+                          capture_output=True, text=True, timeout=15,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["n"], report["dim"], report["size"]) == (n, k, members)
+    assert report["partial_spread"] is (members == 1)
+    assert report["spread"] is False
 
 
 def test_table1_golden(capsys):
@@ -309,6 +379,20 @@ def test_field_above_the_file_limit_exits_2_in_bounded_time(tmp_path, argv):
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.endswith("exceeds the limit 256\n")
+    assert not os.path.exists(out)
+
+
+def test_unfactorable_group_order_exits_2_in_bounded_time(tmp_path):
+    # GF(2) passes the field limit, but GF(2^127) needs 2^127 - 1 factored;
+    # trial division is bounded, so the CLI names the number and stops
+    out = os.path.join(tmp_path, "x")
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", "spread", "--p", "2",
+                           "--k", "1", "--s", "127", "--out", out],
+                          capture_output=True, text=True, timeout=15,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot factor {2 ** 127 - 1}: ")
+    assert "Traceback" not in proc.stderr
     assert not os.path.exists(out)
 
 

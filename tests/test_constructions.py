@@ -137,7 +137,7 @@ def test_q7_scale_rung_builds_without_walking_orbits():
 
 def test_spread_context_setup_skips_full_code_checks(monkeypatch, F2):
     # op counts, not timings: two seed reductions, no cover scan, no duals
-    calls = {"field_reduction": 0, "member_vectors": 0, "dual": 0}
+    calls = {"field_reduction": 0, "member_points": 0, "dual": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -148,12 +148,12 @@ def test_spread_context_setup_skips_full_code_checks(monkeypatch, F2):
     reduce = counting("field_reduction", singer.field_reduction)
     for module in (constructions, singer):
         monkeypatch.setattr(module, "field_reduction", reduce)
-    monkeypatch.setattr(subspaces, "member_vectors",
-                        counting("member_vectors", subspaces.member_vectors))
+    monkeypatch.setattr(subspaces, "member_points",
+                        counting("member_points", subspaces.member_points))
     monkeypatch.setattr(Subspace, "dual", counting("dual", Subspace.dual))
     ctx = build_spread_context(F2, 2, 4)
     assert len(ctx.spread) == len(ctx.hyperplanes) == 85
-    assert calls == {"field_reduction": 2, "member_vectors": 0, "dual": 0}
+    assert calls == {"field_reduction": 2, "member_points": 0, "dual": 0}
 
 
 def test_spread_context_rejects_bad_shapes(F2):

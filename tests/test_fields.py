@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from conftest import ref_add, ref_mul, ref_neg
 from flagcodes import extend_field, make_field
 from flagcodes.errors import FieldConstructionError
@@ -196,6 +198,19 @@ def test_small_number_theory_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
     assert factorize(26) == {2: 1, 13: 1}
     assert factorize(4160) == {2: 6, 5: 1, 13: 1}
+
+
+def test_factorize_is_bounded():
+    # trial division stops below 2^20; a cofactor left below 2^40 is prime,
+    # a larger one is refused by name rather than divided for hours
+    assert factorize(2 ** 64 - 1) == {3: 1, 5: 1, 17: 1, 257: 1, 641: 1,
+                                      65537: 1, 6700417: 1}
+    assert factorize(12 * 1048583) == {2: 2, 3: 1, 1048583: 1}
+    for n in (1048583 * 1048589, 2 ** 127 - 1):
+        with pytest.raises(FieldConstructionError, match=f"cannot factor {n}:"):
+            factorize(n)
+    with pytest.raises(FieldConstructionError, match=f"cannot factor {2 ** 127 - 1}:"):
+        make_field(2, 127)
 
 
 def test_tables_match_polynomial_arithmetic():

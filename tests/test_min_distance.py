@@ -84,11 +84,13 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
     assert len(flag_code) == len(sub_code) == 28
     pairs = []
     applies = []
-    for module, name, member in ((flags, "level_distances", Flag),
+    # the flag scan reads each flag's adapted rows from a table it builds,
+    # so its pair distance takes rows; the full scan reaches the same one
+    for module, name, member in ((flags, "_adapted_level_distances", Flag),
                                  (subspaces, "subspace_distance", Subspace)):
         distance, apply = getattr(module, name), member.apply
-        monkeypatch.setattr(module, name, lambda u, v, d=distance:
-                            pairs.append(1) or d(u, v))
+        monkeypatch.setattr(module, name, lambda *args, d=distance:
+                            pairs.append(1) or d(*args))
         monkeypatch.setattr(member, "apply", lambda x, A, a=apply:
                             applies.append(1) or a(x, A))
     for code, d in ((flag_code, 18), (sub_code, 6)):

@@ -182,10 +182,10 @@ def test_spread_recognition():
     assert not is_spread(overlapping)
 
 
-@pytest.mark.parametrize("cover_limit", [subspaces._COVER_LIMIT, 0])
+@pytest.mark.parametrize("cover_limit", [subspaces._COVER_LIMIT_BITS, 0])
 def test_spread_predicates_agree_on_both_routes(cover_limit, monkeypatch):
-    """The cover scan, and above _COVER_LIMIT the code's min_distance()."""
-    monkeypatch.setattr(subspaces, "_COVER_LIMIT", cover_limit)
+    """The cover scan, and above _COVER_LIMIT_BITS the code's min_distance()."""
+    monkeypatch.setattr(subspaces, "_COVER_LIMIT_BITS", cover_limit)
     F2 = make_field(2, 1)
     ctx = build_spread_context(F2, 2, 3)
     S, H = ctx.spread, ctx.hyperplanes
