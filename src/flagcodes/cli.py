@@ -19,9 +19,11 @@ import json
 import os
 import sys
 import time
+from math import gcd
 
-from .codefiles import (CodeFileData, check_field_order, read_code_file,
-                        write_flag_code, write_subspace_code)
+from .codefiles import (MAX_AMBIENT_DIM, MAX_COUNT, CodeFileData,
+                        check_field_order, read_code_file, write_flag_code,
+                        write_subspace_code)
 from .constructions import (admissible_subgroup_orders, build_full_type_context,
                             build_spread_context, full_type_max_odfc,
                             full_type_orbit_odfc, full_type_generator_flag,
@@ -58,15 +60,35 @@ def _flag_summary(code, runtime_ms=None, extra=None) -> dict:
     return out
 
 
-def _field(args):
-    """GF(p^e) from --p/--e, refused above the code-file limit before it is built."""
+def _field(args, n: int, size):
+    """GF(p^e) from --p/--e, for a code of size(q) members on GF(q)^n.
+
+    A code whose file verify would refuse is refused first: a field, an
+    ambient n or a size above the code-file limits exits 2 before any field
+    is built, and n is checked before q^n is computed.  Parameters that
+    make_field or the constructions reject (q < 2, k < 1, n < 1) are left
+    to them.
+    """
     check_field_order(args.p, args.e)
+    q = args.p ** args.e
+    if q >= 2 and args.k >= 1 and n >= 1:
+        if n > MAX_AMBIENT_DIM:
+            raise ValueError(f"ambient dimension {n} exceeds the limit {MAX_AMBIENT_DIM}")
+        count = size(q)
+        if count > MAX_COUNT:
+            raise ValueError(f"code size {count} exceeds the limit {MAX_COUNT}")
     return make_field(args.p, args.e)
+
+
+def _spread_size(args):
+    """(q^n - 1)/(q^k - 1) as a function of q: a spread, H, a maximum code."""
+    return lambda q: (q ** (args.k * args.s) - 1) // (q ** args.k - 1)
 
 
 def cmd_spread_type(args) -> int:
     t0 = time.monotonic()
-    ctx = build_spread_context(_field(args), args.k, args.s)
+    size = _spread_size(args) if args.max_size else lambda q: args.t // gcd(args.t, q - 1)
+    ctx = build_spread_context(_field(args, args.k * args.s, size), args.k, args.s)
     if args.max_size:
         code = spread_type_max_odfc(ctx, args.t)
     else:
@@ -83,7 +105,8 @@ def cmd_spread_type(args) -> int:
 
 def cmd_full_type(args) -> int:
     t0 = time.monotonic()
-    ctx = build_full_type_context(_field(args), args.k)
+    size = lambda q: q ** (args.k + 1) + (1 if args.max_size else -1)
+    ctx = build_full_type_context(_field(args, 2 * args.k + 1, size), args.k)
     if args.max_size:
         code = full_type_max_odfc(ctx)
     else:
@@ -180,7 +203,8 @@ def cmd_table(args) -> int:
 
 def cmd_spread(args) -> int:
     t0 = time.monotonic()
-    ctx = build_spread_context(_field(args), args.k, args.s)
+    ctx = build_spread_context(_field(args, args.k * args.s, _spread_size(args)),
+                               args.k, args.s)
     # the orbits are walked on first read, so read them inside the timing
     spread = ctx.spread
     hyperplanes = ctx.hyperplanes if args.hyperplanes else None

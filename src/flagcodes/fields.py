@@ -126,6 +126,7 @@ class FiniteField:
         self._inv = None
         self._companion_powers = None
         self._tables = None
+        self._byte_scalers = None
 
     # -- code arithmetic ----------------------------------------------------
 
@@ -225,6 +226,20 @@ class FiniteField:
                 self._mul = mul  # set after the others: mul_codes keys off _mul
                 self._tables = (add, mul, neg, inv)
         return self._tables
+
+    def byte_scalers(self):
+        """For GF(2^e) up to order 256, scale[c]: the bytes.translate table of
+        products by c, 256 bytes; None for every other field.
+
+        The code of an element of characteristic 2 is a bit vector over
+        GF(2) (the digits nest, each a bit vector), so adding codes is XOR.
+        Each code then fits one byte, and the row kernels pack a row of codes
+        into one int: adding rows is one XOR, scaling one translate.
+        """
+        if self._byte_scalers is None and self.characteristic == 2 and self.order <= 256:
+            pad = bytes(256 - self.order)  # bytes above the order never occur
+            self._byte_scalers = [bytes(row) + pad for row in self.tables()[1]]
+        return self._byte_scalers
 
     def _log_tables(self):
         """(exp, log[1:]): exp[i] is the code of x^i, log[c] its exponent."""

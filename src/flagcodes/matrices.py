@@ -2,8 +2,10 @@
 
 Rows are tuples of integer element codes; instances are immutable and
 hashable.  The hot paths (multiplication, row reduction) run on the field's
-tables: lookup lists for every field up to order 1024, which covers every
-field this library touches in practice, and computed views above that.
+tables: lookup lists for every field up to order 1024 and computed views
+above that.  Over GF(2^e), e <= 8, multiplication and canonical row
+reduction run on packed rows instead, one int per row and one byte per
+code (see FiniteField.byte_scalers); rank_code_rows keeps the tables.
 
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
@@ -227,6 +229,9 @@ def _identity_rows(n: int) -> list:
 
 def mul_code_rows(F: FiniteField, arows, brows, ncols):
     """Row-major code-level product; returns a list of tuples."""
+    scale = F.byte_scalers()
+    if scale is not None:
+        return _packed_mul(scale, arows, brows, ncols)
     add, mul = F.tables()[:2]
     out = []
     for arow in arows:
@@ -250,8 +255,12 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     increasing and defaults to (len(rows),); a dependent or zero row adds
     nothing, so a block of rank r yields r rows.  Once every column has a
     pivot, every later row reduces to zero and is skipped.  rows is not
-    modified.
+    modified.  Fields of characteristic 2 up to order 256 run the same pass
+    on packed rows (see _packed_rref).
     """
+    scale = F.byte_scalers()
+    if scale is not None:
+        return _packed_rref(F.tables()[3], scale, rows, sizes)
     add, mul, neg, inv = F.tables()
     reduced = {}  # pivot column -> row, zero at every other pivot column
     ncols = len(rows[0]) if rows else 0
@@ -281,6 +290,75 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
                 reduced[lead] = row
         done = t
         snapshots.append(tuple(reduced[c] for c in sorted(reduced)))
+    return snapshots
+
+
+def _packed_mul(scale, arows, brows, ncols):
+    """mul_code_rows over GF(2^e), e <= 8, on rows packed one byte per code
+    (see FiniteField.byte_scalers): a product is a XOR of scaled rows of b."""
+    packed = [bytes(b) for b in brows]
+    out = []
+    for arow in arows:
+        acc = 0
+        for a, b in zip(arow, packed):
+            if a:
+                acc ^= int.from_bytes(b.translate(scale[a]), "big")
+        out.append(tuple(acc.to_bytes(ncols, "big")))
+    return out
+
+
+def _packed_rref(inv, scale, rows, sizes):
+    """rref_code_rows over GF(2^e), e <= 8, on rows packed one byte per code,
+    the first code in the top byte; -x is x and x - y is x ^ y.
+
+    A kept row is keyed by the shift of its pivot byte, read from
+    bit_length(), so the byte at a pivot is r >> shift & 255 and sorting the
+    shifts down lists the rows in pivot order.  A kept row is unpacked to a
+    tuple once, and snapshots share that tuple until the row changes; a row
+    kept as given (already reduced, as a parsed basis is) is not unpacked
+    at all, its snapshots share the given row.
+    """
+    ncols = len(rows[0]) if rows else 0
+    reduced = {}  # pivot shift -> packed row, zero at every other pivot
+    unpacked = {}  # packed row -> its tuple of codes
+    snapshots = []
+    done = 0
+    for t in (len(rows),) if sizes is None else sizes:
+        for row in rows[done:t]:
+            if len(reduced) == ncols:
+                break
+            given = r = int.from_bytes(bytes(row), "big")
+            for s, b in reduced.items():
+                x = r >> s & 255
+                if x == 1:
+                    r ^= b
+                elif x:
+                    r ^= int.from_bytes(b.to_bytes(ncols, "big").translate(scale[x]), "big")
+            if r:
+                lead = r.bit_length() - 1 & -8
+                pv = r >> lead
+                if pv != 1:  # scale to a leading 1
+                    rx = r.to_bytes(ncols, "big").translate(scale[inv[pv]])
+                    r = int.from_bytes(rx, "big")
+                for s, b in reduced.items():
+                    x = b >> lead & 255
+                    if x == 1:
+                        reduced[s] = b ^ r
+                    elif x:
+                        rx = r.to_bytes(ncols, "big").translate(scale[x])
+                        reduced[s] = b ^ int.from_bytes(rx, "big")
+                reduced[lead] = r
+                if r == given:  # kept as given: snapshots share the caller's row
+                    unpacked.setdefault(r, tuple(row))
+        done = t
+        snapshot = []
+        for s in sorted(reduced, reverse=True):
+            r = reduced[s]
+            u = unpacked.get(r)
+            if u is None:
+                u = unpacked[r] = tuple(r.to_bytes(ncols, "big"))
+            snapshot.append(u)
+        snapshots.append(tuple(snapshot))
     return snapshots
 
 

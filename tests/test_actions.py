@@ -16,11 +16,11 @@ from functools import partial, reduce
 import pytest
 
 from conftest import random_invertible, ref_add, ref_inv, ref_mul, ref_neg
-from flagcodes import (Flag, Matrix, Subspace, flag_distance, level_distances,
-                       make_field, subspace_distance)
+from flagcodes import (Flag, Matrix, Subspace, extend_field, flag_distance,
+                       level_distances, make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
-from flagcodes.matrices import rank_code_rows, rref_code_rows
+from flagcodes.matrices import mul_code_rows, rank_code_rows, rref_code_rows
 
 
 def random_flag(rng, F, n, dims):
@@ -140,9 +140,10 @@ def _ref_inverse(F, rows):
 
 
 def _ref_product(F, arows, brows):
+    """Row tuples of the product, as mul_code_rows returns them."""
     add = partial(ref_add, F)
-    return [[reduce(add, (ref_mul(F, a, b) for a, b in zip(r, c)), 0)
-             for c in zip(*brows)] for r in arows]
+    return [tuple(reduce(add, (ref_mul(F, a, b) for a, b in zip(r, c)), 0)
+                  for c in zip(*brows)) for r in arows]
 
 
 def test_kernels_above_the_table_limit():
@@ -154,7 +155,7 @@ def test_kernels_above_the_table_limit():
         A = random_invertible(rng, F, n)
         B = Matrix(F, [[rng.randrange(F.order) for _ in range(n)]
                        for _ in range(3)], n)
-        assert (B @ A).rows == tuple(map(tuple, _ref_product(F, B.rows, A.rows)))
+        assert (B @ A).rows == tuple(_ref_product(F, B.rows, A.rows))
         low = Matrix(F, B.rows + (tuple(rng.randrange(F.order) for _ in range(n)),
                                   B.rows[0]), n)
         R, rank, _ = low.rref()
@@ -183,13 +184,25 @@ def _random_rows(rng, F, count, n):
     return rows
 
 
-@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 11)])
+def _field(p, e):
+    """GF(p^e); e = (a, b) is the tower GF((p^a)^b) over GF(p^a)."""
+    if isinstance(e, tuple):
+        return extend_field(make_field(p, e[0]), e[1])
+    return make_field(p, e)
+
+
+@pytest.mark.parametrize("p, e", [
+    (2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 8),
+    pytest.param(2, (2, 2), id="2-2x2"), (2, 11)])
 def test_row_reduction_kernel_matches_reference(p, e):
     """Every reduction runs through rref_code_rows, or rank_code_rows where
-    only a rank is read; check both, every prefix rank of the second, and
-    each caller against Gauss-Jordan in the reference arithmetic, GF(2^11)
-    included."""
-    F = make_field(p, e)
+    only a rank is read; check both, every prefix rank of the second,
+    mul_code_rows, and each caller against Gauss-Jordan in the reference
+    arithmetic.  Characteristic 2 up to order 256 (GF(16) over GF(4)
+    included) runs the packed rows, one byte per code; GF(2^11) and odd
+    characteristic run the tables."""
+    F = _field(p, e)
+    assert (F.byte_scalers() is not None) == (p == 2 and F.order <= 256)
     rng = random.Random(f"rref:{p}^{e}")
     assert rref_code_rows(F, []) == [()]
     assert rref_code_rows(F, [], ()) == []
@@ -208,6 +221,16 @@ def test_row_reduction_kernel_matches_reference(p, e):
         assert rref_code_rows(F, rows) == [snaps[-1]]
         assert rank_code_rows(F, rows, sizes) == [len(ref) for ref in snaps]
         assert rank_code_rows(F, rows) == [n]
+        assert mul_code_rows(F, rows, basis, n) == _ref_product(F, rows, basis)
+    for n in (9, 12):
+        # packed rows of 72 and 96 bits: past one machine word
+        rows = _random_rows(rng, F, n + 3, n)
+        sizes = sorted(rng.sample(range(len(rows) + 1), 3))
+        refs = [_ref_rref(F, rows[:t]) for t in sizes]
+        assert rref_code_rows(F, rows, sizes) == refs
+        assert rank_code_rows(F, rows, sizes) == [len(ref) for ref in refs]
+        B = _random_rows(rng, F, n, n)
+        assert mul_code_rows(F, rows, B, n) == _ref_product(F, rows, B)
     assert Matrix(F, [], 3).rref()[1:] == (0, ())
     rank = lambda rows: len(_ref_rref(F, rows))
     for n in (1, 3, 5):
@@ -221,6 +244,8 @@ def test_row_reduction_kernel_matches_reference(p, e):
             assert rank_code_rows(F, rows, prefixes) == [rank(rows[:t]) for t in prefixes]
             assert rank_code_rows(F, rows, sizes) == [rank(rows[:t]) for t in sizes]
             assert rank_code_rows(F, rows) == [len(ref)]
+            B = _random_rows(rng, F, n, n)
+            assert mul_code_rows(F, rows, B, n) == _ref_product(F, rows, B)
             if not rows:
                 continue
             M = Matrix(F, rows, n)

@@ -382,12 +382,41 @@ def test_field_above_the_file_limit_exits_2_in_bounded_time(tmp_path, argv):
     assert not os.path.exists(out)
 
 
-def test_unfactorable_group_order_exits_2_in_bounded_time(tmp_path):
-    # GF(2) passes the field limit, but GF(2^127) needs 2^127 - 1 factored;
-    # trial division is bounded, so the CLI names the number and stops
+@pytest.mark.parametrize("argv, limit", [
+    (("construct", "spread-type", "--p", "2", "--k", "1", "--s", "21",
+      "--t", str(2 ** 21 - 1), "--max-size"), 1 << 20),
+    (("construct", "spread-type", "--p", "2", "--k", "1", "--s", "100000000",
+      "--t", "3"), 1024),
+    (("construct", "spread-type", "--p", "2", "--k", "1", "--s", "21",
+      "--t", str(2 ** 21 - 1)), 1 << 20),
+    (("construct", "full-type", "--p", "2", "--e", "8", "--k", "3", "--max-size"), 1 << 20),
+    (("construct", "full-type", "--p", "3", "--k", "600"), 1024),
+    (("spread", "--p", "2", "--k", "1", "--s", "127"), 1 << 20),
+    (("spread", "--p", "2", "--k", "9" * 20, "--s", "2"), 1024),
+], ids=["max-count", "spread-type-n", "orbit-count", "full-type-count",
+        "full-type-n", "spread-count", "spread-n"])
+def test_code_above_the_file_limits_exits_2_in_bounded_time(tmp_path, argv, limit):
+    # the CLI refuses an ambient n or a code size that verify would refuse,
+    # before any extension field is built and before q^n is computed
     out = os.path.join(tmp_path, "x")
-    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", "spread", "--p", "2",
-                           "--k", "1", "--s", "127", "--out", out],
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", *argv, "--out", out],
+                          capture_output=True, text=True, timeout=15,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.endswith(f"exceeds the limit {limit}\n")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
+def test_unfactorable_group_order_exits_2_in_bounded_time(tmp_path):
+    # GF(2) and a one-flag orbit pass the file limits, but GF(2^127) needs
+    # 2^127 - 1 factored; trial division is bounded, so the CLI names the
+    # number and stops
+    out = os.path.join(tmp_path, "x")
+    proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", "construct",
+                           "spread-type", "--p", "2", "--k", "1", "--s", "127",
+                           "--t", "1", "--out", out],
                           capture_output=True, text=True, timeout=15,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 2, proc.stderr

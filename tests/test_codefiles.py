@@ -1,11 +1,14 @@
 """The line-oriented code file format: round trips and parse errors."""
 
+import hashlib
 import os
 
 import pytest
 
-from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode, extend_field,
-                       make_field, spread_type_orbit_odfc)
+from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode,
+                       build_full_type_context, build_spread_context,
+                       extend_field, full_type_max_odfc, make_field,
+                       spread_type_max_odfc, spread_type_orbit_odfc)
 from flagcodes.codefiles import (format_flag_code, format_subspace_code,
                                  parse_code_file, read_code_file,
                                  write_flag_code, write_subspace_code)
@@ -56,6 +59,34 @@ def test_spread_file_golden(ctx_q2k2s2, tmp_path):
     assert lines[6] == "0 0 1 0"
     # writing twice gives identical bytes
     assert text == format_subspace_code(ctx_q2k2s2.spread)
+
+
+# SHA-256 of the FLAGCODE text of three maximum codes over characteristic 2,
+# recorded from the table kernels before rows were packed; the packed
+# kernels must write the same bytes
+_CHAR2_DIGESTS = [
+    ("spread", (2, 3, 2, 13), 65,
+     "6e4a73a50ea831c4bc2a01ca82f66ef06b9ee53c57ea192641ab598ad5301287"),
+    ("spread", (1, 2, 4, 85), 85,
+     "ee65de4260a9ca7e8a7de45dd1d9a12c00f7abe93b9ee9f8c727bdc625f38ca8"),
+    ("full", (2, 2), 65,
+     "329c267aa18f2e330163d149b53aa9d7dc620aa89bbb183cb2c2541f5420d3aa"),
+]
+
+
+@pytest.mark.parametrize("family, params, size, digest", _CHAR2_DIGESTS,
+                         ids=["q4k3s2t13-max", "q2k2s4t85-max", "full-q4k2-max"])
+def test_char2_maximum_codes_keep_their_bytes(family, params, size, digest):
+    if family == "spread":
+        e, k, s, t = params
+        ctx = build_spread_context(make_field(2, e), k, s)
+        text = format_flag_code(spread_type_max_odfc(ctx, t), tower=(k, s))
+    else:
+        e, k = params
+        ctx = build_full_type_context(make_field(2, e), k)
+        text = format_flag_code(full_type_max_odfc(ctx))
+    assert text.count("\nflag\n") == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_flag_file_header(ctx_q2k2s2):
