@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      GcdConditionFailedError, NotADivisorError,
                      NotExtendingError, RankDeficientError, TypeMismatchError)
-from .fields import FiniteField, extend_field, factorize
+from .fields import FiniteField, extend_field, factorize, order_dividing
 from .matrices import Matrix, block_diag, hstack, vstack
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
@@ -125,16 +125,19 @@ def _certify_seed(group: CyclicMatrixGroup, seed: Subspace, k: int):
     q = group.field.order
     m = (q ** group.degree - 1) // (q ** k - 1)
     g = group.generator
-    if seed.apply(g ** m) != seed:
+
+    def fixes(d):
+        return seed.apply(g ** d) == seed
+
+    uncertified = f"so it is not certified as a member of a GF({q}^{k})-Grassmannian"
+    if not fixes(m):
         raise AssertionError(
-            f"g^{m} moves the seed: its orbit length does not divide {m}, so "
-            f"it is not certified as a member of a GF({q}^{k})-Grassmannian")
-    for ell in factorize(m):
-        if seed.apply(g ** (m // ell)) == seed:
-            raise AssertionError(
-                f"g^{m // ell} fixes the seed: its orbit is shorter than {m}, "
-                f"so it is not certified as a member of a "
-                f"GF({q}^{k})-Grassmannian")
+            f"g^{m} moves the seed: its orbit length does not divide {m}, {uncertified}")
+    length = order_dividing(m, fixes)  # the orbit length, as g^m fixes the seed
+    if length != m:
+        raise AssertionError(
+            f"g^{length} fixes the seed: its orbit has {length} members, not {m}, "
+            f"{uncertified}")
 
 
 def build_spread_context(base_field: FiniteField, k: int, s: int) -> SpreadContext:

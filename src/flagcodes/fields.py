@@ -20,8 +20,8 @@ small to contain an element of that order.
 
 Fields are interned: make_field with equal arguments returns the same
 object, so field identity doubles as field equality.  Instances never mutate
-after construction apart from idempotent lazy caches (arithmetic tables,
-companion-matrix powers), which makes them safe to share across threads.
+after construction apart from idempotent lazy caches (the arithmetic
+tables), which makes them safe to share across threads.
 """
 
 from functools import partial
@@ -93,6 +93,29 @@ def prime_factors(n: int) -> list:
     return sorted(factorize(n))
 
 
+def power(x, n: int, mul, one):
+    """x^n for n >= 0 by square and multiply, in the monoid (mul, one)."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
+def order_dividing(n: int, is_one) -> int:
+    """The order of an x with x^n = 1: the least d dividing n with
+    is_one(d), where is_one(m) tells whether x^m = 1.  Costs one is_one
+    call per prime factor of n, plus one per prime divided out."""
+    d = n
+    for ell in prime_factors(n):
+        while d % ell == 0 and is_one(d // ell):
+            d //= ell
+    return d
+
+
 class _CodeTable:
     """Read-only table whose entry t[a] is fn(a), computed on access."""
 
@@ -124,7 +147,6 @@ class FiniteField:
         self._mul = None
         self._neg = None
         self._inv = None
-        self._companion_powers = None
         self._tables = None
         self._byte_scalers = None
 
@@ -167,13 +189,7 @@ class FiniteField:
         return self.encode(_poly_rem(self.base, prod, self.modulus))
 
     def pow_code(self, a: int, n: int) -> int:
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul_codes(out, a)
-            a = self.mul_codes(a, a)
-            n >>= 1
-        return out
+        return power(a, n, self.mul_codes, 1)
 
     def inv_code(self, a: int) -> int:
         if a == 0:
@@ -183,12 +199,7 @@ class FiniteField:
         return self.pow_code(a, self.order - 2)
 
     def order_of_code(self, a: int) -> int:
-        n = self.order - 1
-        d = n
-        for ell in prime_factors(n):
-            while d % ell == 0 and self.pow_code(a, d // ell) == 1:
-                d //= ell
-        return d
+        return order_dividing(self.order - 1, lambda d: self.pow_code(a, d) == 1)
 
     # -- lazy tables ---------------------------------------------------------
 
@@ -310,31 +321,19 @@ def _poly_rem(F: FiniteField, a, lower):
     return a
 
 
-def _poly_pow_rem(F: FiniteField, base, n: int, lower):
-    out = [1] + [0] * (len(lower) - 1)
-    base = _poly_rem(F, base, lower)
-    while n:
-        if n & 1:
-            out = _poly_rem(F, _poly_mul(F, out, base), lower)
-        base = _poly_rem(F, _poly_mul(F, base, base), lower)
-        n >>= 1
-    return out
-
-
-def _is_one(poly):
-    return poly[0] == 1 and not any(poly[1:])
-
-
 def _residue_order_is(F: FiniteField, lower, n: int) -> bool:
     """Whether x has multiplicative order exactly n in F[x]/(x^e + ...), e >= 2."""
-    x = [0] * len(lower)
-    x[1] = 1
-    if not _is_one(_poly_pow_rem(F, x, n, lower)):
-        return False
-    for ell in prime_factors(n):
-        if _is_one(_poly_pow_rem(F, x, n // ell, lower)):
-            return False
-    return True
+    one = [1] + [0] * (len(lower) - 1)
+    x = [0, 1] + one[2:]
+
+    def mul(a, b):
+        return _poly_rem(F, _poly_mul(F, a, b), lower)
+
+    def is_one(m):
+        return power(x, m, mul, one) == one
+
+    # stops at the first failure: the search rejects most candidates
+    return is_one(n) and not any(is_one(n // ell) for ell in prime_factors(n))
 
 
 def _search_modulus(base: FiniteField, e: int) -> tuple:
@@ -363,15 +362,8 @@ def _search_modulus(base: FiniteField, e: int) -> tuple:
 
 def _search_prime_modulus(p: int) -> tuple:
     """First c such that x + c has a primitive residue -c mod p."""
-    n = p - 1
-    ells = prime_factors(n) if n > 1 else []
-    for c in range(p):
-        r = (-c) % p
-        if r == 0:
-            continue
-        if pow(r, n, p) != 1:
-            continue
-        if all(pow(r, n // ell, p) != 1 for ell in ells):
+    for c in range(1, p):  # the residue p - c has (p - c)^(p - 1) = 1 (Fermat)
+        if order_dividing(p - 1, lambda d: pow(p - c, d, p) == 1) == p - 1:
             return (c,)
     raise AssertionError("no primitive root found")  # unreachable
 

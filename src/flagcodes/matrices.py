@@ -14,7 +14,7 @@ computed from matrices that were already checked are wrapped with
 """
 
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
-from .fields import FiniteField
+from .fields import FiniteField, order_dividing, power
 
 
 class Matrix:
@@ -116,16 +116,9 @@ class Matrix:
             raise ShapeError("powers need a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        F = self.field
-        nc = self.ncols
-        out = _identity_rows(nc)
-        base = self.rows
-        while n:
-            if n & 1:
-                out = mul_code_rows(F, out, base, nc)
-            n >>= 1
-            if n:
-                base = mul_code_rows(F, base, base, nc)
+        F, nc = self.field, self.ncols
+        out = power(self.rows, n, lambda a, b: mul_code_rows(F, a, b, nc),
+                    _identity_rows(nc))
         return Matrix._trusted(F, tuple(out), nc)
 
     # -- reduction ------------------------------------------------------------
@@ -405,10 +398,9 @@ def matrix_order(A: Matrix, order_hint: int = None) -> int:
 
     With order_hint = N (a known multiple, e.g. the ambient group order),
     the order is found by dividing out primes of N, needing only O(log N)
-    matrix powers.  Without a hint, plain iteration capped at q^n - 1.
+    matrix powers.  Without a hint, a singular matrix is refused at once and
+    the powers of an invertible one are walked until the identity.
     """
-    from .fields import prime_factors  # local import keeps module load light
-
     if A.nrows != A.ncols:
         raise ShapeError("order needs a square matrix")
     if order_hint is not None:
@@ -416,15 +408,12 @@ def matrix_order(A: Matrix, order_hint: int = None) -> int:
             raise ValueError("order hint must be positive")
         if not (A ** order_hint).is_identity():
             raise ValueError(f"matrix order does not divide hint {order_hint}")
-        d = order_hint
-        for ell in prime_factors(order_hint):
-            while d % ell == 0 and (A ** (d // ell)).is_identity():
-                d //= ell
-        return d
-    cap = A.field.order ** A.nrows - 1
-    P = A
-    for i in range(1, cap + 1):
-        if P.is_identity():
-            return i
-        P = P @ A
-    raise ValueError(f"no order found within cap {cap}; matrix may be singular")
+        return order_dividing(order_hint, lambda d: (A ** d).is_identity())
+    if not A.is_invertible():
+        raise SingularMatrixError("a singular matrix has no order")
+    # A is a unit of the algebra GF(q)[A], which has at most q^n - 1 units,
+    # so the walk ends within q^n - 1 steps
+    i, P = 1, A
+    while not P.is_identity():
+        i, P = i + 1, P @ A
+    return i

@@ -38,33 +38,18 @@ def companion_matrix(lower, field: FiniteField) -> Matrix:
     return Matrix(field, rows, k)
 
 
-def _companion_powers(E: FiniteField):
-    """M^0 ... M^(k-1) for the companion M of E's modulus, cached on E."""
+def phi(E: FiniteField, code: int) -> Matrix:
+    """The k x k matrix over E.base representing code under E's power basis.
+
+    Row i holds the digits of x^i * code: x^i has code b^i over a base of
+    order b, and right multiplication by the companion matrix M is
+    multiplication by x, so this is sum_i code_i M^i.
+    """
     if E.base is None:
         raise NotExtendingError("need an extension field, got a prime field")
-    if E._companion_powers is None:
-        M = companion_matrix(E.modulus, E.base)
-        powers = [Matrix.identity(E.base, E.degree)]
-        for _ in range(E.degree - 1):
-            powers.append(powers[-1] @ M)
-        E._companion_powers = tuple(powers)
-    return E._companion_powers
-
-
-def phi(E: FiniteField, code: int) -> Matrix:
-    """The k x k matrix over E.base representing code under E's power basis."""
-    powers = _companion_powers(E)
-    B = E.base
-    k = E.degree
-    out = [[0] * k for _ in range(k)]
-    add, mul = B.add_codes, B.mul_codes
-    for digit, P in zip(E.decode(code), powers):
-        if digit:
-            for i in range(k):
-                prow = P.rows[i]
-                orow = out[i]
-                out[i] = [add(x, mul(digit, y)) for x, y in zip(orow, prow)]
-    return Matrix._trusted(B, tuple(map(tuple, out)), k)
+    b, k = E.base.order, E.degree
+    return Matrix._trusted(
+        E.base, tuple(E.decode(E.mul_codes(b ** i, code)) for i in range(k)), k)
 
 
 def _expanded_rows(E: FiniteField, rows):

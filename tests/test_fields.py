@@ -1,13 +1,14 @@
 """Field construction, pinned moduli, tower consistency, arithmetic laws."""
 
+import pickle
 import random
 
 import pytest
 
 from conftest import ref_add, ref_mul, ref_neg
-from flagcodes import extend_field, make_field
+from flagcodes import Matrix, Subspace, extend_field, make_field
 from flagcodes.errors import FieldConstructionError
-from flagcodes.fields import factorize, is_prime
+from flagcodes.fields import factorize, is_prime, order_dividing, power
 
 
 def brute_first_primitive_modulus(base, e):
@@ -198,6 +199,35 @@ def test_small_number_theory_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
     assert factorize(26) == {2: 1, 13: 1}
     assert factorize(4160) == {2: 6, 5: 1, 13: 1}
+
+
+def test_power_by_square_and_multiply():
+    assert power(object(), 0, None, "one") == "one"  # n = 0 takes no product
+    for n in range(40):
+        assert power(3, n, lambda a, b: a * b % 101, 1) == pow(3, n, 101)
+
+
+def test_order_dividing_matches_brute_force_orders():
+    # every unit modulo every prime below 200, against walking its powers
+    for p in filter(is_prime, range(200)):
+        for a in range(1, p):
+            brute, x = 1, a
+            while x != 1:
+                brute, x = brute + 1, x * a % p
+            assert order_dividing(p - 1, lambda d: pow(a, d, p) == 1) == brute, (p, a)
+
+
+def test_pickle_round_trips_keep_interning():
+    F4 = make_field(2, 2)
+    F64 = extend_field(F4, 3)
+    tower = extend_field(F64, 2)  # GF(4096) over GF(64) over GF(4)
+    for F in (make_field(7, 1), make_field(3, 2), F64, tower):
+        assert pickle.loads(pickle.dumps(F)) is F
+    M = Matrix(tower, [(1, 4095, 0), (64, 2, 777)], 3)
+    U = Subspace(tower, 3, M.rows)
+    for obj in (M, U):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and back.field is tower
 
 
 def test_factorize_is_bounded():

@@ -1,7 +1,11 @@
 """Exact linear algebra over small fields."""
 
 import random
+import time
 
+import pytest
+
+from conftest import random_invertible
 from flagcodes import (Matrix, block_diag, hstack, make_field, matrix_order,
                        singer_group, vstack)
 from flagcodes.errors import ShapeError, SingularMatrixError
@@ -93,6 +97,25 @@ def test_pow_matches_repeated_product():
         assert acc == A ** i
         acc = acc @ A
     assert (A ** -1) == A.inverse()
+    # a 3 x 3 over GF(16) over GF(4), up to n = 40 and down to n = -40
+    F = make_field(2, 2, base=make_field(2, 2))
+    B = random_invertible(random.Random(14), F, 3)
+    B_inv = B.inverse()
+    up = down = Matrix.identity(F, 3)
+    for i in range(41):
+        assert B ** i == up and B ** -i == down
+        up, down = up @ B, down @ B_inv
+
+
+def test_matrix_order_refuses_a_singular_matrix_at_once():
+    # without a hint a singular matrix used to be walked q^n - 1 times
+    F2 = make_field(2, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(SingularMatrixError):
+        matrix_order(Matrix.zero(F2, 18, 18))
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(SingularMatrixError):
+        matrix_order(Matrix(F2, [(1, 1), (1, 1)]))
 
 
 def test_block_operations():

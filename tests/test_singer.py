@@ -11,7 +11,7 @@ from flagcodes import (CyclicMatrixGroup, Matrix, Subspace,
                        orbit_subspace, singer_group,
                        subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
-                              NotADivisorError, ShapeError)
+                              NotADivisorError, NotExtendingError, ShapeError)
 from flagcodes.constructions import conjugate_spread
 from flagcodes.singer import companion_matrix, field_reduction, phi, psi
 
@@ -36,14 +36,25 @@ def test_phi_frozen_on_gf4():
 
 
 def test_phi_is_a_ring_homomorphism():
-    # exhaustive on GF(4) and GF(8)
-    for F in [make_field(2, 2), make_field(2, 3)]:
+    # exhaustive on GF(4), GF(8), GF(16) over GF(4) and GF(9), against the
+    # reference arithmetic, which reads no table
+    F4 = make_field(2, 2)
+    for F in [F4, make_field(2, 3), make_field(2, 2, base=F4), make_field(3, 2)]:
+        B, k = F.base, F.degree
         for a in range(F.order):
             for b in range(F.order):
                 assert phi(F, ref_add(F, a, b)) == phi(F, a) + phi(F, b)
                 assert phi(F, ref_mul(F, a, b)) == phi(F, a) @ phi(F, b)
         for a in range(1, F.order):
             assert matrix_order(phi(F, a)) == ref_order(F, a)
+        # base scalars go to scalar matrices and x to the companion matrix,
+        # so with the above phi(a) = sum_i a_i M^i
+        for c in range(B.order):
+            assert phi(F, c).rows == tuple(
+                tuple(c if i == j else 0 for j in range(k)) for i in range(k))
+        assert phi(F, B.order) == companion_matrix(F.modulus, B)
+    with pytest.raises(NotExtendingError):
+        phi(make_field(3, 1), 1)
 
 
 def test_field_reduction_scales_dim_and_distance():
