@@ -30,7 +30,7 @@ from math import gcd
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, NotNestedError, SingularMatrixError,
                      TypeMismatchError, AdditivityViolatedError)
-from .matrices import Matrix, mul_code_rows, rank_code_rows, rref_code_rows
+from .matrices import Matrix, act_code_rows, rank_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
                         group_orbit, scan_pairs)
 
@@ -81,15 +81,16 @@ class Flag:
     def apply(self, A: Matrix) -> "Flag":
         """Right action by an invertible matrix.
 
-        One product of an adapted basis of the top level, whose first t_i
-        rows span level i, then one elimination pass that snapshots the
-        canonical basis of every level.  Raises SingularMatrixError when a
-        level loses dimension.
+        One act_code_rows step on an adapted basis of the top level, whose
+        first t_i rows span level i: the product by A, then one elimination
+        pass that snapshots the canonical basis of every level.  Over
+        GF(2^e), e <= 8, the products stay packed, read from the table of
+        scaled rows that A keeps, so a walk by one generator fills it once.
+        Raises SingularMatrixError when a level loses dimension.
         """
         F, n = self.field, self.n
         check_acting_matrix(F, n, A)
-        levels = rref_code_rows(
-            F, mul_code_rows(F, self._adapted_rows(), A.rows, n), self.dims)
+        levels = act_code_rows(F, self._adapted_rows(), A, self.dims)
         if any(len(rows) != t for rows, t in zip(levels, self.dims)):
             raise SingularMatrixError(
                 f"flag of type {self.dims} maps onto dims "

@@ -7,18 +7,30 @@ above that.  Over GF(2^e), e <= 8, multiplication and canonical row
 reduction run on packed rows instead, one int per row and one byte per
 code (see FiniteField.byte_scalers); rank_code_rows keeps the tables.
 
+A packed product by B is a XOR of entries of a table of B's scaled rows,
+table[j][c] the packed c B_j, each filled on first use (see _ScaledRow).
+A Matrix keeps the table of its own rows once it is made, so an orbit walk
+by one generator scales each row of it at most once per scalar.
+act_code_rows, the right action of a matrix on rows, is the product
+followed by the canonical reduction; over GF(2^e), e <= 8, it passes the
+packed products straight to the packed reduction.
+
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
 computed from matrices that were already checked are wrapped with
 `Matrix._trusted`, without the per-entry check.
 """
 
+from math import lcm
+
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
-from .fields import FiniteField, order_dividing, power
+from .fields import FiniteField, factorize, order_dividing, power
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "nrows", "ncols", "_hash")
+    # _scaled: the _ScaledRow table of the rows, set by the first act_code_rows
+    # over GF(2^e), e <= 8; equality, hashing and pickling read rows only
+    __slots__ = ("field", "rows", "nrows", "ncols", "_hash", "_scaled")
 
     def __init__(self, field: FiniteField, rows, ncols: int = None):
         """rows: iterable of iterables of element codes in [0, q).
@@ -51,6 +63,7 @@ class Matrix:
         self.nrows = len(out)
         self.ncols = ncols
         self._hash = None
+        self._scaled = None
 
     @classmethod
     def _trusted(cls, field: FiniteField, rows: tuple, ncols: int) -> "Matrix":
@@ -61,6 +74,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self._hash = None
+        self._scaled = None
         return self
 
     # -- constructors ---------------------------------------------------------
@@ -184,6 +198,15 @@ class Matrix:
             self._hash = hash((id(self.field), self.ncols, self.rows))
         return self._hash
 
+    def __reduce__(self):
+        return Matrix, (self.field, self.rows, self.ncols)
+
+    def _scaled_rows(self, scale) -> list:
+        """The _ScaledRow table of this matrix's rows, made on first use."""
+        if self._scaled is None:
+            self._scaled = [_ScaledRow(scale, row) for row in self.rows]
+        return self._scaled
+
     def __repr__(self):
         if not self.rows:
             return f"Matrix({self.field!r}, 0x{self.ncols})"
@@ -224,7 +247,8 @@ def mul_code_rows(F: FiniteField, arows, brows, ncols):
     """Row-major code-level product; returns a list of tuples."""
     scale = F.byte_scalers()
     if scale is not None:
-        return _packed_mul(scale, arows, brows, ncols)
+        table = [_ScaledRow(scale, b) for b in brows]
+        return [tuple(r.to_bytes(ncols, "big")) for r in _packed_products(table, arows)]
     add, mul = F.tables()[:2]
     out = []
     for arow in arows:
@@ -235,6 +259,20 @@ def mul_code_rows(F: FiniteField, arows, brows, ncols):
                 acc = [add[x][mrow[y]] for x, y in zip(acc, brow)]
         out.append(tuple(acc))
     return out
+
+
+def act_code_rows(F: FiniteField, rows, A: Matrix, sizes=None) -> list:
+    """rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes).
+
+    The right action of A on the row space of each leading block of rows.
+    Over GF(2^e), e <= 8, the products stay packed from A's kept table of
+    scaled rows into the packed reduction.
+    """
+    scale = F.byte_scalers()
+    if scale is None:
+        return rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes)
+    return _packed_rref(F.tables()[3], scale, _packed_products(A._scaled_rows(scale), rows),
+                        sizes, A.ncols, {})
 
 
 def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
@@ -249,11 +287,14 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     nothing, so a block of rank r yields r rows.  Once every column has a
     pivot, every later row reduces to zero and is skipped.  rows is not
     modified.  Fields of characteristic 2 up to order 256 run the same pass
-    on packed rows (see _packed_rref).
+    on packed rows (see _packed_rref); a snapshot row equal to a given row
+    (a row kept as given, as a parsed basis is) is the caller's tuple.
     """
     scale = F.byte_scalers()
     if scale is not None:
-        return _packed_rref(F.tables()[3], scale, rows, sizes)
+        packed = [int.from_bytes(bytes(row), "big") for row in rows]
+        return _packed_rref(F.tables()[3], scale, packed, sizes,
+                            len(rows[0]) if rows else 0, dict(zip(packed, map(tuple, rows))))
     add, mul, neg, inv = F.tables()
     reduced = {}  # pivot column -> row, zero at every other pivot column
     ncols = len(rows[0]) if rows else 0
@@ -286,41 +327,54 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     return snapshots
 
 
-def _packed_mul(scale, arows, brows, ncols):
-    """mul_code_rows over GF(2^e), e <= 8, on rows packed one byte per code
-    (see FiniteField.byte_scalers): a product is a XOR of scaled rows of b."""
-    packed = [bytes(b) for b in brows]
+class _ScaledRow(dict):
+    """c -> the packed int of c times one row over GF(2^e), e <= 8, rows
+    packed one byte per code (see FiniteField.byte_scalers); an entry is
+    computed, one translate, on its first lookup and kept."""
+
+    __slots__ = ("packed", "scale")
+
+    def __init__(self, scale, row):
+        self.packed = bytes(row)
+        self.scale = scale
+
+    def __missing__(self, c):
+        value = self[c] = int.from_bytes(self.packed.translate(self.scale[c]), "big")
+        return value
+
+
+def _packed_products(table, arows) -> list:
+    """The packed rows of arows times B, from the _ScaledRow table of B's
+    rows: row a of the product is the XOR of table[j][a_j], a_j nonzero."""
     out = []
     for arow in arows:
         acc = 0
-        for a, b in zip(arow, packed):
+        for a, scaled in zip(arow, table):
             if a:
-                acc ^= int.from_bytes(b.translate(scale[a]), "big")
-        out.append(tuple(acc.to_bytes(ncols, "big")))
+                acc ^= scaled[a]
+        out.append(acc)
     return out
 
 
-def _packed_rref(inv, scale, rows, sizes):
-    """rref_code_rows over GF(2^e), e <= 8, on rows packed one byte per code,
-    the first code in the top byte; -x is x and x - y is x ^ y.
+def _packed_rref(inv, scale, rows, sizes, ncols, unpacked):
+    """rref_code_rows over GF(2^e), e <= 8, on rows packed into ints, one
+    byte per code, the first of ncols codes in the top byte; -x is x and
+    x - y is x ^ y.
 
     A kept row is keyed by the shift of its pivot byte, read from
     bit_length(), so the byte at a pivot is r >> shift & 255 and sorting the
-    shifts down lists the rows in pivot order.  A kept row is unpacked to a
-    tuple once, and snapshots share that tuple until the row changes; a row
-    kept as given (already reduced, as a parsed basis is) is not unpacked
-    at all, its snapshots share the given row.
+    shifts down lists the rows in pivot order.  unpacked maps a packed row
+    to its tuple of codes: a snapshot row found there is shared, and any
+    other is unpacked once and added, so snapshots share a row's tuple
+    until the row changes.
     """
-    ncols = len(rows[0]) if rows else 0
     reduced = {}  # pivot shift -> packed row, zero at every other pivot
-    unpacked = {}  # packed row -> its tuple of codes
     snapshots = []
     done = 0
     for t in (len(rows),) if sizes is None else sizes:
-        for row in rows[done:t]:
+        for r in rows[done:t]:
             if len(reduced) == ncols:
                 break
-            given = r = int.from_bytes(bytes(row), "big")
             for s, b in reduced.items():
                 x = r >> s & 255
                 if x == 1:
@@ -341,8 +395,6 @@ def _packed_rref(inv, scale, rows, sizes):
                         rx = r.to_bytes(ncols, "big").translate(scale[x])
                         reduced[s] = b ^ int.from_bytes(rx, "big")
                 reduced[lead] = r
-                if r == given:  # kept as given: snapshots share the caller's row
-                    unpacked.setdefault(r, tuple(row))
         done = t
         snapshot = []
         for s in sorted(reduced, reverse=True):
@@ -398,22 +450,30 @@ def matrix_order(A: Matrix, order_hint: int = None) -> int:
 
     With order_hint = N (a known multiple, e.g. the ambient group order),
     the order is found by dividing out primes of N, needing only O(log N)
-    matrix powers.  Without a hint, a singular matrix is refused at once and
-    the powers of an invertible one are walked until the identity.
+    matrix powers.  Without a hint, a singular matrix is refused at once,
+    and the hint of an invertible one is the exponent of GL(n, q),
+    lcm(q^d - 1 : d <= n) p^j with p^j the least power of p at least n:
+    the semisimple part of A has the order of a unit of GF(q^d) for some
+    d <= n, and its unipotent part U has (U - I)^(p^j) = 0.  Each q^d - 1
+    is factored on its own, and one that factorize cannot split raises its
+    FieldConstructionError.
     """
     if A.nrows != A.ncols:
         raise ShapeError("order needs a square matrix")
-    if order_hint is not None:
-        if order_hint < 1:
-            raise ValueError("order hint must be positive")
-        if not (A ** order_hint).is_identity():
-            raise ValueError(f"matrix order does not divide hint {order_hint}")
-        return order_dividing(order_hint, lambda d: (A ** d).is_identity())
-    if not A.is_invertible():
-        raise SingularMatrixError("a singular matrix has no order")
-    # A is a unit of the algebra GF(q)[A], which has at most q^n - 1 units,
-    # so the walk ends within q^n - 1 steps
-    i, P = 1, A
-    while not P.is_identity():
-        i, P = i + 1, P @ A
-    return i
+    primes = None
+    if order_hint is None:
+        if not A.is_invertible():
+            raise SingularMatrixError("a singular matrix has no order")
+        q, p, n = A.field.order, A.field.characteristic, A.nrows
+        order_hint, primes = 1, set()
+        while order_hint < n:
+            order_hint *= p
+            primes.add(p)
+        for d in range(1, n + 1):
+            order_hint = lcm(order_hint, q ** d - 1)
+            primes.update(factorize(q ** d - 1))
+    elif order_hint < 1:
+        raise ValueError("order hint must be positive")
+    if not (A ** order_hint).is_identity():
+        raise ValueError(f"matrix order does not divide hint {order_hint}")
+    return order_dividing(order_hint, lambda d: (A ** d).is_identity(), primes)

@@ -22,7 +22,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      EnumerationTooLargeError, MixedFieldsError, ShapeError,
                      SingularMatrixError)
 from .fields import FiniteField
-from .matrices import Matrix, mul_code_rows, rank_code_rows, rref_code_rows
+from .matrices import Matrix, act_code_rows, rank_code_rows, rref_code_rows
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -106,7 +106,7 @@ class Subspace:
         """
         check_acting_matrix(self.field, self.n, A)
         F, n = self.field, self.n
-        rows = rref_code_rows(F, mul_code_rows(F, self.rows, A.rows, n))[0]
+        rows = act_code_rows(F, self.rows, A)[0]
         if len(rows) != self.dim:
             raise SingularMatrixError(
                 f"a dim {self.dim} subspace maps onto dim {len(rows)}")

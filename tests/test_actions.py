@@ -7,9 +7,12 @@ producing an invalid subspace or flag.  Every row reduction runs through one
 kernel, `matrices.rref_code_rows`, or, where only a rank is read, its
 forward half `matrices.rank_code_rows`; a Gauss-Jordan on the reference
 arithmetic, which never reads the field tables, is the independent check of
-both and of each of their callers.
+both and of each of their callers.  Both applies run `act_code_rows`, the
+product by the acting matrix followed by `rref_code_rows`, which over
+GF(2^e), e <= 8, reads the matrix's kept table of scaled rows.
 """
 
+import pickle
 import random
 from functools import partial, reduce
 
@@ -20,7 +23,8 @@ from flagcodes import (Flag, Matrix, Subspace, extend_field, flag_distance,
                        level_distances, make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
-from flagcodes.matrices import mul_code_rows, rank_code_rows, rref_code_rows
+from flagcodes.matrices import (_packed_products, act_code_rows, mul_code_rows,
+                                rank_code_rows, rref_code_rows)
 
 
 def random_flag(rng, F, n, dims):
@@ -273,3 +277,88 @@ def test_row_reduction_kernel_matches_reference(p, e):
             assert meet.rows == _ref_rref(F, meet.rows)
             assert meet.dim == U.dim + V.dim - joint
             assert U.contains(meet) and V.contains(meet)
+
+
+def _scalar_rows(rng, F, count, n):
+    """_random_rows, plus rows that hold every scalar of F between them."""
+    codes = list(range(F.order))
+    rng.shuffle(codes)
+    codes += [0] * (-F.order % n)
+    return _random_rows(rng, F, count, n) + [
+        tuple(codes[i:i + n]) for i in range(0, len(codes), n)]
+
+
+@pytest.mark.parametrize("p, e", [
+    (2, 1), (2, 2), (2, 3), (2, 8), pytest.param(2, (2, 2), id="2-2x2"), (3, 1)])
+def test_action_kernel_matches_reference(p, e):
+    """act_code_rows is rref_code_rows after mul_code_rows, and the packed
+    product read from a matrix's table of scaled rows is the product, on
+    rows with zero and dependent members and every scalar of the field, at
+    every prefix size."""
+    F = _field(p, e)
+    scale = F.byte_scalers()
+    rng = random.Random(f"act:{p}^{e}")
+    for n in (9, 12):
+        rows = _scalar_rows(rng, F, n + 3, n)
+        sizes = range(len(rows) + 1)
+        for A in (Matrix(F, _random_rows(rng, F, n, n), n), random_invertible(rng, F, n)):
+            product = _ref_product(F, rows, A.rows)
+            assert mul_code_rows(F, rows, A.rows, n) == product
+            if scale is not None:
+                packed = [int.from_bytes(bytes(r), "big") for r in product]
+                assert _packed_products(A._scaled_rows(scale), rows) == packed
+                # a second pass reads the filled table
+                assert _packed_products(A._scaled_rows(scale), rows) == packed
+            snaps = act_code_rows(F, rows, A, sizes)
+            assert snaps == rref_code_rows(F, product, sizes)
+            assert act_code_rows(F, rows, A) == [snaps[-1]] == [_ref_rref(F, product)]
+            # canonical rows come back as the caller's own tuples
+            assert all(a is b for a, b in zip(rref_code_rows(F, snaps[-1])[0], snaps[-1]))
+    assert act_code_rows(F, [], Matrix.identity(F, 3)) == [()]
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 8), (3, 1)])
+def test_singular_matrix_is_refused_by_both_applies(p, e):
+    F = make_field(p, e)
+    rng = random.Random(f"singular:{p}^{e}")
+    n, dims = 5, (1, 2, 4)
+    for _ in range(4):
+        # e_0 - c e_1 maps to zero, so level 2 and every level above it
+        # lose a dimension
+        rows = list(random_invertible(rng, F, n).rows)
+        c = rng.randrange(1, F.order)
+        rows[0] = tuple(ref_mul(F, c, y) for y in rows[1])
+        A = Matrix(F, rows, n)
+        flag = Flag([Subspace.standard(F, n, t) for t in dims])
+        with pytest.raises(SingularMatrixError):
+            flag.apply(A)
+        with pytest.raises(SingularMatrixError):
+            flag.subspaces[-1].apply(A)
+
+
+def test_reused_matrix_acts_like_a_fresh_one():
+    """A matrix keeps its table of scaled rows across applies; 200 steps of
+    one walk by it give the flags and subspaces a fresh equal matrix gives."""
+    rng = random.Random(200)
+    for q_args in [(2, 2), (2, 8), (3, 1)]:
+        F = make_field(*q_args)
+        n, dims = 6, (1, 3, 5)
+        A = random_invertible(rng, F, n)
+        flag = random_flag(rng, F, n, dims)
+        for _ in range(200):
+            fresh = Matrix(F, A.rows, n)
+            image = flag.apply(A)
+            assert image == flag.apply(fresh)
+            assert flag.subspaces[1].apply(A) == flag.subspaces[1].apply(fresh)
+            flag = image
+
+
+def test_matrix_with_a_table_pickles_by_its_rows():
+    F = make_field(2, 2)
+    A = random_invertible(random.Random(5), F, 4)
+    Subspace.standard(F, 4, 2).apply(A)
+    assert A._scaled is not None
+    B = pickle.loads(pickle.dumps(A))
+    assert B == A and hash(B) == hash(A)
+    assert B._scaled is None
+    assert Subspace.standard(F, 4, 2).apply(B) == Subspace.standard(F, 4, 2).apply(A)

@@ -126,8 +126,11 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
 
     counted(flags, "_adapted_level_distances", "pairs")
     counted(flags, "rank_code_rows", "ranks")
-    for module in (flags, subspaces, matrices):
-        counted(module, "rref_code_rows", "rrefs")
+    # a canonical elimination is rref_code_rows, or act_code_rows, the
+    # product by a matrix followed by it
+    for module, name in ((flags, "act_code_rows"), (subspaces, "act_code_rows"),
+                         (subspaces, "rref_code_rows"), (matrices, "rref_code_rows")):
+        counted(module, name, "rrefs")
     counted(flags.Flag, "_adapted_rows", "adapted")
     counted(subspaces, "subspace_distance", "subspace pairs", scan_only=False)
     scan = flags.FlagCode._scan

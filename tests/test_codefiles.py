@@ -61,9 +61,11 @@ def test_spread_file_golden(ctx_q2k2s2, tmp_path):
     assert text == format_subspace_code(ctx_q2k2s2.spread)
 
 
-# SHA-256 of the FLAGCODE text of three maximum codes over characteristic 2,
-# recorded from the table kernels before rows were packed; the packed
-# kernels must write the same bytes
+# SHA-256 of the FLAGCODE text of maximum codes over characteristic 2; the
+# first three were recorded from the table kernels before rows were packed,
+# the GF(8) one, whose scalars reach past 1 and 2, from the packed kernels
+# before products were read from a table of scaled rows; every later kernel
+# must write the same bytes
 _CHAR2_DIGESTS = [
     ("spread", (2, 3, 2, 13), 65,
      "6e4a73a50ea831c4bc2a01ca82f66ef06b9ee53c57ea192641ab598ad5301287"),
@@ -71,11 +73,14 @@ _CHAR2_DIGESTS = [
      "ee65de4260a9ca7e8a7de45dd1d9a12c00f7abe93b9ee9f8c727bdc625f38ca8"),
     ("full", (2, 2), 65,
      "329c267aa18f2e330163d149b53aa9d7dc620aa89bbb183cb2c2541f5420d3aa"),
+    ("spread", (3, 2, 2, 13), 65,
+     "2bb15623d77387c80d89ec7c5a72cbb287add12fbdaaf409d8bb29c5bd77fcbd"),
 ]
 
 
 @pytest.mark.parametrize("family, params, size, digest", _CHAR2_DIGESTS,
-                         ids=["q4k3s2t13-max", "q2k2s4t85-max", "full-q4k2-max"])
+                         ids=["q4k3s2t13-max", "q2k2s4t85-max", "full-q4k2-max",
+                              "q8k2s2t13-max"])
 def test_char2_maximum_codes_keep_their_bytes(family, params, size, digest):
     if family == "spread":
         e, k, s, t = params

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_invertible
 from flagcodes import (Matrix, block_diag, hstack, make_field, matrix_order,
                        singer_group, vstack)
-from flagcodes.errors import ShapeError, SingularMatrixError
+from flagcodes.errors import FieldConstructionError, ShapeError, SingularMatrixError
 from flagcodes.singer import companion_matrix
 
 
@@ -116,6 +116,48 @@ def test_matrix_order_refuses_a_singular_matrix_at_once():
     assert time.perf_counter() - t0 < 1
     with pytest.raises(SingularMatrixError):
         matrix_order(Matrix(F2, [(1, 1), (1, 1)]))
+
+
+def _walked_order(A):
+    """The order of an invertible A by walking its powers."""
+    i, P = 1, A
+    while not P.is_identity():
+        i, P = i + 1, P @ A
+    return i
+
+
+def test_matrix_order_without_hint_matches_walked_powers():
+    rng = random.Random(16)
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]:
+        F = make_field(p, e)
+        for n in (1, 2, 3, 4):
+            for _ in range(4):
+                A = random_invertible(rng, F, n)
+                assert matrix_order(A) == _walked_order(A)
+        # non-semisimple: a unipotent Jordan block, whose order is the least
+        # p^j >= its size, beside a Singer cycle, moved by a random basis change
+        for size in (2, 3, 4, 5):
+            J = Matrix(F, [[int(j in (i, i + 1)) for j in range(size)]
+                           for i in range(size)], size)
+            assert matrix_order(J) == _walked_order(J) == min(
+                p ** j for j in range(size) if p ** j >= size)
+            A = block_diag(J, singer_group(F, 2).generator)
+            P = random_invertible(rng, F, size + 2)
+            B = P.inverse() @ A @ P
+            assert matrix_order(B) == _walked_order(B)
+
+
+def test_matrix_order_without_hint_is_bounded():
+    # walking its powers took about 6 s: 2^16 - 1 products
+    g = singer_group(make_field(2, 1), 16).generator
+    t0 = time.perf_counter()
+    assert matrix_order(g) == 2 ** 16 - 1
+    assert time.perf_counter() - t0 < 1
+    # p^2 - 1 has a 43-bit prime cofactor, which trial division cannot split:
+    # the order is refused, not walked
+    p = 163 * 2 ** 44 + 1
+    with pytest.raises(FieldConstructionError):
+        matrix_order(Matrix.identity(make_field(p, 1), 2))
 
 
 def test_block_operations():
