@@ -70,16 +70,17 @@ def _field_line(field: FiniteField, tower) -> str:
 
 
 def _subspace_writer(field: FiniteField, lines: list):
-    """A function appending one subspace block to lines.  Each distinct row
-    is joined once per call of this, from a digit table of the field, and
-    the lines of a repeated row share its string."""
+    """A function appending one subspace block, given by its canonical rows,
+    to lines.  Each distinct row is joined once per call of this, from a
+    digit table of the field, and the lines of a repeated row share its
+    string."""
     digits = [str(x) for x in range(field.order)]
     texts = {}
     append = lines.append
 
-    def write(sub: Subspace):
-        append(f"subspace k={sub.dim}")
-        for row in sub.rows:
+    def write(rows: tuple):
+        append(f"subspace k={len(rows)}")
+        for row in rows:
             text = texts.get(row)
             if text is None:
                 text = texts[row] = " ".join([digits[x] for x in row])
@@ -95,8 +96,8 @@ def format_flag_code(code: FlagCode, tower=None) -> str:
     write = _subspace_writer(code.field, lines)
     for flag in code.members:
         lines.append("flag")
-        for sub in flag.subspaces:
-            write(sub)
+        for rows in flag.levels:
+            write(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -107,7 +108,7 @@ def format_subspace_code(code: SubspaceCode, tower=None) -> str:
              f"count {len(code)}"]
     write = _subspace_writer(code.field, lines)
     for sub in code.members:
-        write(sub)
+        write(sub.rows)
     return "\n".join(lines) + "\n"
 
 

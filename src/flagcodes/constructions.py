@@ -167,12 +167,11 @@ def admissible_flag_dims(ctx: SpreadContext) -> tuple:
 def canonical_admissible_flag(ctx: SpreadContext) -> Flag:
     """Standard coordinate flag with level k in S and level n-k in H."""
     F = ctx.base_field
-    subs = [Subspace.standard(F, ctx.n, d) for d in admissible_flag_dims(ctx)]
+    dims = admissible_flag_dims(ctx)
+    subs = [Subspace.standard(F, ctx.n, d) for d in dims]
     flag = Flag(subs)
-    k_sub = flag.subspaces[ctx.k - 1]
-    h_sub = flag.subspaces[list(flag.dims).index(ctx.n - ctx.k)]
     # each orbit holds its seed, so this is membership in S and H
-    if (k_sub, h_sub) != ctx._seeds:
+    if (subs[ctx.k - 1], subs[dims.index(ctx.n - ctx.k)]) != ctx._seeds:
         raise AssertionError("canonical flag misses the spread or hyperplane code")
     return flag
 
@@ -230,11 +229,11 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     for _ in range(ctx.group.order):
         if len(orbits) == m:
             break
-        if (cur.subspaces[k_idx] not in seen_k
-                and cur.subspaces[h_idx] not in seen_h):
+        if (cur.levels[k_idx] not in seen_k
+                and cur.levels[h_idx] not in seen_h):
             code, _ = orbit_flag(T, cur)
-            seen_k.update(f.subspaces[k_idx] for f in code)
-            seen_h.update(f.subspaces[h_idx] for f in code)
+            seen_k.update(f.levels[k_idx] for f in code)
+            seen_h.update(f.levels[h_idx] for f in code)
             orbits.append(code)
         cur = cur.apply(g)
     if len(orbits) != m:

@@ -14,11 +14,19 @@ and attain the maximum subspace distance of their dimension.  Both routes
 (definition and characterization) are implemented and kept in agreement by
 the tests.
 
+A Flag is its levels: each level's canonical RREF rows, the rows every
+reader takes, from equality, hashing and sorting to writing and the seen
+sets of a construction.  An orbit walk keeps the rows the elimination
+snapshots as the image's levels and builds no Subspace; `subspaces`, the
+levels as Subspace objects, is built on first read, and projected_code
+builds each projection's members from the levels.  A flag keeps the
+adapted basis it is applied with, so a walk builds each flag's once.
+
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
 level_distances feeds both adapted bases in level by level and reads every
 level's distance from the rank after it, so a code's one pair pass keeps
-the flag minimum and each level's minimum alike.  That pass builds each
+the flag minimum and each level's minimum alike.  That pass takes each
 member's adapted basis once, not once per pair.  An orbit code carries its
 group generator, and so do its projections and unions with it first;
 min_distance walks it through the code, and never trusts it, before it
@@ -36,9 +44,14 @@ from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
 
 
 class Flag:
-    """A strictly nested chain of proper nonzero subspaces."""
+    """A strictly nested chain of proper nonzero subspaces.
 
-    __slots__ = ("field", "n", "subspaces", "dims", "_hash")
+    `levels` holds each level's canonical RREF rows, level by level; it is
+    all that equality, hashing, sorting and writing read.  `subspaces`, the
+    levels as Subspace objects, is built on first read.
+    """
+
+    __slots__ = ("field", "n", "levels", "dims", "_hash", "_subspaces", "_adapted")
 
     def __init__(self, subspaces):
         subspaces = tuple(subspaces)
@@ -54,21 +67,33 @@ class Flag:
             if not (lo.dim < hi.dim and hi.contains(lo)):
                 raise NotNestedError(
                     f"chain breaks between dims {lo.dim} and {hi.dim}")
-        self.field = first.field
-        self.n = first.n
-        self.subspaces = subspaces
-        self.dims = tuple(s.dim for s in subspaces)
-        self._hash = None
+        self._init(first.field, first.n, tuple(s.rows for s in subspaces),
+                   tuple(s.dim for s in subspaces))
 
-    @classmethod
-    def _trusted(cls, field, n, subspaces, dims) -> "Flag":
-        self = cls.__new__(cls)
+    def _init(self, field, n, levels, dims):
         self.field = field
         self.n = n
-        self.subspaces = subspaces
+        self.levels = levels
         self.dims = dims
         self._hash = None
+        self._subspaces = None
+        self._adapted = None
+
+    @classmethod
+    def _trusted(cls, field, n, levels, dims) -> "Flag":
+        """Wrap kernel output: levels are canonical RREF row tuples of a chain."""
+        self = cls.__new__(cls)
+        self._init(field, n, levels, dims)
         return self
+
+    @property
+    def subspaces(self) -> tuple:
+        """The levels as Subspace objects, built on first read."""
+        if self._subspaces is None:
+            F, n = self.field, self.n
+            self._subspaces = tuple(Subspace._from_rref(F, n, rows)
+                                    for rows in self.levels)
+        return self._subspaces
 
     def _check_mate(self, other: "Flag"):
         if self.field is not other.field:
@@ -83,32 +108,40 @@ class Flag:
 
         One act_code_rows step on an adapted basis of the top level, whose
         first t_i rows span level i: the product by A, then one elimination
-        pass that snapshots the canonical basis of every level.  Over
-        GF(2^e), e <= 8, the products stay packed, read from the table of
-        scaled rows that A keeps, so a walk by one generator fills it once.
-        Raises SingularMatrixError when a level loses dimension.
+        pass that snapshots the canonical basis of every level, which the
+        image keeps as its levels.  The flag keeps the adapted rows it
+        builds here, so a walk builds each flag's rows once.  Over GF(2^e),
+        e <= 8, the products stay packed, read from the table of scaled
+        rows that A keeps, so a walk by one generator fills it once.
+        Raises SingularMatrixError when a level loses dimension; a level
+        that loses dimension takes the top level with it, so the top level
+        alone tells.
         """
-        F, n = self.field, self.n
+        F, n, dims = self.field, self.n, self.dims
         check_acting_matrix(F, n, A)
-        levels = act_code_rows(F, self._adapted_rows(), A, self.dims)
-        if any(len(rows) != t for rows, t in zip(levels, self.dims)):
+        rows = self._adapted = self._adapted_rows()
+        levels = tuple(act_code_rows(F, rows, A, dims))
+        if len(levels[-1]) != dims[-1]:
             raise SingularMatrixError(
-                f"flag of type {self.dims} maps onto dims "
+                f"flag of type {dims} maps onto dims "
                 f"{tuple(len(rows) for rows in levels)}")
-        subs = tuple(Subspace._from_rref(F, n, rows) for rows in levels)
-        return Flag._trusted(F, n, subs, self.dims)
+        return Flag._trusted(F, n, levels, dims)
 
     def _adapted_rows(self) -> list:
         """Basis rows of the top level whose first t_i rows span level i.
 
-        Nested subspaces have nested pivot sets, so the RREF rows of each
-        level whose pivots are new at that level extend the rows below.
-        The pivot of an RREF row is the index of its leading 1.
+        The rows kept by apply when the flag has been applied, else built
+        afresh, so a flag that is only scanned, as a parsed one is, keeps
+        none.  Nested subspaces have nested pivot sets, so the RREF rows of
+        each level whose pivots are new at that level extend the rows
+        below.  The pivot of an RREF row is the index of its leading 1.
         """
+        if self._adapted is not None:
+            return self._adapted
         rows = []
         pivots = set()
-        for s in self.subspaces:
-            for row in s.rows:
+        for level in self.levels:
+            for row in level:
                 lead = row.index(1)
                 if lead not in pivots:
                     pivots.add(lead)
@@ -118,11 +151,12 @@ class Flag:
     def __eq__(self, other):
         if not isinstance(other, Flag):
             return NotImplemented
-        return self.subspaces == other.subspaces
+        return (self.field is other.field and self.n == other.n
+                and self.levels == other.levels)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(s.rows for s in self.subspaces))
+            self._hash = hash(self.levels)
         return self._hash
 
     def __repr__(self):
@@ -186,8 +220,7 @@ class FlagCode(Code):
     __slots__ = ("dims", "_projections")
 
     def __init__(self, members, *, generator=None):
-        super().__init__(members, generator,
-                         lambda f: tuple(s.rows for s in f.subspaces))
+        super().__init__(members, generator, lambda f: f.levels)
         self.dims = self.members[0].dims
         self._projections = None
 
@@ -197,9 +230,9 @@ class FlagCode(Code):
     def _scan(self) -> int:
         """The flag minimum and every level's minimum, from one pass.
 
-        Each member's adapted rows are built once, in a table local to the
-        scan, and each pair scan_pairs gives costs one
-        _adapted_level_distances, read at call time: one rank elimination.
+        Each member's adapted rows are read once, into a table local to
+        the scan (see _adapted_rows), and each pair scan_pairs gives costs
+        one _adapted_level_distances, read at call time: one rank elimination.
         Besides the least flag distance, the pass keeps, for each
         level, the least nonzero level distance (0 when the level has one
         distinct member) as that projection's min_distance.  That is exact,
@@ -237,8 +270,10 @@ def projected_code(code: FlagCode, index: int) -> SubspaceCode:
     if not 1 <= index <= len(code.dims):
         raise IndexError(f"index {index} outside type {code.dims}")
     if code._projections is None:
+        F, n = code.field, code.n
         code._projections = tuple(
-            SubspaceCode((f.subspaces[i] for f in code.members),
+            SubspaceCode((Subspace._from_rref(F, n, f.levels[i])
+                          for f in code.members),
                          generator=code.generator)
             for i in range(len(code.dims)))
     return code._projections[index - 1]
@@ -300,9 +335,9 @@ def orbit_flag(group, flag: Flag):
     size = len(members)
     N = group.order
     meet = 0
-    for i, seed_level in enumerate(flag.subspaces):
+    for i, seed_level in enumerate(flag.levels):
         level_size = next((j for j in range(1, size)
-                           if members[j].subspaces[i] == seed_level), size)
+                           if members[j].levels[i] == seed_level), size)
         meet = gcd(meet, N // level_size)
     if meet != stab:
         raise AssertionError("flag stabilizer is not the meet of level stabilizers")

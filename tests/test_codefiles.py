@@ -82,16 +82,45 @@ _CHAR2_DIGESTS = [
                          ids=["q4k3s2t13-max", "q2k2s4t85-max", "full-q4k2-max",
                               "q8k2s2t13-max"])
 def test_char2_maximum_codes_keep_their_bytes(family, params, size, digest):
+    e, *rest = params
+    check_maximum_code_bytes(family, make_field(2, e), rest, size, digest)
+
+
+def check_maximum_code_bytes(family, field, params, size, digest):
+    """The FLAGCODE text of a maximum code: (k, s, t) of a spread-type code
+    or k of a full-type one over field."""
     if family == "spread":
-        e, k, s, t = params
-        ctx = build_spread_context(make_field(2, e), k, s)
+        k, s, t = params
+        ctx = build_spread_context(field, k, s)
         text = format_flag_code(spread_type_max_odfc(ctx, t), tower=(k, s))
     else:
-        e, k = params
-        ctx = build_full_type_context(make_field(2, e), k)
+        ctx = build_full_type_context(field, *params)
         text = format_flag_code(full_type_max_odfc(ctx))
     assert text.count("\nflag\n") == size
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the FLAGCODE text of maximum codes over odd prime fields, which
+# run the table kernels; recorded while a flag still kept its levels as
+# Subspace objects, before it kept only their rows
+_ODD_DIGESTS = [
+    ("spread", (3, 3, 2, 56), 28,
+     "56bd23c0e6e419a255f1d0f3e11e816c558f0e23ccd6dcff1f0b2b271d47a43a"),
+    ("spread", (3, 4, 2, 82), 82,
+     "4d714571dbe0ad2af7c86f277c512c542fb5a05accb47a196b773457117e8a9a"),
+    ("full", (3, 3), 82,
+     "70b5e2ea96d37929e8f3964a9f2720404718bf11a1f1d3f3a98c01737f6760cd"),
+    ("full", (5, 2), 126,
+     "cc65acd84457c5fb7bc0c97f03c5394e774aeed6657983ff10d87954d1c6f91f"),
+]
+
+
+@pytest.mark.parametrize("family, params, size, digest", _ODD_DIGESTS,
+                         ids=["q3k3s2t56-max", "q3k4s2t82-max", "full-q3k3-max",
+                              "full-q5k2-max"])
+def test_odd_maximum_codes_keep_their_bytes(family, params, size, digest):
+    p, *rest = params
+    check_maximum_code_bytes(family, make_field(p, 1), rest, size, digest)
 
 
 def test_flag_file_header(ctx_q2k2s2):

@@ -421,3 +421,38 @@ def test_full_type_nonzero_v1_hook_breaks_optimality(ftx_q2k2, F2):
     assert len(hooked) == 9
     assert hooked.min_distance() == 10 < 12
     assert not is_odfc_by_definition(hooked)
+
+
+def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
+    """A walk keeps each flag's levels as the rows the kernel gives: while
+    the 65-flag maximum code for q=4, k=3, s=2 is built, Flag.apply makes no
+    Subspace, and each member's adapted rows are built at most once."""
+    ctx = build_spread_context(F4, 3, 2)
+    applying = []
+    made = []
+    built = []
+    apply, from_rref = Flag.apply, Subspace._from_rref.__func__
+    adapted = Flag._adapted_rows
+
+    def counted_apply(flag, A):
+        applying.append(flag)
+        try:
+            return apply(flag, A)
+        finally:
+            applying.pop()
+
+    def counted_from_rref(cls, *args):
+        if applying:
+            made.append(args)
+        return from_rref(cls, *args)
+
+    def counted_adapted(flag):
+        if flag._adapted is None:
+            built.append(flag)
+        return adapted(flag)
+    monkeypatch.setattr(Flag, "apply", counted_apply)
+    monkeypatch.setattr(Subspace, "_from_rref", classmethod(counted_from_rref))
+    monkeypatch.setattr(Flag, "_adapted_rows", counted_adapted)
+    code = spread_type_max_odfc(ctx, 13)
+    assert len(code) == 65 and made == []
+    assert built and all(sum(f is m for f in built) <= 1 for m in code)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, critical_indices,
                        flag_distance, flag_distance_bound, full_type,
                        is_disjoint, is_odfc_by_characterization,
@@ -190,3 +192,37 @@ def test_flag_code_deduplicates():
                             std(F2, 6, [e[2], e[0], e[1]])])
     code = FlagCode([f1, same_as_f1, f2])
     assert len(code) == 2
+
+
+def test_flag_identity_reads_field_and_ambient():
+    # levels alone would call these equal: the same 0/1 codes over GF(2)
+    # and GF(4), where the codes 0 and 1 name the same two elements
+    F2, F4 = make_field(2, 1), make_field(2, 2)
+    over2 = Flag([Subspace.standard(F2, 3, t) for t in (1, 2)])
+    over4 = Flag([Subspace.standard(F4, 3, t) for t in (1, 2)])
+    assert over2.levels == over4.levels
+    assert over2 != over4 and over4 != over2
+    assert len({over2, over4}) == 2
+
+
+def test_flag_made_and_flag_reached_by_apply_are_one_flag():
+    F3 = make_field(3, 1)
+    G = singer_group(F3, 4)
+    flag = Flag([Subspace.standard(F3, 4, t) for t in (1, 2, 3)])
+    image = flag.apply(G.generator)
+    made = Flag([s.apply(G.generator) for s in flag.subspaces])
+    assert image == made and made == image
+    assert hash(image) == hash(made)
+    assert image.subspaces == made.subspaces
+    assert image.levels == tuple(s.rows for s in made.subspaces)
+    assert image.dims == made.dims == (1, 2, 3)
+    # back at the start after a walk of the whole orbit
+    cur, steps = image, 1
+    while cur != flag:
+        cur = cur.apply(G.generator)
+        steps += 1
+    assert hash(cur) == hash(flag) and cur.subspaces == flag.subspaces
+    assert G.order % steps == 0
+    # subspaces is read only: a flag is its levels
+    with pytest.raises(AttributeError):
+        flag.subspaces = made.subspaces
