@@ -137,7 +137,7 @@ def _verify_flag(data: CodeFileData) -> dict:
     report["levels"] = levels
     report["critical"] = list(crit) if crit else None
     report["disjoint"] = is_disjoint(code)
-    report["odfc_by_definition"] = is_odfc_by_definition(code)
+    report["odfc_by_definition"] = report["is_odfc"]
     report["odfc_by_characterization"] = is_odfc_by_characterization(code)
     report["verdicts_agree"] = (
         report["odfc_by_definition"] == report["odfc_by_characterization"])

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .errors import CodeFileError
 from .fields import FiniteField, make_field
 from .flags import Flag, FlagCode
+from .matrices import rref_code_rows
 from .subspaces import Subspace, SubspaceCode
 
 _FLAG_MAGIC = "FLAGCODE v1"
@@ -175,7 +176,7 @@ def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
         if any(not 0 <= x < field.order for x in row):
             raise CodeFileError(rno, f"entry out of range [0, {field.order})")
         rows.append(row)
-    sub = Subspace(field, n, rows)
+    sub = Subspace._from_rref(field, n, rref_code_rows(field, rows)[0])
     if sub.dim != k:
         raise CodeFileError(no, f"rows span dimension {sub.dim}, declared k={k}")
     return sub

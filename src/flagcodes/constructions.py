@@ -21,7 +21,8 @@ modulus) has order q^(k+1) - 1.  For a full flag through
 U = rowspace(U1 | U2) and V = U + <(v1 | v2)>, the orbit is optimum
 distance iff U1 and V2 = (U2 over v2) are invertible, and appending the two
 completion flags through (U1 | 0) and (0 | U2) reaches q^(k+1) + 1 members
-exactly when v1 = 0.
+exactly when v1 = 0.  All three complete with the lowest-index standard
+vectors, every level a snapshot of one elimination of their rows and I_n.
 """
 
 from math import gcd
@@ -31,7 +32,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      GcdConditionFailedError, NotADivisorError,
                      NotExtendingError, RankDeficientError, TypeMismatchError)
 from .fields import FiniteField, extend_field, factorize, order_dividing
-from .matrices import Matrix, block_diag, hstack, vstack
+from .matrices import Matrix, block_diag, hstack, rref_code_rows, vstack
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
 from .subspaces import Subspace, SubspaceCode
@@ -325,20 +326,6 @@ def _blocks(ctx: FullTypeContext, U1, U2, v1, v2) -> tuple:
     return tuple(out)
 
 
-def _standard_completion(subs, n):
-    """Extend a chain to the full type by adjoining cheapest standard vectors."""
-    field = subs[0].field
-    top = subs[-1]
-    while top.dim < n - 1:
-        for m in range(n):
-            e = tuple(1 if j == m else 0 for j in range(n))
-            if not top.contains_vector(e):
-                top = Subspace(field, n, top.rows + (e,))
-                break
-        subs.append(top)
-    return subs
-
-
 def _generator_flag(ctx: FullTypeContext, U1, U2, v1, v2) -> Flag:
     k = ctx.k
     if U1.rank() != k:
@@ -347,9 +334,6 @@ def _generator_flag(ctx: FullTypeContext, U1, U2, v1, v2) -> Flag:
         raise RankDeficientError("U2 must have rank k")
     U = hstack(U1, U2)
     v_row = hstack(v1, v2)
-    if vstack(U, v_row).rank() != k + 1:
-        raise NotExtendingError(
-            "(v1 | v2) lies in the row space of (U1 | U2)")
     return _completion_flag(ctx, U, v_row)
 
 
@@ -380,11 +364,22 @@ def full_type_orbit_odfc(ctx: FullTypeContext, flag: Flag) -> FlagCode:
 
 
 def _completion_flag(ctx, U, v_row):
-    """Full flag through the leading rows of U, then U + <v_row>, completed
-    with standard vectors."""
-    subs = [Subspace(ctx.base_field, ctx.n, U.rows[:i]) for i in range(1, ctx.k + 1)]
-    subs.append(Subspace(ctx.base_field, ctx.n, U.rows + v_row.rows))
-    return Flag(_standard_completion(subs, ctx.n))
+    """Full flag through the leading rows of U (of rank k), then U + <v_row>,
+    then upward each level the one below plus the lowest-index standard
+    vector outside it.
+
+    Level d is a snapshot of rank d of one elimination of U, v_row and I_n:
+    snapshots of prefixes of one row list nest, so those of one rank are
+    one subspace.
+    """
+    F, n, k = ctx.base_field, ctx.n, U.nrows
+    rows = U.rows + v_row.rows + Matrix.identity(F, n).rows
+    snapshots = rref_code_rows(F, rows, range(1, len(rows) + 1))
+    if [len(snap) for snap in snapshots[:k + 1]] != list(range(1, k + 2)):
+        raise NotExtendingError("(v1 | v2) lies in the row space of (U1 | U2)")
+    by_rank = {len(snap): snap for snap in snapshots}
+    dims = tuple(range(1, n))
+    return Flag._trusted(F, n, tuple(by_rank[d] for d in dims), dims)
 
 
 def _max_code_with_hook(ctx: FullTypeContext, U1, U2, v1, v2) -> FlagCode:

@@ -19,8 +19,9 @@ reader takes, from equality, hashing and sorting to writing and the seen
 sets of a construction.  An orbit walk keeps the rows the elimination
 snapshots as the image's levels and builds no Subspace; `subspaces`, the
 levels as Subspace objects, is built on first read, and projected_code
-builds each projection's members from the levels.  A flag keeps the
-adapted basis it is applied with, so a walk builds each flag's once.
+builds each projection's members from the levels.  A flag builds its
+adapted basis on first read and keeps it, so a walk builds each flag's
+once.
 
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
@@ -109,17 +110,16 @@ class Flag:
         One act_code_rows step on an adapted basis of the top level, whose
         first t_i rows span level i: the product by A, then one elimination
         pass that snapshots the canonical basis of every level, which the
-        image keeps as its levels.  The flag keeps the adapted rows it
-        builds here, so a walk builds each flag's rows once.  Over GF(2^e),
-        e <= 8, the products stay packed, read from the table of scaled
-        rows that A keeps, so a walk by one generator fills it once.
+        image keeps as its levels.  Over GF(2^e), e <= 8, the products
+        stay packed, read from the table of scaled rows that A keeps, so a
+        walk by one generator fills it once.
         Raises SingularMatrixError when a level loses dimension; a level
         that loses dimension takes the top level with it, so the top level
         alone tells.
         """
         F, n, dims = self.field, self.n, self.dims
         check_acting_matrix(F, n, A)
-        rows = self._adapted = self._adapted_rows()
+        rows = self._adapted_rows()
         levels = tuple(act_code_rows(F, rows, A, dims))
         if len(levels[-1]) != dims[-1]:
             raise SingularMatrixError(
@@ -128,25 +128,24 @@ class Flag:
         return Flag._trusted(F, n, levels, dims)
 
     def _adapted_rows(self) -> list:
-        """Basis rows of the top level whose first t_i rows span level i.
+        """Basis rows of the top level whose first t_i rows span level i,
+        built on first read and kept.
 
-        The rows kept by apply when the flag has been applied, else built
-        afresh, so a flag that is only scanned, as a parsed one is, keeps
-        none.  Nested subspaces have nested pivot sets, so the RREF rows of
-        each level whose pivots are new at that level extend the rows
-        below.  The pivot of an RREF row is the index of its leading 1.
+        Nested subspaces have nested pivot sets, so the RREF rows of each
+        level whose pivots are new at that level extend the rows below.
+        The pivot of an RREF row is the index of its leading 1.
         """
-        if self._adapted is not None:
-            return self._adapted
-        rows = []
-        pivots = set()
-        for level in self.levels:
-            for row in level:
-                lead = row.index(1)
-                if lead not in pivots:
-                    pivots.add(lead)
-                    rows.append(row)
-        return rows
+        if self._adapted is None:
+            rows = []
+            pivots = set()
+            for level in self.levels:
+                for row in level:
+                    lead = row.index(1)
+                    if lead not in pivots:
+                        pivots.add(lead)
+                        rows.append(row)
+            self._adapted = rows
+        return self._adapted
 
     def __eq__(self, other):
         if not isinstance(other, Flag):
@@ -231,8 +230,8 @@ class FlagCode(Code):
         """The flag minimum and every level's minimum, from one pass.
 
         Each member's adapted rows are read once, into a table local to
-        the scan (see _adapted_rows), and each pair scan_pairs gives costs
-        one _adapted_level_distances, read at call time: one rank elimination.
+        the scan, and each pair scan_pairs gives costs one
+        _adapted_level_distances, read at call time: one rank elimination.
         Besides the least flag distance, the pass keeps, for each
         level, the least nonzero level distance (0 when the level has one
         distinct member) as that projection's min_distance.  That is exact,

@@ -92,33 +92,13 @@ class Matrix:
     def take_rows(self, i0: int, i1: int) -> "Matrix":
         return Matrix._trusted(self.field, self.rows[i0:i1], self.ncols)
 
-    def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix._trusted(self.field, (), 1)
-        return Matrix._trusted(self.field, tuple(zip(*self.rows)), self.nrows)
-
     # -- arithmetic -----------------------------------------------------------
-
-    def _same_field(self, other):
-        if self.field is not other.field:
-            raise MixedFieldsError(f"matrices over {self.field} and {other.field}")
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("addition needs equal shapes")
-        add = self.field.add_codes
-        return Matrix._trusted(self.field,
-                               tuple(tuple(add(x, y) for x, y in zip(r, s))
-                                     for r, s in zip(self.rows, other.rows)),
-                               self.ncols)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_field(other)
+        if self.field is not other.field:
+            raise MixedFieldsError(f"matrices over {self.field} and {other.field}")
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         return Matrix._trusted(
@@ -176,9 +156,6 @@ class Matrix:
                 v[c] = neg(r[f])
             out.append(tuple(v))
         return Matrix._trusted(self.field, tuple(out), self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self.rows)
 
     def is_identity(self) -> bool:
         return (self.nrows == self.ncols and

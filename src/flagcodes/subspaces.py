@@ -112,32 +112,9 @@ class Subspace:
                 f"a dim {self.dim} subspace maps onto dim {len(rows)}")
         return Subspace._from_rref(F, n, rows)
 
-    def _spans(self, rows) -> bool:
-        """Whether every vector of rows (code tuples) lies in this subspace."""
-        return rank_code_rows(self.field, self.rows + rows)[0] == self.dim
-
-    def contains_vector(self, v) -> bool:
-        return self._spans(Matrix(self.field, [v], self.n).rows)
-
     def contains(self, other: "Subspace") -> bool:
         self._check_mate(other)
-        return self._spans(other.rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_mate(other)
-        return Subspace(self.field, self.n, self.rows + other.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [[U, U], [V, 0]]; the rows with a pivot in the
-        right half are zero on the left, and their right halves are the
-        canonical basis of the meet."""
-        self._check_mate(other)
-        n = self.n
-        z = (0,) * n
-        rows = [r + r for r in self.rows] + [r + z for r in other.rows]
-        reduced = rref_code_rows(self.field, rows)[0]
-        return Subspace._from_rref(self.field, n,
-                                   tuple(r[n:] for r in reduced if r.index(1) >= n))
+        return rank_code_rows(self.field, self.rows + other.rows)[0] == self.dim
 
     def dual(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""

@@ -7,12 +7,14 @@ random_invertible is shared by the test files that draw random bases, and
 the ref_* functions are the field oracle: arithmetic by the definition
 (polynomials over the base modulo the pinned modulus), reading only a
 field's base, characteristic, order, modulus and digit encoding, never the
-tables or code methods under test.
+tables or code methods under test; ref_rref and ref_product are row
+reduction and the matrix product on that arithmetic.
 The terminal-summary hook at the bottom turns the test_acceptance results
 into one PASS/FAIL line per criterion.
 """
 
 import re
+from functools import partial, reduce
 
 import pytest
 
@@ -84,6 +86,34 @@ def ref_inv(F, a):
 def ref_order(F, a):
     """Multiplicative order of a nonzero a: the least d with a^d = 1."""
     return next(d for d in range(1, F.order) if ref_pow(F, a, d) == 1)
+
+
+def ref_rref(F, rows):
+    """Gauss-Jordan with the reference arithmetic; nonzero rows only."""
+    def eliminate(r, c, piv):  # r - r[c] * piv
+        m = ref_neg(F, r[c])
+        return [ref_add(F, x, ref_mul(F, m, y)) for x, y in zip(r, piv)]
+
+    rows = [list(r) for r in rows]
+    out = []
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = ref_inv(F, piv[c])
+        piv = [ref_mul(F, inv, x) for x in piv]
+        rows = [eliminate(r, c, piv) for r in rows]
+        out = [eliminate(r, c, piv) for r in out]
+        out.append(piv)
+    return tuple(map(tuple, out))
+
+
+def ref_product(F, arows, brows):
+    """Row tuples of the matrix product, as mul_code_rows returns them."""
+    add = partial(ref_add, F)
+    return [tuple(reduce(add, (ref_mul(F, a, b) for a, b in zip(r, c)), 0)
+                  for c in zip(*brows)) for r in arows]
 
 
 @pytest.fixture(scope="session")

@@ -226,7 +226,9 @@ def test_criterion_09_reduction_and_metric_suites(F2, F4):
     with budget(30):
         for a in range(4):
             for b in range(4):
-                assert phi(F4, ref_add(F4, a, b)) == phi(F4, a) + phi(F4, b)
+                pa, pb, ps = (phi(F4, c).rows for c in (a, b, ref_add(F4, a, b)))
+                assert all(ref_add(F2, x, y) == z for ra, rb, rs in zip(pa, pb, ps)
+                           for x, y, z in zip(ra, rb, rs))
                 assert phi(F4, ref_mul(F4, a, b)) == phi(F4, a) @ phi(F4, b)
 
         lines = list(enumerate_grassmannian(F4, 1, 2))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import ref_rref
 from flagcodes import (Flag, Matrix, Subspace,
                        SubspaceCode, admissible_flag_dims, admissible_subgroup_orders,
                        build_full_type_context, build_spread_context,
@@ -400,6 +401,52 @@ def test_full_type_input_gates(ftx_q2k2, F2):
         pass
     else:
         raise AssertionError("non-full flag in the full-type construction")
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2)])
+def test_completion_flags_adjoin_the_lowest_standard_vectors(p, e):
+    """The generator flag and the two one-sided completions for random
+    admissible (U1, U2, v1, v2), U1 and V2 = (U2 over v2) invertible: level
+    i <= k spans the first i rows, level k + 1 adds (v1 | v2), and each
+    level above is the level below plus the lowest-index standard vector
+    outside it, all checked by reference row reduction."""
+    F = make_field(p, e)
+    q = F.order
+    rng = random.Random(f"completion:{p}^{e}")
+    for k in (2, 3):
+        ctx = build_full_type_context(F, k)
+        n = ctx.n
+        standard = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+        def draw(nrows, ncols):
+            return [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        checked = 0
+        while checked < 5:
+            U1, U2, v1, v2 = draw(k, k), draw(k, k + 1), draw(1, k), draw(1, k + 1)
+            if len(ref_rref(F, U1)) < k or len(ref_rref(F, U2 + v2)) < k + 1:
+                continue
+            checked += 1
+            v = v1[0] + v2[0]
+            flags = [(full_type_generator_flag(ctx, U1, U2, v1, v2),
+                      [a + b for a, b in zip(U1, U2)])]
+            for U in ([a + [0] * (k + 1) for a in U1], [[0] * k + b for b in U2]):
+                flags.append((constructions._completion_flag(
+                    ctx, Matrix(F, U), Matrix(F, [v])), U))
+            for flag, U in flags:
+                assert flag.dims == tuple(range(1, n))
+                for i in range(1, k + 1):
+                    assert flag.levels[i - 1] == ref_rref(F, U[:i])
+                assert flag.levels[k] == ref_rref(F, U + [v])
+                for d in range(k + 1, n - 1):
+                    below = flag.levels[d - 1]
+                    lowest = next(x for x in standard
+                                  if len(ref_rref(F, below + (x,))) > d)
+                    assert flag.levels[d] == ref_rref(F, below + (lowest,))
+        # (v1 | v2) the first row of (U1 | U2): no level k + 1
+        with pytest.raises(NotExtendingError):
+            full_type_generator_flag(ctx, U1, U2, U1[:1], U2[:1])
+        with pytest.raises(NotExtendingError):
+            constructions._completion_flag(ctx, Matrix(F, U), Matrix(F, U[:1]))
 
 
 def test_full_type_degenerate_but_valid_flag(ftx_q2k2):

@@ -57,8 +57,8 @@ def test_canonical_form_identifies_equal_spans():
     assert a == b
     assert hash(a) == hash(b)
     assert a.dim == 2
-    assert a.contains_vector((1, 1, 0))
-    assert not a.contains_vector((1, 1, 1))
+    assert a.contains(Subspace(F2, 3, [(1, 1, 0)]))
+    assert not a.contains(Subspace(F2, 3, [(1, 1, 1)]))
     assert a.contains(Subspace(F2, 3, [(1, 0, 1)]))
 
 
@@ -102,25 +102,6 @@ def test_metric_axioms_exhaustive_g24():
         for j in range(35):
             for k in range(35):
                 assert dist[i, j] <= dist[i, k] + dist[k, j]
-
-
-def test_sum_intersect_dimension_identity_seeded():
-    rng = random.Random(424)
-    F3 = make_field(3, 1)
-    for _ in range(60):
-        U = Subspace(
-            F3, 4, [[rng.randrange(3) for _ in range(4)] for _ in range(2)])
-        V = Subspace(
-            F3, 4, [[rng.randrange(3) for _ in range(4)] for _ in range(2)])
-        s = U.sum(V)
-        i = U.intersect(V)
-        assert s.dim + i.dim == U.dim + V.dim
-        assert s.contains(U) and s.contains(V)
-        assert U.contains(i) and V.contains(i)
-        assert U.sum(U) == U
-    a = Subspace(F3, 2, [(1, 0)])
-    b = Subspace(F3, 2, [(0, 1)])
-    assert a.intersect(b).dim == 0
 
 
 def test_dual_subspace_involution():
