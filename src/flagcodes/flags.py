@@ -23,6 +23,18 @@ builds each projection's members from the levels.  A flag builds its
 adapted basis on first read and keeps it, so a walk builds each flag's
 once.
 
+A flag and every image apply reaches from it are one lineage, and they
+share one row pool: the packed reduction's memo from a packed row to its
+tuple (see matrices.act_code_rows), made at the lineage's first apply and
+handed on to each image.  Over GF(2^e), e <= 8, a row that an earlier
+apply of the lineage unpacked is then one dict hit and that apply's
+tuple, so the members an orbit walk makes share equal rows as one object
+(the seed keeps the rows it was made with).  The pool lives as long as a
+flag of the lineage does and holds at most the rows of every image the
+lineage computed.  Nothing else holds a pool, so constructions from fresh
+seeds share no rows.  A flag made by Flag(...), parsed or unpickled has no
+pool until its first apply.
+
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
 level_distances feeds both adapted bases in level by level and reads every
@@ -52,7 +64,10 @@ class Flag:
     levels as Subspace objects, is built on first read.
     """
 
-    __slots__ = ("field", "n", "levels", "dims", "_hash", "_subspaces", "_adapted")
+    # _pool: the row memo of the flag's lineage, shared by every image
+    # apply reaches from it; None until the first apply
+    __slots__ = ("field", "n", "levels", "dims", "_hash", "_subspaces", "_adapted",
+                 "_pool")
 
     def __init__(self, subspaces):
         subspaces = tuple(subspaces)
@@ -79,6 +94,7 @@ class Flag:
         self._hash = None
         self._subspaces = None
         self._adapted = None
+        self._pool = None
 
     @classmethod
     def _trusted(cls, field, n, levels, dims) -> "Flag":
@@ -112,20 +128,25 @@ class Flag:
         pass that snapshots the canonical basis of every level, which the
         image keeps as its levels.  Over GF(2^e), e <= 8, the products
         stay packed, read from the table of scaled rows that A keeps, so a
-        walk by one generator fills it once.
+        walk by one generator fills it once, and the reduction unpacks each
+        row through the lineage's pool, which the image keeps: a row an
+        earlier apply of the lineage unpacked comes back as that tuple.
         Raises SingularMatrixError when a level loses dimension; a level
         that loses dimension takes the top level with it, so the top level
         alone tells.
         """
         F, n, dims = self.field, self.n, self.dims
         check_acting_matrix(F, n, A)
-        rows = self._adapted_rows()
-        levels = tuple(act_code_rows(F, rows, A, dims))
+        if self._pool is None:
+            self._pool = {}
+        levels = tuple(act_code_rows(F, self._adapted_rows(), A, dims, self._pool))
         if len(levels[-1]) != dims[-1]:
             raise SingularMatrixError(
                 f"flag of type {dims} maps onto dims "
                 f"{tuple(len(rows) for rows in levels)}")
-        return Flag._trusted(F, n, levels, dims)
+        image = Flag._trusted(F, n, levels, dims)
+        image._pool = self._pool
+        return image
 
     def _adapted_rows(self) -> list:
         """Basis rows of the top level whose first t_i rows span level i,
@@ -157,6 +178,9 @@ class Flag:
         if self._hash is None:
             self._hash = hash(self.levels)
         return self._hash
+
+    def __reduce__(self):
+        return Flag._trusted, (self.field, self.n, self.levels, self.dims)
 
     def __repr__(self):
         return f"Flag(type {self.dims} on GF({self.field.order})^{self.n})"

@@ -13,7 +13,10 @@ A Matrix keeps the table of its own rows once it is made, so an orbit walk
 by one generator scales each row of it at most once per scalar.
 act_code_rows, the right action of a matrix on rows, is the product
 followed by the canonical reduction; over GF(2^e), e <= 8, it passes the
-packed products straight to the packed reduction.
+packed products straight to the packed reduction, whose memo from a
+packed row to its tuple the caller may keep across calls: Flag.apply
+keeps one per lineage of flags, so an orbit walk unpacks each distinct
+row once.  The memo is the caller's; no Matrix, field or module holds one.
 
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
@@ -238,18 +241,23 @@ def mul_code_rows(F: FiniteField, arows, brows, ncols):
     return out
 
 
-def act_code_rows(F: FiniteField, rows, A: Matrix, sizes=None) -> list:
+def act_code_rows(F: FiniteField, rows, A: Matrix, sizes=None, unpacked=None) -> list:
     """rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes).
 
     The right action of A on the row space of each leading block of rows.
     Over GF(2^e), e <= 8, the products stay packed from A's kept table of
-    scaled rows into the packed reduction.
+    scaled rows into the packed reduction, and unpacked is its memo from a
+    packed row to its tuple (see _packed_rref): a dict the caller keeps
+    across calls, so a snapshot row met in an earlier call is that call's
+    tuple, not a new one; it holds at most every snapshot row of the calls
+    it was passed to.  None gives the call a memo of its own.  The table
+    body reads no memo.
     """
     scale = F.byte_scalers()
     if scale is None:
         return rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes)
     return _packed_rref(F.tables()[3], scale, _packed_products(A._scaled_rows(scale), rows),
-                        sizes, A.ncols, {})
+                        sizes, A.ncols, {} if unpacked is None else unpacked)
 
 
 def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:

@@ -283,6 +283,31 @@ def test_action_kernel_matches_reference(p, e):
             # canonical rows come back as the caller's own tuples
             assert all(a is b for a, b in zip(rref_code_rows(F, snaps[-1])[0], snaps[-1]))
     assert act_code_rows(F, [], Matrix.identity(F, 3)) == [()]
+    # one memo carried across 200 applies of a walk by a matrix of order 6,
+    # B^-1 P B for the cyclic shift P, so rows recur: each result is the
+    # reference and the fresh-memo result, and a row met before comes back
+    # as the tuple it was first unpacked to
+    n, sizes = 6, (1, 2, 4)
+    B = random_invertible(rng, F, n).rows
+    shift = [tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n)]
+    A = Matrix(F, ref_product(F, _ref_inverse(F, B), ref_product(F, shift, B)), n)
+    rows = tuple(_random_rows(rng, F, 2, n)) + random_invertible(rng, F, n).rows[:2]
+    memo, first, seen = {}, {}, 0
+    ref = {}  # the walk is periodic: reference results by input rows
+    for _ in range(200):
+        snaps = act_code_rows(F, rows, A, sizes, memo)
+        assert snaps == act_code_rows(F, rows, A, sizes)
+        if rows not in ref:
+            product = tuple(ref_product(F, rows, A.rows))
+            ref[rows] = product, [ref_rref(F, product[:t]) for t in sizes]
+        rows, expected = ref[rows]
+        assert snaps == expected
+        for row in (row for snap in snaps for row in snap):
+            seen += 1
+            if scale is not None:
+                assert first.setdefault(row, row) is row
+    assert len(ref) <= n
+    assert memo == {} if scale is None else len(memo) == len(first) < seen
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 8), (3, 1)])
@@ -330,3 +355,22 @@ def test_matrix_with_a_table_pickles_by_its_rows():
     assert B == A and hash(B) == hash(A)
     assert B._scaled is None
     assert Subspace.standard(F, 4, 2).apply(B) == Subspace.standard(F, 4, 2).apply(A)
+
+
+def test_walked_flag_pickles_by_its_levels():
+    """A flag pickles as (field, n, levels, dims): the copy of a walked flag
+    is equal, hashes equal and carries no row pool, adapted rows or
+    subspaces."""
+    rng = random.Random(6)
+    F = make_field(2, 2)
+    A = random_invertible(rng, F, 6)
+    flag = random_flag(rng, F, 6, (1, 3, 5))
+    for _ in range(5):
+        flag = flag.apply(A)
+    flag.subspaces
+    assert flag._pool and flag._adapted is None
+    flag._adapted_rows()
+    back = pickle.loads(pickle.dumps(flag))
+    assert back == flag and hash(back) == hash(flag) and back.field is F
+    assert back._pool is None and back._adapted is None and back._subspaces is None
+    assert back.apply(A) == flag.apply(A)

@@ -17,6 +17,7 @@ from flagcodes import (Flag, Matrix, Subspace,
                        projected_code, spread_type_max_odfc,
                        spread_type_orbit_odfc, table_row)
 from flagcodes import constructions, singer, subspaces
+from flagcodes.codefiles import format_flag_code, parse_code_file
 from flagcodes.constructions import _certify_seed, _max_code_with_hook
 from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
                               GcdConditionFailedError, NotADivisorError,
@@ -503,3 +504,33 @@ def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
     code = spread_type_max_odfc(ctx, 13)
     assert len(code) == 65 and made == []
     assert built and all(sum(f is m for f in built) <= 1 for m in code)
+
+
+def test_a_lineage_shares_one_row_pool(F4):
+    """Every image Flag.apply reaches from a flag shares that flag's row
+    memo: across the 65-flag maximum code for q=4, k=3, s=2, each row value
+    a walk computed is one tuple.  Two builds share no pool and no row, and
+    a flag made by Flag(...) or parsed from a file has no pool."""
+    ctx = build_spread_context(F4, 3, 2)
+    seed = canonical_admissible_flag(ctx)
+    assert seed._pool is None
+    codes = [spread_type_max_odfc(ctx, 13) for _ in range(2)]
+    assert codes[0] == codes[1] and len(codes[0]) == 65
+    row_ids = []
+    for code in codes:
+        pool = code.members[0]._pool
+        assert pool and all(f._pool is pool for f in code)
+        one = {}
+        for f in code:
+            if f == seed:  # the seed keeps the rows Flag(...) was given
+                continue
+            for level in f.levels:
+                for row in level:
+                    assert one.setdefault(row, row) is row
+        assert len(one) < sum(len(level) for f in code for level in f.levels)
+        row_ids.append({id(row) for f in code for level in f.levels for row in level})
+    assert codes[0].members[0]._pool is not codes[1].members[0]._pool
+    assert not row_ids[0] & row_ids[1]
+    parsed = parse_code_file(format_flag_code(codes[0])).code
+    assert parsed == codes[0]
+    assert all(f._pool is None for f in parsed)
