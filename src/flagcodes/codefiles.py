@@ -15,15 +15,20 @@
 effect on parsing.  The ambient field is reconstructed as make_field(p, e),
 so only codes over fields built that way can be written: the element codes
 of a tower over an intermediate field name other elements of GF(p^e), and
-format_* refuse such a code with ValueError.  A SUBCODE v1 file is identical
-except the type line holds a single dimension and the body is `count`
-subspace blocks with no `flag` separators.  Entries are integer element
-codes of GF(p^e); members are written sorted by canonical basis, so
-serialization is deterministic.
+format_* and write_* refuse such a code with ValueError, write_* before it
+opens the path.  A SUBCODE v1 file is identical except the type line holds
+a single dimension and the body is `count` subspace blocks with no `flag`
+separators.  Entries are integer element codes of GF(p^e); members are
+written sorted by canonical basis, so serialization is deterministic.
+
+write_* stream a file to disk one member block at a time, so the file's
+text is never held whole in memory; format_* join the same blocks into one
+string.
 """
 
 import re
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 from .errors import CodeFileError
 from .fields import FiniteField, make_field
@@ -70,57 +75,69 @@ def _field_line(field: FiniteField, tower) -> str:
     return line
 
 
-def _subspace_writer(field: FiniteField, lines: list):
-    """A function appending one subspace block, given by its canonical rows,
-    to lines.  Each distinct row is joined once per call of this, from a
-    digit table of the field, and the lines of a repeated row share its
-    string."""
-    digits = [str(x) for x in range(field.order)]
-    texts = {}
-    append = lines.append
+def _file_text(magic: str, code, dims: tuple, separator: str, members,
+               tower) -> Iterator[str]:
+    """The text of a code file, one string at a time: the header block, then
+    one block per member of members, each given by its levels' canonical
+    rows and started by separator.  The header, and the field check in it,
+    is built by this call, before the first string is read."""
+    header = "\n".join([magic, _field_line(code.field, tower), f"ambient n={code.n}",
+                        "type " + ",".join(str(t) for t in dims),
+                        f"count {len(code)}", ""])
+    return chain([header], _member_blocks(code.field, dims, separator, members))
 
-    def write(rows: tuple):
-        append(f"subspace k={len(rows)}")
-        for row in rows:
-            text = texts.get(row)
-            if text is None:
-                text = texts[row] = " ".join([digits[x] for x in row])
-            append(text)
-    return write
+
+def _member_blocks(field: FiniteField, dims: tuple, separator: str,
+                   members) -> Iterator[str]:
+    """Each distinct row is joined once per file from a digit table of the
+    field, and each `subspace k=d` line once per dimension."""
+    digits = [str(x) for x in range(field.order)]
+    heads = {t: f"subspace k={t}\n" for t in dims}
+    texts = {}
+    for levels in members:
+        parts = [separator]
+        append = parts.append
+        for rows in levels:
+            append(heads[len(rows)])
+            for row in rows:
+                text = texts.get(row)
+                if text is None:
+                    text = texts[row] = " ".join([digits[x] for x in row]) + "\n"
+                append(text)
+        yield "".join(parts)
+
+
+def _flag_text(code: FlagCode, tower) -> Iterator[str]:
+    return _file_text(_FLAG_MAGIC, code, code.dims, "flag\n",
+                      (flag.levels for flag in code.members), tower)
+
+
+def _subspace_text(code: SubspaceCode, tower) -> Iterator[str]:
+    return _file_text(_SUB_MAGIC, code, (code.dim,), "",
+                      ((sub.rows,) for sub in code.members), tower)
 
 
 def format_flag_code(code: FlagCode, tower=None) -> str:
-    lines = [_FLAG_MAGIC, _field_line(code.field, tower),
-             f"ambient n={code.n}",
-             "type " + ",".join(str(t) for t in code.dims),
-             f"count {len(code)}"]
-    write = _subspace_writer(code.field, lines)
-    for flag in code.members:
-        lines.append("flag")
-        for rows in flag.levels:
-            write(rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_flag_text(code, tower))
 
 
 def format_subspace_code(code: SubspaceCode, tower=None) -> str:
-    lines = [_SUB_MAGIC, _field_line(code.field, tower),
-             f"ambient n={code.n}",
-             f"type {code.dim}",
-             f"count {len(code)}"]
-    write = _subspace_writer(code.field, lines)
-    for sub in code.members:
-        write(sub.rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_subspace_text(code, tower))
 
 
 def write_flag_code(code: FlagCode, path, tower=None):
+    """Write the file member by member; a code the format cannot hold is
+    refused before path is opened, so an existing file keeps its bytes."""
+    blocks = _flag_text(code, tower)
     with open(path, "w") as fh:
-        fh.write(format_flag_code(code, tower))
+        fh.writelines(blocks)
 
 
 def write_subspace_code(code: SubspaceCode, path, tower=None):
+    """As write_flag_code, for a SUBCODE file."""
+    blocks = _subspace_text(code, tower)
     with open(path, "w") as fh:
-        fh.write(format_subspace_code(code, tower))
+        fh.writelines(blocks)
 
 
 class _Cursor:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,17 @@ def test_spread_file_golden(ctx_q2k2s2, tmp_path):
     assert text == format_subspace_code(ctx_q2k2s2.spread)
 
 
+@pytest.mark.parametrize("which", ["spread", "hyperplanes"])
+def test_written_subcode_is_the_formatted_text(ctx_q4k3s3, which, tmp_path):
+    # the 4,161 members of S or H of the (q=4, k=3, s=3) context, streamed
+    code = getattr(ctx_q4k3s3, which)
+    path = tmp_path / "s.subcode"
+    write_subspace_code(code, path, tower=(3, 3))
+    text = format_subspace_code(code, tower=(3, 3))
+    assert text.count("subspace k=") == len(code) == 4161
+    assert path.read_bytes() == text.encode()
+
+
 # SHA-256 of the FLAGCODE text of maximum codes over characteristic 2; the
 # first three were recorded from the table kernels before rows were packed,
 # the GF(8) one, whose scalars reach past 1 and 2, from the packed kernels
@@ -81,23 +93,29 @@ _CHAR2_DIGESTS = [
 @pytest.mark.parametrize("family, params, size, digest", _CHAR2_DIGESTS,
                          ids=["q4k3s2t13-max", "q2k2s4t85-max", "full-q4k2-max",
                               "q8k2s2t13-max"])
-def test_char2_maximum_codes_keep_their_bytes(family, params, size, digest):
+def test_char2_maximum_codes_keep_their_bytes(family, params, size, digest,
+                                              tmp_path):
     e, *rest = params
-    check_maximum_code_bytes(family, make_field(2, e), rest, size, digest)
+    check_maximum_code_bytes(family, make_field(2, e), rest, size, digest,
+                             tmp_path)
 
 
-def check_maximum_code_bytes(family, field, params, size, digest):
-    """The FLAGCODE text of a maximum code: (k, s, t) of a spread-type code
-    or k of a full-type one over field."""
+def check_maximum_code_bytes(family, field, params, size, digest, tmp_path):
+    """The FLAGCODE text of a maximum code, formatted and written: (k, s, t)
+    of a spread-type code or k of a full-type one over field."""
     if family == "spread":
         k, s, t = params
         ctx = build_spread_context(field, k, s)
-        text = format_flag_code(spread_type_max_odfc(ctx, t), tower=(k, s))
+        code, tower = spread_type_max_odfc(ctx, t), (k, s)
     else:
         ctx = build_full_type_context(field, *params)
-        text = format_flag_code(full_type_max_odfc(ctx))
+        code, tower = full_type_max_odfc(ctx), None
+    text = format_flag_code(code, tower=tower)
     assert text.count("\nflag\n") == size
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    path = tmp_path / "max.flagcode"
+    write_flag_code(code, path, tower=tower)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # SHA-256 of the FLAGCODE text of maximum codes over odd prime fields, which
@@ -118,9 +136,28 @@ _ODD_DIGESTS = [
 @pytest.mark.parametrize("family, params, size, digest", _ODD_DIGESTS,
                          ids=["q3k3s2t56-max", "q3k4s2t82-max", "full-q3k3-max",
                               "full-q5k2-max"])
-def test_odd_maximum_codes_keep_their_bytes(family, params, size, digest):
+def test_odd_maximum_codes_keep_their_bytes(family, params, size, digest,
+                                            tmp_path):
     p, *rest = params
-    check_maximum_code_bytes(family, make_field(p, 1), rest, size, digest)
+    check_maximum_code_bytes(family, make_field(p, 1), rest, size, digest,
+                             tmp_path)
+
+
+def test_write_holds_no_whole_file_text(ctx_q4k3s3, tmp_path):
+    # the 4,161-flag (q=4, k=3, s=3) maximum code; joining its whole text
+    # before writing held about 4x the file's size on top of the code
+    code = spread_type_max_odfc(ctx_q4k3s3, 57)
+    path = tmp_path / "q57.flagcode"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_flag_code(code, path, tower=(3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak - before < 1.5 * size, (peak - before, size)
 
 
 def test_flag_file_header(ctx_q2k2s2):
@@ -150,11 +187,21 @@ def test_code_over_an_intermediate_tower_is_refused(tmp_path):
     F16 = make_field(2, 4)
     assert tower.mul_codes(5, 5) == 7 and F16.mul_codes(5, 5) == 8
     rows = [[(1, 5)], [(1, 7)]]
-    for fmt, code in [
-            (format_subspace_code, SubspaceCode(Subspace(tower, 2, r) for r in rows)),
-            (format_flag_code, FlagCode([Flag([Subspace(tower, 2, rows[0])])]))]:
+    path = os.path.join(tmp_path, "kept.code")
+    for fmt, write, code in [
+            (format_subspace_code, write_subspace_code,
+             SubspaceCode(Subspace(tower, 2, r) for r in rows)),
+            (format_flag_code, write_flag_code,
+             FlagCode([Flag([Subspace(tower, 2, rows[0])])]))]:
         with pytest.raises(ValueError):
             fmt(code)
+        # the refusal comes before the path is opened, so a file there stays
+        with open(path, "w") as fh:
+            fh.write("precious\n")
+        with pytest.raises(ValueError):
+            write(code, path)
+        with open(path) as fh:
+            assert fh.read() == "precious\n"
     code = SubspaceCode(Subspace(F16, 2, r) for r in rows)
     path = os.path.join(tmp_path, "gf16.subcode")
     write_subspace_code(code, path)
