@@ -207,40 +207,54 @@ def spread_type_orbit_odfc(ctx: SpreadContext, t: int) -> FlagCode:
 
 
 def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
-    """Union of orbits under the order-t subgroup reaching size
-    (q^n - 1)/(q^k - 1), the largest any optimum distance code of this type
-    built from t-orbits can have.
+    """Union of orbits under the order-t subgroup T reaching size
+    M = (q^n - 1)/(q^k - 1), the largest any optimum distance code of this
+    type built from t-orbits can have: the m = M gcd(t, q - 1)/t orbits
+    O_j of F g^j, j < m, with F the canonical flag and g the Singer
+    generator.
 
-    Orbit representatives are found by scanning generator powers of the
-    canonical flag and keeping those whose two critical levels land in
-    untouched Singer residue classes.
+    O_0 = orbit_flag(T, F) is walked once, with its meet check, and each
+    further orbit is the translate O_j = O_(j-1) g, one apply per member.
+    Each translate's two critical levels are checked against those of the
+    orbits before it, and the size of the union is checked.  The code
+    carries g when m > |O_0| and T's generator otherwise, whichever leaves
+    min_distance fewer representatives: |O_0| g-chains or m T-orbits.
+
+    Why F g^j: g has period M on the spread S, as g^M lies in the
+    scalars GF(q^k)^* that fix every member, and <g> is transitive on S,
+    so level k of F g^i is class i of Z_M.  T = <g^(N/t)>, N = q^n - 1,
+    so the level-k classes of the T-orbit of F g^j are the coset
+    j + (N/t) Z_M.  That subgroup of Z_M has |O_0| = t / gcd(t, q - 1)
+    elements (the level-k stabilizer in T has order
+    gcd(t, q^k - 1) = gcd(t, q - 1), the flag's), so index m: it is m Z_M,
+    and j < m gives m disjoint cosets covering Z_M.  The hyperplane code H
+    has the same period M and the same argument.  So F g^j, j < m, are
+    exactly the first powers of g whose critical levels are both unseen.
+    As g commutes with T, the T-orbit of F g^j is O_0 g^j.
     """
     _check_subgroup_order(ctx, t)
     q = ctx.base_field.order
-    m = (q ** ctx.n - 1) * gcd(t, q - 1) // ((q ** ctx.k - 1) * t)
+    size = (q ** ctx.n - 1) // (q ** ctx.k - 1)
+    m = size * gcd(t, q - 1) // t
     T = ctx.group.subgroup_of_order(t)
-    k_idx = ctx.k - 1
-    h_idx = list(admissible_flag_dims(ctx)).index(ctx.n - ctx.k)
-
-    orbits = []
-    seen_k = set()
-    seen_h = set()
-    cur = canonical_admissible_flag(ctx)
     g = ctx.group.generator
-    for _ in range(ctx.group.order):
-        if len(orbits) == m:
-            break
-        if (cur.levels[k_idx] not in seen_k
-                and cur.levels[h_idx] not in seen_h):
-            code, _ = orbit_flag(T, cur)
-            seen_k.update(f.levels[k_idx] for f in code)
-            seen_h.update(f.levels[h_idx] for f in code)
-            orbits.append(code)
-        cur = cur.apply(g)
-    if len(orbits) != m:
-        raise AssertionError(f"found {len(orbits)} of {m} orbit representatives")
-    out = union_flag_codes(orbits, require_additive=True)
-    if len(out) != (q ** ctx.n - 1) // (q ** ctx.k - 1):
+    # the positions of the spread and hyperplane levels
+    critical = (ctx.k - 1, admissible_flag_dims(ctx).index(ctx.n - ctx.k))
+
+    orbit, _ = orbit_flag(T, canonical_admissible_flag(ctx))
+    members = list(orbit)
+    translate = orbit.members
+    seen = [{f.levels[i] for f in orbit} for i in critical]
+    for j in range(1, m):
+        translate = [f.apply(g) for f in translate]
+        for i, levels in zip(critical, seen):
+            image = {f.levels[i] for f in translate}
+            if not levels.isdisjoint(image):
+                raise AssertionError(f"orbit {j} meets an earlier one at a critical level")
+            levels |= image
+        members += translate
+    out = FlagCode(members, generator=g if m > len(orbit) else T.generator)
+    if len(out) != size:
         raise AssertionError("union missed the maximum size")
     return out
 

@@ -7,8 +7,8 @@ dim V.
 
 A `Code`, the one base of subspace and flag codes, may carry a `generator`,
 an n x n matrix over its field, which it never trusts: min_distance walks
-the generator through the code and lets the start of each walk stand for
-the whole walk.  For invertible g,
+the generator through the code and lets the start of each g-chain in the
+code, x, x g, x g^2, ..., stand for the whole chain.  For invertible g,
 d(x g^i, y g^j) = d(x g^(i-m), y g^(j-m)), so the minimum over
 (representative, member) pairs is exact whatever the generator; it only
 decides how much of the quadratic pair scan is saved.  Both paths are
@@ -242,24 +242,27 @@ class SubspaceCode(Code):
                 f"in GF({self.field.order})^{self.n})")
 
 
-def orbit_walk(start, g: Matrix, unvisited=None) -> list:
+def orbit_walk(start, g: Matrix) -> list:
     """[start, start g, start g^2, ...] up to the first image back at start.
 
-    Works for subspaces and flags.  Without `unvisited` the walk runs until
-    it gets back.  With `unvisited`, a set the walk takes each image out of,
-    it also stops at the first image not in it, so no element is applied
-    twice.
+    Works for subspaces and flags.
     """
     walk = [start]
     cur = start.apply(g)
     while cur != start:
-        if unvisited is not None:
-            if cur not in unvisited:
-                break
-            unvisited.remove(cur)
         walk.append(cur)
         cur = cur.apply(g)
     return walk
+
+
+def _walk_unplaced(x, A: Matrix, unplaced: set) -> tuple:
+    """(last, stop): walk x by A, taking each image out of unplaced, up to
+    stop, the first image not in it; last is the image before stop."""
+    cur = x.apply(A)
+    while cur in unplaced:
+        unplaced.remove(cur)
+        x, cur = cur, cur.apply(A)
+    return x, cur
 
 
 def group_orbit(group, seed):
@@ -278,16 +281,20 @@ def group_orbit(group, seed):
 def scan_pairs(code, full: bool = False):
     """The pairs of code members that min_distance scans, each once.
 
-    Unless full is set, the code's generator g is walked from each member
-    not yet placed, one apply per member, until it gets back to its start
-    or leaves the code.  The walks split the code, and each keeps its start
-    as its one representative; a singular g certifies nothing.  The pairs
-    are (representative, member), each unordered pair once.  That is exact
-    for invertible g: walked members s g^i and t g^j, with m = min(i, j),
-    are the image under g^m of s g^(i-m) and t g^(j-m): one of them is a
-    walk start, the other is still on its walk, and g^m keeps every
-    distance.  With every member a representative this is the plain pair
-    scan.
+    Unless full is set, the code's generator g splits the code into
+    g-chains, each kept as one representative; a singular g certifies
+    nothing.  From each member not yet placed, g is walked, one apply per
+    member, until it gets back to its start (a closed orbit, its start the
+    representative) or leaves the code.  A walk that leaves the code is
+    then walked back with g^(-1) to its chain start s, the first member
+    whose preimage is not in the code, and s is the representative of
+    the chain s, s g, ..., whatever the order of the members.  The pairs
+    are (representative, member), each unordered pair once.  That is
+    exact for invertible g: chained members s g^i and t g^j, with
+    m = min(i, j), are the image under g^m of s g^(i-m) and t g^(j-m):
+    one of them is a chain start, the other is still on its chain, and
+    g^m keeps every distance.  With every member a representative this is
+    the plain pair scan.
     """
     ms = code.members
     g = code.generator
@@ -296,10 +303,14 @@ def scan_pairs(code, full: bool = False):
     else:
         unplaced = set(ms)
         reps = []
+        back = None  # g^(-1), made for the first walk that leaves the code
         for m in ms:
             if m in unplaced:
                 unplaced.remove(m)
-                orbit_walk(m, g, unplaced)
+                if _walk_unplaced(m, g, unplaced)[1] != m:
+                    if back is None:
+                        back = g.inverse()
+                    m = _walk_unplaced(m, back, unplaced)[0]
                 reps.append(m)
     chosen = set(reps)
     order = reps + [m for m in ms if m not in chosen]

@@ -147,6 +147,11 @@ def ctx_q2k2s2(F2):
 
 
 @pytest.fixture(scope="session")
+def ctx_q2k2s4(F2):
+    return build_spread_context(F2, 2, 4)
+
+
+@pytest.fixture(scope="session")
 def ctx_q2k3s2(F2):
     return build_spread_context(F2, 3, 2)
 
@@ -154,6 +159,11 @@ def ctx_q2k3s2(F2):
 @pytest.fixture(scope="session")
 def ctx_q3k3s2(F3):
     return build_spread_context(F3, 3, 2)
+
+
+@pytest.fixture(scope="session")
+def ctx_q4k3s2(F4):
+    return build_spread_context(F4, 3, 2)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Spread contexts and the two orbital ODFC constructions."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -13,9 +14,9 @@ from flagcodes import (Flag, Matrix, Subspace,
                        flag_distance_bound, full_type_generator_flag,
                        full_type_max_odfc, full_type_orbit_odfc,
                        is_odfc_by_characterization, is_odfc_by_definition,
-                       is_partial_spread, is_spread, make_field, orbit_subspace,
-                       projected_code, spread_type_max_odfc,
-                       spread_type_orbit_odfc, table_row)
+                       is_partial_spread, is_spread, make_field, orbit_flag,
+                       orbit_subspace, projected_code, spread_type_max_odfc,
+                       spread_type_orbit_odfc, table_row, union_flag_codes)
 from flagcodes import constructions, singer, subspaces
 from flagcodes.codefiles import format_flag_code, parse_code_file
 from flagcodes.constructions import _certify_seed, _max_code_with_hook
@@ -297,6 +298,31 @@ def test_spread_type_max_q3(ctx_q3k3s2):
     assert is_odfc_by_definition(code)
     proj = projected_code(code, 3)
     assert set(proj.members) == set(ctx_q3k3s2.spread.members)
+
+
+@pytest.mark.parametrize("name, t", [
+    ("ctx_q2k2s4", 1), ("ctx_q2k2s4", 5), ("ctx_q2k2s4", 17), ("ctx_q2k2s4", 85),
+    ("ctx_q4k3s2", 1), ("ctx_q4k3s2", 13), ("ctx_q4k3s2", 39),
+    ("ctx_q3k3s2", 1), ("ctx_q3k3s2", 4), ("ctx_q3k3s2", 28), ("ctx_q3k3s2", 56)])
+def test_spread_type_max_is_the_orbits_of_translates(name, t, request):
+    """The maximum code is the union of the T-orbits of F g^j, j < m, each
+    walked here by orbit_flag, and carries g exactly when m > |O_0|."""
+    ctx = request.getfixturevalue(name)
+    q = ctx.base_field.order
+    m = (q ** ctx.n - 1) * gcd(t, q - 1) // ((q ** ctx.k - 1) * t)
+    T = ctx.group.subgroup_of_order(t)
+    g = ctx.group.generator
+    rep = canonical_admissible_flag(ctx)
+    orbits = []
+    for _ in range(m):
+        orbits.append(orbit_flag(T, rep)[0])
+        rep = rep.apply(g)
+    reference = union_flag_codes(orbits, require_additive=True)
+    code = spread_type_max_odfc(ctx, t)
+    assert code.members == reference.members
+    assert len(code) == (q ** ctx.n - 1) // (q ** ctx.k - 1)
+    assert code.generator == (g if m > len(orbits[0]) else T.generator)
+    assert is_odfc_by_characterization(code)
 
 
 def test_spread_type_max_q2(ctx_q2k3s2):

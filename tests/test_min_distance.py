@@ -2,24 +2,26 @@
 
 A code's generator only decides which pairs the scan may skip: the walk
 from each member either returns to its start inside the code (a certified
-orbit, one representative) or leaves it (every member passed is a
-representative).  The result must equal the full pair scan for any
-generator.
+orbit, one representative) or leaves it, and is walked back to the start
+of its chain, the chain's one representative.  The result must equal the
+full pair scan for any generator.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import random_invertible
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        canonical_admissible_flag, enumerate_grassmannian,
-                       full_type_generator_flag, is_odfc_by_characterization,
-                       is_odfc_by_definition, is_partial_spread, orbit_flag,
-                       orbit_subspace, projected_code, singer_group,
+                       flag_distance_bound, full_type_generator_flag,
+                       is_odfc_by_characterization, is_odfc_by_definition,
+                       is_partial_spread, orbit_flag, orbit_subspace,
+                       projected_code, singer_group, spread_type_max_odfc,
                        subspace_distance, union_flag_codes)
 from flagcodes import flags, subspaces
-from flagcodes.subspaces import min_pair_distance, orbit_walk
+from flagcodes.subspaces import min_pair_distance, orbit_walk, scan_pairs
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError, ShapeError,
                               TypeMismatchError)
 
@@ -128,25 +130,70 @@ def test_codes_equal_by_kind_and_members(ctx_q2k2s2):
 
 
 def test_one_representative_per_walk(F2):
-    # m consecutive members of a 15-member Singer orbit: every walk leaves
-    # the code, and each keeps only its start as a representative (two walks
-    # scan 2m - 3 pairs, as many as the full scan at m = 3)
+    # m consecutive members of a 15-member Singer orbit are one g-chain:
+    # the first walk, from whichever member sorts first, leaves the code
+    # and is walked back to the chain start, its one representative
     g = singer_group(F2, 4).generator
     orbit = orbit_walk(Subspace(F2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]), g)
     assert len(orbit) == 15
-    for m in range(4, 15):
+    for m in range(1, 16):
         code = SubspaceCode(orbit[:m], generator=g)
         pairs = []
         d = min_pair_distance(code, lambda u, v: pairs.append(1) or subspace_distance(u, v))
         assert d == code.min_distance(full=True)
-        assert len(pairs) < m * (m - 1) // 2
+        assert len(pairs) == m - 1
+
+
+@pytest.mark.parametrize("name, t, count", [
+    ("ctx_q2k2s4", 1, 84), ("ctx_q2k2s4", 5, 410), ("ctx_q2k2s4", 17, 410),
+    ("ctx_q2k2s4", 85, 84), ("ctx_q4k3s2", 1, 64), ("ctx_q4k3s2", 13, 310),
+    ("ctx_q4k3s2", 39, 310), ("ctx_q3k3s2", 1, 27), ("ctx_q3k3s2", 4, 53),
+    ("ctx_q3k3s2", 28, 53), ("ctx_q3k3s2", 56, 27)])
+def test_max_code_scans_one_representative_per_chain(name, t, count, request,
+                                                     monkeypatch):
+    # a maximum spread-type code of M members keeps r = min(m, |O_0|)
+    # representatives, |O_0| g-chains or m T-orbits, and scans
+    # r M - r (r + 1) / 2 pairs, each one _adapted_level_distances
+    code = spread_type_max_odfc(request.getfixturevalue(name), t)
+    pairs = []
+    distance = flags._adapted_level_distances
+    monkeypatch.setattr(flags, "_adapted_level_distances",
+                        lambda *args: pairs.append(1) or distance(*args))
+    d = code.min_distance()
+    assert len(pairs) == count
+    assert d == code.min_distance(full=True) == flag_distance_bound(code.n, code.dims)
 
 
 def _assert_exact(code):
     assert code.min_distance() == code.min_distance(full=True), code
+    _assert_pairs_covered(code)
     for i in range(1, len(getattr(code, "dims", ())) + 1):
         proj = projected_code(code, i)
         assert proj.min_distance() == proj.min_distance(full=True), (code, i)
+
+
+def _assert_pairs_covered(code):
+    """Every pair of members, shifted back by g until it is a pair that
+    scan_pairs gives, stays in the code on the way: the argument that makes
+    the representative scan exact, checked pair by pair."""
+    scanned = {frozenset(p) for p in scan_pairs(code)}
+    g = code.generator
+    back = g.inverse() if g is not None and g.is_invertible() else None
+    preimage = {}
+
+    def shifted(u):
+        if u not in preimage:
+            preimage[u] = u.apply(back)
+        return preimage[u]
+
+    for pair in combinations(code.members, 2):
+        for _ in range(len(code)):
+            if frozenset(pair) in scanned:
+                break
+            pair = [shifted(u) for u in pair]
+            assert all(u in code for u in pair), (code, pair)
+        else:
+            pytest.fail(f"no shift of a pair of {code} is scanned")
 
 
 @pytest.mark.parametrize("name", ["ctx_q2k2s2", "ctx_q2k3s2", "ftx_q2k2"])
@@ -179,6 +226,16 @@ def test_certificate_matches_full_scan_seeded(name, request):
         _assert_exact(SubspaceCode(list(sub_orbit) + [
             level.apply(random_invertible(rng, F, n)) for _ in range(2)],
             generator=T.generator))
+        # segments of g-chains from random starts, in sorted member order
+        g = ctx.group.generator
+        chains = []
+        for _ in range(rng.randrange(2, 5)):
+            f = seed.apply(random_invertible(rng, F, n))
+            for _ in range(rng.randrange(1, 7)):
+                chains.append(f)
+                f = f.apply(g)
+        _assert_exact(FlagCode(chains, generator=g))
+        _assert_exact(SubspaceCode((f.subspaces[0] for f in chains), generator=g))
 
 
 def _sharing(rng, flag, j):
