@@ -7,20 +7,18 @@ together with verification helpers and a small file format.
 """
 
 from .errors import (AdditivityViolatedError, AmbientMismatchError,
-                     BadDimensionsError, CodeFileError,
-                     EnumerationTooLargeError, FieldConstructionError,
+                     BadDimensionsError, CodeFileError, FieldConstructionError,
                      GcdConditionFailedError, MixedFieldsError,
                      NotADivisorError, NotExtendingError, NotNestedError,
                      RankDeficientError, ShapeError, SingularMatrixError,
                      TypeMismatchError)
 from .fields import FiniteField, extend_field, make_field
 from .matrices import Matrix, block_diag, hstack, matrix_order, vstack
-from .subspaces import (Subspace, SubspaceCode, dual_code,
-                        enumerate_grassmannian, gaussian_binomial,
-                        is_partial_spread, is_spread, max_distance_bound,
-                        partial_spread_size_bound, subspace_distance)
+from .subspaces import (Subspace, SubspaceCode, dual_code, is_partial_spread,
+                        is_spread, max_distance_bound, partial_spread_size_bound,
+                        subspace_distance)
 from .flags import (Flag, FlagCode, critical_indices, flag_distance,
-                    flag_distance_bound, full_type, is_disjoint, level_distances,
+                    flag_distance_bound, is_disjoint, level_distances,
                     is_odfc_by_definition, is_odfc_by_characterization,
                     orbit_flag, projected_code, union_flag_codes)
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
@@ -41,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     # errors
     "AdditivityViolatedError", "AmbientMismatchError", "BadDimensionsError",
-    "CodeFileError", "EnumerationTooLargeError", "FieldConstructionError",
+    "CodeFileError", "FieldConstructionError",
     "GcdConditionFailedError", "MixedFieldsError", "NotADivisorError",
     "NotExtendingError", "NotNestedError", "RankDeficientError", "ShapeError",
     "SingularMatrixError", "TypeMismatchError",
@@ -49,12 +47,11 @@ __all__ = [
     "FiniteField", "extend_field", "make_field",
     "Matrix", "block_diag", "hstack", "matrix_order", "vstack",
     # subspaces
-    "Subspace", "SubspaceCode", "dual_code", "enumerate_grassmannian",
-    "gaussian_binomial", "is_partial_spread", "is_spread",
+    "Subspace", "SubspaceCode", "dual_code", "is_partial_spread", "is_spread",
     "max_distance_bound", "partial_spread_size_bound", "subspace_distance",
     # flags
     "Flag", "FlagCode", "critical_indices", "flag_distance",
-    "flag_distance_bound", "full_type", "is_disjoint", "level_distances",
+    "flag_distance_bound", "is_disjoint", "level_distances",
     "is_odfc_by_definition", "is_odfc_by_characterization", "orbit_flag",
     "projected_code", "union_flag_codes",
     # singer

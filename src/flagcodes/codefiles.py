@@ -169,14 +169,18 @@ def _expect(cur: _Cursor, pattern: str, what: str):
 
 
 def _number(no: int, digits: str, limit: int, what: str) -> int:
-    """A header value, refused above limit (long digit strings before int())."""
-    if len(digits.lstrip("0")) > len(str(limit)) or int(digits) > limit:
+    """A header value of ASCII digits, refused above limit.  The digits are
+    bounded as written, leading zeros included, before int() reads them."""
+    if len(digits) > len(str(limit)):
+        raise CodeFileError(no, f"{what} has {len(digits)} digits, "
+                                f"its limit {limit} has {len(str(limit))}")
+    if int(digits) > limit:
         raise CodeFileError(no, f"{what} exceeds the limit {limit}")
     return int(digits)
 
 
 def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
-    no, m = _expect(cur, r"subspace k=(\d+)", f"subspace k={expect_dim}")
+    no, m = _expect(cur, r"subspace k=([0-9]+)", f"subspace k={expect_dim}")
     k = _number(no, m.group(1), n, "subspace k")
     if k != expect_dim:
         raise CodeFileError(no, f"subspace declares k={k}, type wants {expect_dim}")
@@ -209,7 +213,7 @@ def parse_code_file(text: str) -> CodeFileData:
     else:
         raise CodeFileError(no, f"unknown header {ln!r}")
 
-    no, m = _expect(cur, r"field p=(\d+) e=(\d+)(?: tower=(\d+),(\d+))?",
+    no, m = _expect(cur, r"field p=([0-9]+) e=([0-9]+)(?: tower=([0-9]+),([0-9]+))?",
                     "a field line")
     p, e = (_number(no, d, MAX_FIELD_ORDER, "field order") for d in m.group(1, 2))
     tower = (tuple(_number(no, d, MAX_AMBIENT_DIM, "tower") for d in m.group(3, 4))
@@ -220,10 +224,10 @@ def parse_code_file(text: str) -> CodeFileData:
     except ValueError as exc:
         raise CodeFileError(no, str(exc)) from None
 
-    no, m = _expect(cur, r"ambient n=(\d+)", "an ambient line")
+    no, m = _expect(cur, r"ambient n=([0-9]+)", "an ambient line")
     n = _number(no, m.group(1), MAX_AMBIENT_DIM, "ambient n")
 
-    no, m = _expect(cur, r"type (\d+(?:,\d+)*)", "a type line")
+    no, m = _expect(cur, r"type ([0-9]+(?:,[0-9]+)*)", "a type line")
     dims = tuple(_number(no, t, n, "a type dimension")
                  for t in m.group(1).split(","))
     if kind == "subspace" and len(dims) != 1:
@@ -231,7 +235,7 @@ def parse_code_file(text: str) -> CodeFileData:
     if any(not 0 < t < n for t in dims) or list(dims) != sorted(set(dims)):
         raise CodeFileError(no, f"type must be strictly increasing within (0, {n})")
 
-    no, m = _expect(cur, r"count (\d+)", "a count line")
+    no, m = _expect(cur, r"count ([0-9]+)", "a count line")
     count = _number(no, m.group(1), MAX_COUNT, "count")
     if count < 1:
         raise CodeFileError(no, "count must be at least 1")

@@ -146,7 +146,14 @@ def build_spread_context(base_field: FiniteField, k: int, s: int) -> SpreadConte
 
 
 def conjugate_spread(ctx: SpreadContext, B: Matrix):
-    """(S·B, conjugated Singer group): every Desarguesian spread is such an image."""
+    """(S·B, B^(-1) <g> B): the spread's image under B and the conjugate
+    Singer group it is an orbit of.
+
+    It states the paper's remark that every Desarguesian spread is an orbit
+    of a conjugate Singer group: the Desarguesian spreads of GF(q)^n are
+    one GL(n, q) class, so each is S·B for some invertible B, and
+    (U g^i) B = (U B)(B^(-1) g B)^i.
+    """
     if B.nrows != ctx.n or B.ncols != ctx.n:
         raise AmbientMismatchError(f"conjugating matrix must be {ctx.n}x{ctx.n}")
     B_inv = B.inverse()  # raises SingularMatrixError when not invertible

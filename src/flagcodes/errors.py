@@ -29,10 +29,6 @@ class BadDimensionsError(ValueError):
     """Subspace dimensions out of range for the ambient space."""
 
 
-class EnumerationTooLargeError(ValueError):
-    """A requested enumeration exceeds the configured size cap."""
-
-
 class NotADivisorError(ValueError):
     """Requested subgroup order does not divide the group order."""
 

@@ -105,14 +105,12 @@ def power(x, n: int, mul, one):
     return out
 
 
-def order_dividing(n: int, is_one, primes=None) -> int:
+def order_dividing(n: int, is_one) -> int:
     """The order of an x with x^n = 1: the least d dividing n with
     is_one(d), where is_one(m) tells whether x^m = 1.  Costs one is_one
-    call per prime factor of n, plus one per prime divided out.  primes,
-    when given, lists the prime factors of n, for an n known by its
-    factors rather than factored whole."""
+    call per prime factor of n, plus one per prime divided out."""
     d = n
-    for ell in prime_factors(n) if primes is None else primes:
+    for ell in prime_factors(n):
         while d % ell == 0 and is_one(d // ell):
             d //= ell
     return d

@@ -186,10 +186,6 @@ class Flag:
         return f"Flag(type {self.dims} on GF({self.field.order})^{self.n})"
 
 
-def full_type(n: int) -> tuple:
-    return tuple(range(1, n))
-
-
 def level_distances(F: Flag, G: Flag) -> tuple:
     """(d(F_1, G_1), ..., d(F_r, G_r)) from one rank elimination."""
     F._check_mate(G)

@@ -24,10 +24,8 @@ computed from matrices that were already checked are wrapped with
 `Matrix._trusted`, without the per-entry check.
 """
 
-from math import lcm
-
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
-from .fields import FiniteField, factorize, order_dividing, power
+from .fields import FiniteField, order_dividing, power
 
 
 class Matrix:
@@ -120,13 +118,6 @@ class Matrix:
 
     # -- reduction ------------------------------------------------------------
 
-    def rref(self):
-        """(reduced row echelon form, rank, pivot column tuple); zero rows last."""
-        reduced = rref_code_rows(self.field, self.rows)[0]
-        pad = ((0,) * self.ncols,) * (self.nrows - len(reduced))
-        return (Matrix._trusted(self.field, reduced + pad, self.ncols),
-                len(reduced), tuple(r.index(1) for r in reduced))
-
     def rank(self) -> int:
         return rank_code_rows(self.field, self.rows)[0]
 
@@ -145,7 +136,8 @@ class Matrix:
         return Matrix._trusted(self.field, tuple(r[n:] for r in reduced), n)
 
     def kernel(self) -> "Matrix":
-        """Basis rows of {x : M x^T = 0}; shape (ncols - rank) x ncols."""
+        """Basis rows of {x : M x^T = 0}, whose span is the dual of M's row
+        space (see Subspace.dual); shape (ncols - rank) x ncols."""
         reduced = rref_code_rows(self.field, self.rows)[0]
         neg = self.field.neg_code
         piv_of_col = {r.index(1): r for r in reduced}
@@ -430,35 +422,18 @@ def rank_code_rows(F: FiniteField, rows, sizes=None) -> list:
     return ranks
 
 
-def matrix_order(A: Matrix, order_hint: int = None) -> int:
-    """Multiplicative order of a square matrix.
+def matrix_order(A: Matrix, order_hint: int) -> int:
+    """Multiplicative order of a square matrix A with A^order_hint = I.
 
-    With order_hint = N (a known multiple, e.g. the ambient group order),
-    the order is found by dividing out primes of N, needing only O(log N)
-    matrix powers.  Without a hint, a singular matrix is refused at once,
-    and the hint of an invertible one is the exponent of GL(n, q),
-    lcm(q^d - 1 : d <= n) p^j with p^j the least power of p at least n:
-    the semisimple part of A has the order of a unit of GF(q^d) for some
-    d <= n, and its unipotent part U has (U - I)^(p^j) = 0.  Each q^d - 1
-    is factored on its own, and one that factorize cannot split raises its
-    FieldConstructionError.
+    order_hint is a known multiple of the order, such as the order of a
+    group A lies in; the order is found by dividing out the primes of the
+    hint, O(log order_hint) matrix powers.  A singular matrix, or one whose
+    order does not divide the hint, raises ValueError.
     """
     if A.nrows != A.ncols:
         raise ShapeError("order needs a square matrix")
-    primes = None
-    if order_hint is None:
-        if not A.is_invertible():
-            raise SingularMatrixError("a singular matrix has no order")
-        q, p, n = A.field.order, A.field.characteristic, A.nrows
-        order_hint, primes = 1, set()
-        while order_hint < n:
-            order_hint *= p
-            primes.add(p)
-        for d in range(1, n + 1):
-            order_hint = lcm(order_hint, q ** d - 1)
-            primes.update(factorize(q ** d - 1))
-    elif order_hint < 1:
+    if order_hint < 1:
         raise ValueError("order hint must be positive")
     if not (A ** order_hint).is_identity():
         raise ValueError(f"matrix order does not divide hint {order_hint}")
-    return order_dividing(order_hint, lambda d: (A ** d).is_identity(), primes)
+    return order_dividing(order_hint, lambda d: (A ** d).is_identity())

@@ -128,7 +128,10 @@ class CyclicMatrixGroup:
 def singer_group(field: FiniteField, n: int) -> CyclicMatrixGroup:
     """A Singer cyclic subgroup of GL(n, field) of order q^n - 1.
 
-    Generated by the companion matrix of the pinned degree-n modulus.
+    Generated by the companion matrix of the pinned degree-n modulus.  It
+    states Singer's theorem, which the paper's orbits rest on: GL(n, q)
+    has a cyclic subgroup of order q^n - 1, regular on the nonzero vectors
+    and so transitive on the points and on the hyperplanes of GF(q)^n.
     """
     if n < 1:
         raise ValueError("Singer group needs n >= 1")

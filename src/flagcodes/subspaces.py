@@ -16,24 +16,11 @@ cross-checked in the test suite.
 """
 
 import operator
-from itertools import combinations, product
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
-                     EnumerationTooLargeError, MixedFieldsError, ShapeError,
-                     SingularMatrixError)
+                     MixedFieldsError, ShapeError, SingularMatrixError)
 from .fields import FiniteField
 from .matrices import Matrix, act_code_rows, rank_code_rows, rref_code_rows
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
 
 
 def max_distance_bound(n: int, k: int) -> int:
@@ -77,14 +64,6 @@ class Subspace:
         return self
 
     @classmethod
-    def zero(cls, field: FiniteField, n: int) -> "Subspace":
-        return cls._from_rref(field, n, ())
-
-    @classmethod
-    def full(cls, field: FiniteField, n: int) -> "Subspace":
-        return cls._from_rref(field, n, Matrix.identity(field, n).rows)
-
-    @classmethod
     def standard(cls, field: FiniteField, n: int, k: int) -> "Subspace":
         """Span of the first k standard basis vectors."""
         if not 0 <= k <= n:
@@ -117,7 +96,7 @@ class Subspace:
         return rank_code_rows(self.field, self.rows + other.rows)[0] == self.dim
 
     def dual(self) -> "Subspace":
-        """Orthogonal complement under the standard dot product."""
+        """Orthogonal complement under the standard dot product (see dual_code)."""
         return Subspace(self.field, self.n,
                         Matrix._trusted(self.field, self.rows, self.n).kernel().rows)
 
@@ -409,34 +388,10 @@ def is_spread(code: SubspaceCode) -> bool:
 
 
 def dual_code(code: SubspaceCode) -> SubspaceCode:
-    """Member-wise orthogonal complement; preserves size and distance."""
-    return SubspaceCode(m.dual() for m in code.members)
+    """Member-wise orthogonal complement; preserves size and distance.
 
-
-def enumerate_grassmannian(field: FiniteField, k: int, n: int, cap: int = 10 ** 6):
-    """Iterate all k-dim subspaces of GF(q)^n in a fixed order.
-
-    The count is checked against cap before anything is yielded.
+    d(U^perp, V^perp) = d(U, V), so duality carries a level with
+    2 t_i > n to one below n/2: that level reaches its maximum distance
+    2 (n - t_i) exactly when its duals form a partial spread.
     """
-    if not 0 <= k <= n or n < 1:
-        raise BadDimensionsError(f"no Grassmannian for k={k}, n={n}")
-    count = gaussian_binomial(n, k, field.order)
-    if count > cap:
-        raise EnumerationTooLargeError(f"{count} subspaces exceeds cap {cap}")
-    return _grassmannian_gen(field, k, n)
-
-
-def _grassmannian_gen(field, k, n):
-    q = field.order
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(k)
-                for j in range(pivots[i] + 1, n) if j not in pivot_set]
-        base = [[0] * n for _ in range(k)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        for values in product(range(q), repeat=len(free)):
-            rows = [r[:] for r in base]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield Subspace._from_rref(field, n, tuple(tuple(r) for r in rows))
+    return SubspaceCode(m.dual() for m in code.members)

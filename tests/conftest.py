@@ -9,17 +9,22 @@ the ref_* functions are the field oracle: arithmetic by the definition
 field's base, characteristic, order, modulus and digit encoding, never the
 tables or code methods under test; ref_rref and ref_product are row
 reduction and the matrix product on that arithmetic.
+enumerate_grassmannian lists every k-subspace of GF(q)^n by its canonical
+rows, written down pivot set by pivot set with no elimination, and
+gaussian_binomial counts them: the brute-force pools the spread, dual and
+metric tests compare the library against.
 The terminal-summary hook at the bottom turns the test_acceptance results
 into one PASS/FAIL line per criterion.
 """
 
 import re
 from functools import partial, reduce
+from itertools import combinations, product
 
 import pytest
 
-from flagcodes import (Matrix, build_full_type_context, build_spread_context,
-                       extend_field, make_field)
+from flagcodes import (Matrix, Subspace, build_full_type_context,
+                       build_spread_context, extend_field, make_field)
 
 # An n x n matrix over GF(q) is invertible with probability above 0.28, so
 # 200 draws all singular is a broken kernel, not bad luck (below 1e-28).
@@ -114,6 +119,36 @@ def ref_product(F, arows, brows):
     add = partial(ref_add, F)
     return [tuple(reduce(add, (ref_mul(F, a, b) for a, b in zip(r, c)), 0)
                   for c in zip(*brows)) for r in arows]
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of GF(q)^n."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def enumerate_grassmannian(field, k, n):
+    """Every k-dim subspace of GF(q)^n, pivot set by pivot set: its
+    canonical rows have 1 at the pivots, 0 in every other pivot column and
+    left of the row's pivot, and any entry in each remaining place."""
+    q = field.order
+    for pivots in combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [(i, j) for i in range(k)
+                for j in range(pivots[i] + 1, n) if j not in pivot_set]
+        base = [[0] * n for _ in range(k)]
+        for i, c in enumerate(pivots):
+            base[i][c] = 1
+        for values in product(range(q), repeat=len(free)):
+            rows = [r[:] for r in base]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield Subspace._from_rref(field, n, tuple(tuple(r) for r in rows))
 
 
 @pytest.fixture(scope="session")

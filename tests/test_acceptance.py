@@ -8,9 +8,9 @@ conftest prints one PASS/FAIL line per criterion at the end of the run.
 import random
 import time
 
-from conftest import ref_add, ref_mul
+from conftest import enumerate_grassmannian, ref_add, ref_mul
 from flagcodes import (Flag, FlagCode, Matrix, Subspace,
-                       SubspaceCode, dual_code, enumerate_grassmannian,
+                       SubspaceCode, dual_code,
                        field_reduction, flag_distance, flag_distance_bound,
                        full_type_generator_flag, full_type_max_odfc,
                        full_type_orbit_odfc, is_disjoint,

@@ -133,9 +133,8 @@ def test_kernels_above_the_table_limit():
         assert (B @ A).rows == tuple(ref_product(F, B.rows, A.rows))
         low = Matrix(F, B.rows + (tuple(rng.randrange(F.order) for _ in range(n)),
                                   B.rows[0]), n)
-        R, rank, _ = low.rref()
         ref = ref_rref(F, low.rows)
-        assert rank == len(ref) and R.rows[:rank] == ref
+        assert rref_code_rows(F, low.rows) == [ref] and low.rank() == len(ref)
 
         flag = random_flag(rng, F, n, (1, 3))
         image = flag.apply(A)
@@ -206,7 +205,7 @@ def test_row_reduction_kernel_matches_reference(p, e):
         assert rank_code_rows(F, rows, sizes) == [len(ref) for ref in refs]
         B = _random_rows(rng, F, n, n)
         assert mul_code_rows(F, rows, B, n) == ref_product(F, rows, B)
-    assert Matrix(F, [], 3).rref()[1:] == (0, ())
+    assert rref_code_rows(F, Matrix(F, [], 3).rows) == [()]
     rank = lambda rows: len(ref_rref(F, rows))
     for n in (1, 3, 5):
         for _ in range(5 if F.order < 1024 else 2):
@@ -224,10 +223,8 @@ def test_row_reduction_kernel_matches_reference(p, e):
             if not rows:
                 continue
             M = Matrix(F, rows, n)
-            R, r, pivots = M.rref()
-            assert R.rows == ref + ((0,) * n,) * (len(rows) - r)
-            assert r == M.rank() == len(ref)
-            assert pivots == tuple(row.index(1) for row in ref)
+            r = M.rank()
+            assert r == len(ref)
             K = M.kernel()
             assert K.nrows == rank(K.rows) == n - r
             for v in K.rows:  # M v^T = 0, v written as an n x 1 column

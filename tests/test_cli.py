@@ -340,6 +340,7 @@ def test_exit_code_3_on_parse_error(tmp_path, capsys):
 # p - 1 = 2r with r a 101-bit prime: trial division of p - 1 never finishes
 _SAFE_PRIME = "2535301200456458802993406412663"
 _LONG = "9" * 5000  # longer than int() converts from a string
+_PADDED = "0" * 5000  # leading zeros count against that length too
 
 
 @pytest.mark.parametrize("field_line, ambient, type_line, line_no", [
@@ -350,8 +351,11 @@ _LONG = "9" * 5000  # longer than int() converts from a string
     (f"field p=2 e=1 tower=2,{_LONG}", "ambient n=4", "type 2", 2),
     ("field p=2 e=1", "ambient n=99999", "type 2", 3),
     ("field p=2 e=1", "ambient n=4", f"type {_LONG}", 4),
+    (f"field p=2 e={_PADDED}1", "ambient n=4", "type 2", 2),
+    ("field p=2 e=1", f"ambient n={_PADDED}4", "type 2", 3),
+    ("field p=2 e=1", "ambient n=\u0664", "type 2", 3),
 ], ids=["e=200", "huge-prime-p", "q=289", "long-e", "long-tower",
-        "huge-n", "long-type"])
+        "huge-n", "long-type", "padded-e", "padded-n", "non-ascii-n"])
 def test_hostile_header_exits_3_in_bounded_time(tmp_path, field_line, ambient,
                                                  type_line, line_no):
     # header values are checked against named limits before any field is

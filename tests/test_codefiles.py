@@ -233,6 +233,17 @@ def test_parse_rejects_with_line_numbers(tmp_path):
     expect_error(good[:6] + ["subspace k=2"] + good[7:], 7)  # k off the type
     expect_error(good[:10] + ["1 0 0"], 9)                # rows span dim 1
     expect_error(["SUBCODE v1"] + good[1:], 4)            # two type dims
+    # header numbers are ASCII digits, bounded as written: zero padding past
+    # the 4,300 digits int() reads from a string is refused with its line,
+    # and so is a digit of another script, which int() would read
+    padded = "0" * 5000
+    expect_error(good[:4] + [f"count {padded}1"] + good[5:], 5)
+    expect_error(good[:1] + [f"field p={padded}2 e=1"] + good[2:], 2)
+    expect_error(good[:6] + [f"subspace k={padded}1"] + good[7:], 7)
+    expect_error(good[:4] + ["count \u0661"] + good[5:], 5)  # ARABIC-INDIC ONE
+    expect_error(good[:2] + ["ambient n=\u0663"] + good[3:], 3)
+    expect_error(good[:3] + ["type 1,\u0662"] + good[4:], 4)
+    expect_error(good[:6] + ["subspace k=\u0661"] + good[7:], 7)
     # duplicate members, reported once the second copy is complete
     dup = good[:4] + ["count 2"] + good[5:] + good[5:]
     expect_error(dup, 17)

@@ -5,12 +5,12 @@ from math import gcd
 
 import pytest
 
-from conftest import ref_rref
+from conftest import enumerate_grassmannian, ref_rref
 from flagcodes import (Flag, Matrix, Subspace,
                        SubspaceCode, admissible_flag_dims, admissible_subgroup_orders,
                        build_full_type_context, build_spread_context,
                        canonical_admissible_flag, conjugate_spread, dual_code,
-                       enumerate_grassmannian, field_reduction,
+                       field_reduction,
                        flag_distance_bound, full_type_generator_flag,
                        full_type_max_odfc, full_type_orbit_odfc,
                        is_odfc_by_characterization, is_odfc_by_definition,
@@ -211,10 +211,8 @@ def test_conjugate_spread(ctx_q2k2s2, F2):
         pass
     else:
         raise AssertionError("3x3 conjugator on a 4-dim context")
-    try:
+    with pytest.raises(SingularMatrixError):
         conjugate_spread(ctx, Matrix.zero(F2, 4, 4))
-    except SingularMatrixError:
-        pass
 
 
 def test_admissible_dims_and_canonical_flag(ctx_q2k2s2, ctx_q3k3s2, ctx_q4k3s3):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, critical_indices,
-                       flag_distance, flag_distance_bound, full_type,
+                       flag_distance, flag_distance_bound,
                        is_disjoint, is_odfc_by_characterization,
                        is_odfc_by_definition, make_field, orbit_flag,
                        projected_code, singer_group, union_flag_codes)
@@ -38,23 +38,12 @@ def test_make_flag_validation():
         pass
     else:
         raise AssertionError("non-nested chain accepted")
-    try:
+    with pytest.raises(NotNestedError):
         Flag([std(F2, 3, [e[0]]), std(F2, 3, [e[0]])])
-    except NotNestedError:
-        pass
-    try:
-        Flag([Subspace.full(F2, 3)])
-    except BadDimensionsError:
-        pass
-    try:
+    with pytest.raises(BadDimensionsError):
+        Flag([Subspace.standard(F2, 3, 3)])
+    with pytest.raises(BadDimensionsError):
         Flag([])
-    except BadDimensionsError:
-        pass
-
-
-def test_full_type():
-    assert full_type(5) == (1, 2, 3, 4)
-    assert full_type(2) == (1,)
 
 
 def test_flag_distance_on_example():
@@ -76,16 +65,16 @@ def test_flag_distance_on_example():
 
 
 def test_flag_distance_bound_frozen():
-    assert flag_distance_bound(5, full_type(5)) == 12
-    assert flag_distance_bound(6, full_type(6)) == 18
+    assert flag_distance_bound(5, (1, 2, 3, 4)) == 12
+    assert flag_distance_bound(6, (1, 2, 3, 4, 5)) == 18
     assert flag_distance_bound(9, (1, 2, 3, 6, 7, 8)) == 24
     assert flag_distance_bound(4, (1, 2, 3)) == 8
     assert flag_distance_bound(6, (2, 3)) == 10
 
 
 def test_critical_indices():
-    assert critical_indices(5, full_type(5)) == (2, 3)
-    assert critical_indices(6, full_type(6)) == (3, 3)
+    assert critical_indices(5, (1, 2, 3, 4)) == (2, 3)
+    assert critical_indices(6, (1, 2, 3, 4, 5)) == (3, 3)
     assert critical_indices(6, (4, 5)) == (None, 1)
     assert critical_indices(6, (1, 2)) == (2, None)
     assert critical_indices(9, (1, 2, 3, 6, 7, 8)) == (3, 4)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import lcm
 
 import pytest
 
@@ -9,28 +10,24 @@ from conftest import random_invertible, ref_product
 from flagcodes import (Matrix, block_diag, hstack, make_field, matrix_order,
                        singer_group, vstack)
 from flagcodes.errors import FieldConstructionError, ShapeError, SingularMatrixError
+from flagcodes.matrices import rref_code_rows
 from flagcodes.singer import companion_matrix
 
 
 def test_rref_frozen():
+    # rref_code_rows gives the nonzero canonical rows, pivot (leading 1) order
     F2 = make_field(2, 1)
     I3 = Matrix.identity(F2, 3)
-    R, rk, piv = I3.rref()
-    assert R == I3 and rk == 3 and piv == (0, 1, 2)
-
-    Z = Matrix.zero(F2, 2, 3)
-    R, rk, piv = Z.rref()
-    assert R == Z and rk == 0 and piv == ()
+    assert rref_code_rows(F2, I3.rows) == [I3.rows]
+    assert rref_code_rows(F2, Matrix.zero(F2, 2, 3).rows) == [()]
 
     M = Matrix(F2, [(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
-    R, rk, piv = M.rref()
-    assert rk == 2
-    assert R.rows == ((1, 0, 1), (0, 1, 1), (0, 0, 0))
+    assert rref_code_rows(F2, M.rows) == [((1, 0, 1), (0, 1, 1))]
+    assert M.rank() == 2
 
     F3 = make_field(3, 1)
     M = Matrix(F3, [(2, 1, 0), (1, 2, 0)], 3)
-    R, rk, piv = M.rref()
-    assert R.rows == ((1, 2, 0), (0, 0, 0)) and rk == 1 and piv == (0,)
+    assert rref_code_rows(F3, M.rows) == [((1, 2, 0),)] and M.rank() == 1
 
 
 def test_inverse_and_kernel():
@@ -71,14 +68,14 @@ def test_matrix_order_of_companions():
     F3 = make_field(3, 1)
     C4 = companion_matrix(make_field(2, 2).modulus, F2)
     assert C4.rows == ((0, 1), (1, 1))
-    assert matrix_order(C4) == 3
+    assert matrix_order(C4, 3) == 3
     C8 = companion_matrix(make_field(2, 3).modulus, F2)
     assert C8.rows == ((0, 1, 0), (0, 0, 1), (1, 0, 1))
-    assert matrix_order(C8) == 7
+    assert matrix_order(C8, 7) == 7
     C27 = companion_matrix(make_field(3, 3).modulus, F3)
     assert C27.rows == ((0, 1, 0), (0, 0, 1), (2, 0, 1))
-    assert matrix_order(C27) == 26
-    assert matrix_order(Matrix.identity(F3, 3)) == 1
+    assert matrix_order(C27, 26) == 26
+    assert matrix_order(Matrix.identity(F3, 3), 26) == 1
     # hints that are proper multiples of the order are divided down to it
     g = singer_group(F2, 4).generator
     assert matrix_order(g, order_hint=60) == 15
@@ -107,14 +104,22 @@ def test_pow_matches_repeated_product():
 
 
 def test_matrix_order_refuses_a_singular_matrix_at_once():
-    # without a hint a singular matrix used to be walked q^n - 1 times
+    # no power of a singular matrix is the identity, whatever the hint: one
+    # power by the hint refuses it, where a walk would take q^n - 1 steps
     F2 = make_field(2, 1)
     t0 = time.perf_counter()
-    with pytest.raises(SingularMatrixError):
-        matrix_order(Matrix.zero(F2, 18, 18))
+    with pytest.raises(ValueError, match="does not divide hint"):
+        matrix_order(Matrix.zero(F2, 18, 18), 2 ** 18 - 1)
     assert time.perf_counter() - t0 < 1
-    with pytest.raises(SingularMatrixError):
-        matrix_order(Matrix(F2, [(1, 1), (1, 1)]))
+    with pytest.raises(ValueError, match="does not divide hint"):
+        matrix_order(Matrix(F2, [(1, 1), (1, 1)]), 3)
+    # so is a hint the order does not divide, and a hint below 1
+    with pytest.raises(ValueError, match="does not divide hint"):
+        matrix_order(singer_group(F2, 4).generator, 5)
+    with pytest.raises(ValueError, match="must be positive"):
+        matrix_order(Matrix.identity(F2, 2), 0)
+    with pytest.raises(ShapeError):
+        matrix_order(Matrix(F2, [(1, 0, 0), (0, 1, 0)]), 1)
 
 
 def _walked_order(A):
@@ -125,38 +130,48 @@ def _walked_order(A):
     return i
 
 
-def test_matrix_order_without_hint_matches_walked_powers():
+def _gl_exponent(q, p, n):
+    """A multiple of the order of every element of GL(n, q): lcm(q^d - 1 :
+    d <= n) times the least power of p at least n.  The semisimple part of
+    A has the order of a unit of some GF(q^d), d <= n, and its unipotent
+    part U has (U - I)^(p^j) = 0 once p^j >= n."""
+    return lcm(*(q ** d - 1 for d in range(1, n + 1))) * min(
+        p ** j for j in range(n + 1) if p ** j >= n)
+
+
+def test_matrix_order_matches_walked_powers():
     rng = random.Random(16)
     for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]:
         F = make_field(p, e)
         for n in (1, 2, 3, 4):
             for _ in range(4):
                 A = random_invertible(rng, F, n)
-                assert matrix_order(A) == _walked_order(A)
+                assert matrix_order(A, _gl_exponent(F.order, p, n)) == _walked_order(A)
         # non-semisimple: a unipotent Jordan block, whose order is the least
         # p^j >= its size, beside a Singer cycle, moved by a random basis change
         for size in (2, 3, 4, 5):
             J = Matrix(F, [[int(j in (i, i + 1)) for j in range(size)]
                            for i in range(size)], size)
-            assert matrix_order(J) == _walked_order(J) == min(
+            assert matrix_order(J, _gl_exponent(F.order, p, size)) == _walked_order(J) == min(
                 p ** j for j in range(size) if p ** j >= size)
             A = block_diag(J, singer_group(F, 2).generator)
             P = random_invertible(rng, F, size + 2)
             B = P.inverse() @ A @ P
-            assert matrix_order(B) == _walked_order(B)
+            assert matrix_order(B, _gl_exponent(F.order, p, size + 2)) == _walked_order(B)
 
 
-def test_matrix_order_without_hint_is_bounded():
-    # walking its powers took about 6 s: 2^16 - 1 products
-    g = singer_group(make_field(2, 1), 16).generator
+def test_matrix_order_is_bounded():
+    # walking its powers took about 6 s: 2^16 - 1 products; the Singer
+    # group checks its generator's order through the hint instead
     t0 = time.perf_counter()
-    assert matrix_order(g) == 2 ** 16 - 1
+    g = singer_group(make_field(2, 1), 16).generator
+    assert matrix_order(g, 2 ** 16 - 1) == 2 ** 16 - 1
     assert time.perf_counter() - t0 < 1
     # p^2 - 1 has a 43-bit prime cofactor, which trial division cannot split:
     # the order is refused, not walked
     p = 163 * 2 ** 44 + 1
     with pytest.raises(FieldConstructionError):
-        matrix_order(Matrix.identity(make_field(p, 1), 2))
+        matrix_order(Matrix.identity(make_field(p, 1), 2), p ** 2 - 1)
 
 
 def test_block_operations():
@@ -197,11 +212,10 @@ def test_rref_idempotent_seeded():
     for _ in range(50):
         rows = [[rng.randrange(3) for _ in range(4)] for _ in range(3)]
         M = Matrix(F3, rows, 4)
-        R, rk, piv = M.rref()
-        R2, rk2, piv2 = R.rref()
-        assert (R2, rk2, piv2) == (R, rk, piv)
+        R = rref_code_rows(F3, M.rows)[0]
+        assert rref_code_rows(F3, R) == [R]
         # row rank is column rank
-        assert rk == M.rank() == Matrix(F3, zip(*rows), 3).rank()
+        assert len(R) == M.rank() == Matrix(F3, zip(*rows), 3).rank()
 
 
 def test_matrices_hash_by_value_and_print():

@@ -12,9 +12,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_invertible
+from conftest import enumerate_grassmannian, random_invertible
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
-                       canonical_admissible_flag, enumerate_grassmannian,
+                       canonical_admissible_flag,
                        flag_distance_bound, full_type_generator_flag,
                        is_odfc_by_characterization, is_odfc_by_definition,
                        is_partial_spread, orbit_flag, orbit_subspace,

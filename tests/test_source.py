@@ -1,8 +1,11 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -28,6 +31,33 @@ def test_package_exports_resolve_to_library_objects():
     for name in flagcodes.__all__:
         value = getattr(flagcodes, name)  # raises when the name is stale
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_every_export_is_named_in_the_readme():
+    """README's Library section names every public name, with what it is."""
+    text = (ROOT / "README.md").read_text()
+    library = text[text.index("## Library"):text.index("## CLI")]
+    named = set(re.findall(r"`([A-Za-z_]\w*)", library))
+    missing = [name for name in flagcodes.__all__ if name not in named]
+    assert not missing, missing
+
+
+def test_benchmark_trace_targets_resolve():
+    """perfbench/tracing.py wraps library functions by name; each target it
+    lists must still be there, as Tracer.install looks it up."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # reads the table; installs nothing
+    assert tracing.TARGETS
+    for span, mod_name, attr in tracing.TARGETS:
+        mod = importlib.import_module(f"flagcodes.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            value = vars(getattr(mod, cls_name)).get(meth)  # as install reads it
+        else:
+            value = getattr(mod, attr, None)
+        assert callable(value), (span, mod_name, attr)
 
 
 def test_no_unused_imports():
