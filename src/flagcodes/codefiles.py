@@ -187,14 +187,16 @@ def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
     rows = []
     for _ in range(k):
         rno, ln = cur.next("a basis row")
+        if ln.strip("0123456789 \t"):  # int() would also read +0, 0_0 and other scripts
+            raise CodeFileError(rno, f"row entries are ASCII digits, got {ln!r}")
         toks = ln.split()
         if len(toks) != n:
             raise CodeFileError(rno, f"row has {len(toks)} entries, ambient is {n}")
         try:
-            row = [int(t) for t in toks]
-        except ValueError:
-            raise CodeFileError(rno, f"non-integer entry in {ln!r}") from None
-        if any(not 0 <= x < field.order for x in row):
+            row = list(map(int, toks))
+        except ValueError:  # more digits than int() reads
+            raise CodeFileError(rno, f"entry too long in {ln!r}") from None
+        if max(row) >= field.order:  # no sign, so no entry is negative
             raise CodeFileError(rno, f"entry out of range [0, {field.order})")
         rows.append(row)
     sub = Subspace._from_rref(field, n, rref_code_rows(field, rows)[0])

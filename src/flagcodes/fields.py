@@ -239,17 +239,28 @@ class FiniteField:
         return self._tables
 
     def byte_scalers(self):
-        """For GF(2^e) up to order 256, scale[c]: the bytes.translate table of
-        products by c, 256 bytes; None for every other field.
+        """The bytes.translate tables of products by each code, scale[c],
+        256 bytes each, for the fields whose rows the row kernels pack one
+        byte per code: GF(2^e) up to order 256 and GF(p) for p <= 127.
+        None for every other field.
 
         The code of an element of characteristic 2 is a bit vector over
-        GF(2) (the digits nest, each a bit vector), so adding codes is XOR.
-        Each code then fits one byte, and the row kernels pack a row of codes
-        into one int: adding rows is one XOR, scaling one translate.
+        GF(2) (the digits nest, each a bit vector), so adding codes is XOR,
+        and a row of codes packs into one int: adding rows is one XOR,
+        scaling one translate.  Over GF(p), p <= 127, two codes add below
+        256 without a carry into the next byte, so a packed row adds lane by
+        lane and then takes p off each lane past it (see matrices).  There
+        scale[c][v] is c v mod p for every byte v, so scale[1] folds a lane
+        sum modulo p; above the order of GF(2^e) the table bytes never occur.
         """
-        if self._byte_scalers is None and self.characteristic == 2 and self.order <= 256:
-            pad = bytes(256 - self.order)  # bytes above the order never occur
-            self._byte_scalers = [bytes(row) + pad for row in self.tables()[1]]
+        p, q = self.characteristic, self.order
+        if self._byte_scalers is None and (p == 2 and q <= 256 or q == p <= 127):
+            pad = bytes(256 - q)
+            scale = [bytes(row) + pad for row in self.tables()[1]]
+            if p != 2:  # c v for every byte v, so scale[1] folds a lane modulo p
+                fold = bytes(v % p for v in range(256))
+                scale = [fold.translate(row) for row in scale]
+            self._byte_scalers = scale
         return self._byte_scalers
 
     def _log_tables(self):

@@ -26,8 +26,9 @@ once.
 A flag and every image apply reaches from it are one lineage, and they
 share one row pool: the packed reduction's memo from a packed row to its
 tuple (see matrices.act_code_rows), made at the lineage's first apply and
-handed on to each image.  Over GF(2^e), e <= 8, a row that an earlier
-apply of the lineage unpacked is then one dict hit and that apply's
+handed on to each image.  Over a field with packed rows, GF(2^e),
+e <= 8, and GF(p), p <= 127, a row that an earlier apply of the lineage
+unpacked is then one dict hit and that apply's
 tuple, so the members an orbit walk makes share equal rows as one object
 (the seed keeps the rows it was made with).  The pool lives as long as a
 flag of the lineage does and holds at most the rows of every image the
@@ -126,11 +127,12 @@ class Flag:
         One act_code_rows step on an adapted basis of the top level, whose
         first t_i rows span level i: the product by A, then one elimination
         pass that snapshots the canonical basis of every level, which the
-        image keeps as its levels.  Over GF(2^e), e <= 8, the products
-        stay packed, read from the table of scaled rows that A keeps, so a
-        walk by one generator fills it once, and the reduction unpacks each
-        row through the lineage's pool, which the image keeps: a row an
-        earlier apply of the lineage unpacked comes back as that tuple.
+        image keeps as its levels.  Over GF(2^e), e <= 8, and GF(p),
+        p <= 127, the products stay packed, read from the table of scaled
+        rows that A keeps, so a walk by one generator fills it once, and
+        the reduction unpacks each row through the lineage's pool, which
+        the image keeps: a row an earlier apply of the lineage unpacked
+        comes back as that tuple.
         Raises SingularMatrixError when a level loses dimension; a level
         that loses dimension takes the top level with it, so the top level
         alone tells.

@@ -3,20 +3,24 @@
 Rows are tuples of integer element codes; instances are immutable and
 hashable.  The hot paths (multiplication, row reduction) run on the field's
 tables: lookup lists for every field up to order 1024 and computed views
-above that.  Over GF(2^e), e <= 8, multiplication and canonical row
-reduction run on packed rows instead, one int per row and one byte per
-code (see FiniteField.byte_scalers); rank_code_rows keeps the tables.
+above that.  Over GF(2^e), e <= 8, and GF(p), p <= 127, multiplication
+and canonical row reduction run on packed rows instead, one int per row
+and one byte per code (see FiniteField.byte_scalers); rank_code_rows keeps
+the tables.  Each family of packed rows has one product body and one
+reduction body: over GF(2^e) rows add by XOR (_xor_products, _xor_rref),
+over GF(p) lane by lane modulo p (_modp_products, _modp_rref).
 
-A packed product by B is a XOR of entries of a table of B's scaled rows,
+A packed product by B sums entries of a table of B's scaled rows,
 table[j][c] the packed c B_j, each filled on first use (see _ScaledRow).
 A Matrix keeps the table of its own rows once it is made, so an orbit walk
 by one generator scales each row of it at most once per scalar.
 act_code_rows, the right action of a matrix on rows, is the product
-followed by the canonical reduction; over GF(2^e), e <= 8, it passes the
-packed products straight to the packed reduction, whose memo from a
-packed row to its tuple the caller may keep across calls: Flag.apply
-keeps one per lineage of flags, so an orbit walk unpacks each distinct
-row once.  The memo is the caller's; no Matrix, field or module holds one.
+followed by the canonical reduction; over a field with packed rows it
+passes the packed products straight to the packed reduction, whose memo
+from a packed row to its tuple the caller may keep across calls:
+Flag.apply keeps one per lineage of flags, so an orbit walk unpacks each
+distinct row once.  The memo is the caller's; no Matrix, field or module
+holds one.
 
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
@@ -24,13 +28,15 @@ computed from matrices that were already checked are wrapped with
 `Matrix._trusted`, without the per-entry check.
 """
 
+from bisect import insort
+
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
 from .fields import FiniteField, order_dividing, power
 
 
 class Matrix:
     # _scaled: the _ScaledRow table of the rows, set by the first act_code_rows
-    # over GF(2^e), e <= 8; equality, hashing and pickling read rows only
+    # over a field with packed rows; equality, hashing and pickling read rows only
     __slots__ = ("field", "rows", "nrows", "ncols", "_hash", "_scaled")
 
     def __init__(self, field: FiniteField, rows, ncols: int = None):
@@ -220,7 +226,8 @@ def mul_code_rows(F: FiniteField, arows, brows, ncols):
     scale = F.byte_scalers()
     if scale is not None:
         table = [_ScaledRow(scale, b) for b in brows]
-        return [tuple(r.to_bytes(ncols, "big")) for r in _packed_products(table, arows)]
+        products = _packed_bodies(F)[0](F, table, arows, ncols)
+        return [tuple(r.to_bytes(ncols, "big")) for r in products]
     add, mul = F.tables()[:2]
     out = []
     for arow in arows:
@@ -237,19 +244,20 @@ def act_code_rows(F: FiniteField, rows, A: Matrix, sizes=None, unpacked=None) ->
     """rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes).
 
     The right action of A on the row space of each leading block of rows.
-    Over GF(2^e), e <= 8, the products stay packed from A's kept table of
-    scaled rows into the packed reduction, and unpacked is its memo from a
-    packed row to its tuple (see _packed_rref): a dict the caller keeps
-    across calls, so a snapshot row met in an earlier call is that call's
-    tuple, not a new one; it holds at most every snapshot row of the calls
-    it was passed to.  None gives the call a memo of its own.  The table
-    body reads no memo.
+    Over a field with packed rows (see FiniteField.byte_scalers) the
+    products stay packed from A's kept table of scaled rows into the packed
+    reduction, and unpacked is its memo from a packed row to its tuple (see
+    _xor_rref): a dict the caller keeps across calls, so a snapshot row met
+    in an earlier call is that call's tuple, not a new one; it holds at most
+    every snapshot row of the calls it was passed to.  None gives the call
+    a memo of its own.  The table body reads no memo.
     """
     scale = F.byte_scalers()
     if scale is None:
         return rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes)
-    return _packed_rref(F.tables()[3], scale, _packed_products(A._scaled_rows(scale), rows),
-                        sizes, A.ncols, {} if unpacked is None else unpacked)
+    products, rref = _packed_bodies(F)
+    return rref(F, scale, products(F, A._scaled_rows(scale), rows, A.ncols),
+                sizes, A.ncols, {} if unpacked is None else unpacked)
 
 
 def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
@@ -263,15 +271,15 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     increasing and defaults to (len(rows),); a dependent or zero row adds
     nothing, so a block of rank r yields r rows.  Once every column has a
     pivot, every later row reduces to zero and is skipped.  rows is not
-    modified.  Fields of characteristic 2 up to order 256 run the same pass
-    on packed rows (see _packed_rref); a snapshot row equal to a given row
-    (a row kept as given, as a parsed basis is) is the caller's tuple.
+    modified.  Fields with packed rows run the same pass on them (see
+    _xor_rref and _modp_rref); a snapshot row equal to a given row (a row
+    kept as given, as a parsed basis is) is the caller's tuple.
     """
     scale = F.byte_scalers()
     if scale is not None:
         packed = [int.from_bytes(bytes(row), "big") for row in rows]
-        return _packed_rref(F.tables()[3], scale, packed, sizes,
-                            len(rows[0]) if rows else 0, dict(zip(packed, map(tuple, rows))))
+        return _packed_bodies(F)[1](F, scale, packed, sizes, len(rows[0]) if rows else 0,
+                                    dict(zip(packed, map(tuple, rows))))
     add, mul, neg, inv = F.tables()
     reduced = {}  # pivot column -> row, zero at every other pivot column
     ncols = len(rows[0]) if rows else 0
@@ -305,9 +313,9 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
 
 
 class _ScaledRow(dict):
-    """c -> the packed int of c times one row over GF(2^e), e <= 8, rows
-    packed one byte per code (see FiniteField.byte_scalers); an entry is
-    computed, one translate, on its first lookup and kept."""
+    """c -> the packed int of c times one row, rows packed one byte per
+    code (see FiniteField.byte_scalers); an entry is computed, one
+    translate, on its first lookup and kept."""
 
     __slots__ = ("packed", "scale")
 
@@ -320,9 +328,18 @@ class _ScaledRow(dict):
         return value
 
 
-def _packed_products(table, arows) -> list:
-    """The packed rows of arows times B, from the _ScaledRow table of B's
-    rows: row a of the product is the XOR of table[j][a_j], a_j nonzero."""
+def _packed_bodies(F: FiniteField) -> tuple:
+    """The product and reduction bodies of F's packed rows: XOR lanes over
+    characteristic 2, lanes added modulo p over a prime field."""
+    if F.characteristic == 2:
+        return _xor_products, _xor_rref
+    return _modp_products, _modp_rref
+
+
+def _xor_products(F, table, arows, ncols) -> list:
+    """The packed rows of arows times B over GF(2^e), e <= 8, from the
+    _ScaledRow table of B's rows: row a of the product is the XOR of
+    table[j][a_j], a_j nonzero."""
     out = []
     for arow in arows:
         acc = 0
@@ -333,19 +350,42 @@ def _packed_products(table, arows) -> list:
     return out
 
 
-def _packed_rref(inv, scale, rows, sizes, ncols, unpacked):
+def _modp_products(F, table, arows, ncols) -> list:
+    """_xor_products over GF(p), p <= 127: a product row sums the scaled
+    rows lane by lane and folds every lane modulo p, one translate through
+    the table of products by 1, before any lane could pass 255."""
+    fold = F.byte_scalers()[1]
+    step = 255 // (F.characteristic - 1) - 1  # terms a lane below p takes within 255
+    parts = [(j, table[j:j + step]) for j in range(0, len(table), step)]
+    from_bytes = int.from_bytes
+    out = []
+    for arow in arows:
+        acc = 0
+        for j, part in parts:
+            for a, scaled in zip(arow[j:], part):
+                if a:
+                    acc += scaled[a]
+            acc = from_bytes(acc.to_bytes(ncols, "big").translate(fold), "big")
+        out.append(acc)
+    return out
+
+
+def _xor_rref(F, scale, rows, sizes, ncols, unpacked):
     """rref_code_rows over GF(2^e), e <= 8, on rows packed into ints, one
     byte per code, the first of ncols codes in the top byte; -x is x and
     x - y is x ^ y.
 
     A kept row is keyed by the shift of its pivot byte, read from
-    bit_length(), so the byte at a pivot is r >> shift & 255 and sorting the
-    shifts down lists the rows in pivot order.  unpacked maps a packed row
-    to its tuple of codes: a snapshot row found there is shared, and any
-    other is unpacked once and added, so snapshots share a row's tuple
-    until the row changes.
+    bit_length(), so the byte at a pivot is r >> shift & 255, and the
+    shifts are kept sorted, so the rows in pivot order are the shifts
+    read down.  unpacked maps a packed row to its tuple of codes: a
+    snapshot row found there is shared, and any other is unpacked once and
+    added, so snapshots share a row's tuple until the row changes.
     """
+    inv = F.tables()[3]
+    from_bytes, known = int.from_bytes, unpacked.get
     reduced = {}  # pivot shift -> packed row, zero at every other pivot
+    shifts = []  # the keys of reduced, ascending
     snapshots = []
     done = 0
     for t in (len(rows),) if sizes is None else sizes:
@@ -357,26 +397,85 @@ def _packed_rref(inv, scale, rows, sizes, ncols, unpacked):
                 if x == 1:
                     r ^= b
                 elif x:
-                    r ^= int.from_bytes(b.to_bytes(ncols, "big").translate(scale[x]), "big")
+                    r ^= from_bytes(b.to_bytes(ncols, "big").translate(scale[x]), "big")
             if r:
                 lead = r.bit_length() - 1 & -8
                 pv = r >> lead
-                if pv != 1:  # scale to a leading 1
-                    rx = r.to_bytes(ncols, "big").translate(scale[inv[pv]])
-                    r = int.from_bytes(rx, "big")
+                if pv == 1:
+                    rb = r.to_bytes(ncols, "big")
+                else:  # scale to a leading 1
+                    rb = r.to_bytes(ncols, "big").translate(scale[inv[pv]])
+                    r = from_bytes(rb, "big")
                 for s, b in reduced.items():
                     x = b >> lead & 255
                     if x == 1:
                         reduced[s] = b ^ r
                     elif x:
-                        rx = r.to_bytes(ncols, "big").translate(scale[x])
-                        reduced[s] = b ^ int.from_bytes(rx, "big")
+                        reduced[s] = b ^ from_bytes(rb.translate(scale[x]), "big")
                 reduced[lead] = r
+                insort(shifts, lead)
         done = t
         snapshot = []
-        for s in sorted(reduced, reverse=True):
+        for s in reversed(shifts):
             r = reduced[s]
-            u = unpacked.get(r)
+            u = known(r)
+            if u is None:
+                u = unpacked[r] = tuple(r.to_bytes(ncols, "big"))
+            snapshot.append(u)
+        snapshots.append(tuple(snapshot))
+    return snapshots
+
+
+def _modp_rref(F, scale, rows, sizes, ncols, unpacked):
+    """_xor_rref over GF(p), p <= 127: x - c y is x + (p - c) y, one
+    translate, then p is taken off every lane that reached p, the lanes
+    where adding 128 - p sets the top bit.  Both lanes are below p, so
+    their sum stays below 2p - 1 <= 252 and one subtraction reduces it.
+    """
+    p = F.characteristic
+    inv = F.tables()[3]
+    from_bytes, known = int.from_bytes, unpacked.get
+    top = from_bytes(b"\x80" * ncols, "big")  # the top bit of every lane
+    lift = from_bytes(bytes([128 - p]) * ncols, "big")
+    reduced = {}  # pivot shift -> packed row, zero at every other pivot
+    shifts = []  # the keys of reduced, ascending
+    snapshots = []
+    done = 0
+    for t in (len(rows),) if sizes is None else sizes:
+        for r in rows[done:t]:
+            if len(reduced) == ncols:
+                break
+            for s, b in reduced.items():
+                x = r >> s & 255
+                if x:
+                    if x == p - 1:
+                        r += b
+                    else:
+                        r += from_bytes(b.to_bytes(ncols, "big").translate(scale[p - x]), "big")
+                    r -= ((r + lift & top) >> 7) * p
+            if r:
+                lead = r.bit_length() - 1 & -8
+                pv = r >> lead
+                if pv == 1:
+                    rb = r.to_bytes(ncols, "big")
+                else:  # scale to a leading 1
+                    rb = r.to_bytes(ncols, "big").translate(scale[inv[pv]])
+                    r = from_bytes(rb, "big")
+                for s, b in reduced.items():
+                    x = b >> lead & 255
+                    if x:
+                        if x == p - 1:
+                            b += r
+                        else:
+                            b += from_bytes(rb.translate(scale[p - x]), "big")
+                        reduced[s] = b - ((b + lift & top) >> 7) * p
+                reduced[lead] = r
+                insort(shifts, lead)
+        done = t
+        snapshot = []
+        for s in reversed(shifts):
+            r = reduced[s]
+            u = known(r)
             if u is None:
                 u = unpacked[r] = tuple(r.to_bytes(ncols, "big"))
             snapshot.append(u)

@@ -9,7 +9,8 @@ forward half `matrices.rank_code_rows`; a Gauss-Jordan on the reference
 arithmetic, which never reads the field tables, is the independent check of
 both and of each of their callers.  Both applies run `act_code_rows`, the
 product by the acting matrix followed by `rref_code_rows`, which over
-GF(2^e), e <= 8, reads the matrix's kept table of scaled rows.
+GF(2^e), e <= 8, and GF(p), p <= 127, reads the matrix's kept table of
+scaled rows.
 """
 
 import pickle
@@ -22,7 +23,7 @@ from flagcodes import (Flag, Matrix, Subspace, extend_field, flag_distance,
                        level_distances, make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
-from flagcodes.matrices import (_packed_products, act_code_rows, mul_code_rows,
+from flagcodes.matrices import (_packed_bodies, act_code_rows, mul_code_rows,
                                 rank_code_rows, rref_code_rows)
 
 
@@ -166,17 +167,19 @@ def _field(p, e):
 
 
 @pytest.mark.parametrize("p, e", [
-    (2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 8),
-    pytest.param(2, (2, 2), id="2-2x2"), (2, 11)])
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (2, 8), (127, 1), (131, 1),
+    (3, 2), pytest.param(2, (2, 2), id="2-2x2"), (2, 11)])
 def test_row_reduction_kernel_matches_reference(p, e):
     """Every reduction runs through rref_code_rows, or rank_code_rows where
     only a rank is read; check both, every prefix rank of the second,
     mul_code_rows, and each caller against Gauss-Jordan in the reference
     arithmetic.  Characteristic 2 up to order 256 (GF(16) over GF(4)
-    included) runs the packed rows, one byte per code; GF(2^11) and odd
-    characteristic run the tables."""
+    included) runs the packed rows added by XOR, and GF(p), p <= 127, the
+    packed rows added modulo p, one byte per code; GF(2^11), GF(9) and
+    GF(131) run the tables."""
     F = _field(p, e)
-    assert (F.byte_scalers() is not None) == (p == 2 and F.order <= 256)
+    assert (F.byte_scalers() is not None) == (
+        p == 2 and F.order <= 256 or F.order == p <= 127)
     rng = random.Random(f"rref:{p}^{e}")
     assert rref_code_rows(F, []) == [()]
     assert rref_code_rows(F, [], ()) == []
@@ -206,6 +209,13 @@ def test_row_reduction_kernel_matches_reference(p, e):
         B = _random_rows(rng, F, n, n)
         assert mul_code_rows(F, rows, B, n) == ref_product(F, rows, B)
     assert rref_code_rows(F, Matrix(F, [], 3).rows) == [()]
+    # the scalar q - 1 times rows of ones: over GF(127) three lanes of 126
+    # pass 255, so a product that added them unreduced would carry into
+    # the next code
+    for n in (3, 5, 12):
+        rows = [(F.order - 1,) * n, (1,) * n]
+        B = [(1,) * n] * n
+        assert mul_code_rows(F, rows, B, n) == ref_product(F, rows, B)
     rank = lambda rows: len(ref_rref(F, rows))
     for n in (1, 3, 5):
         for _ in range(5 if F.order < 1024 else 2):
@@ -254,7 +264,8 @@ def _scalar_rows(rng, F, count, n):
 
 
 @pytest.mark.parametrize("p, e", [
-    (2, 1), (2, 2), (2, 3), (2, 8), pytest.param(2, (2, 2), id="2-2x2"), (3, 1)])
+    (2, 1), (2, 2), (2, 3), (2, 8), pytest.param(2, (2, 2), id="2-2x2"), (3, 1),
+    (5, 1), (7, 1), (127, 1), (131, 1), (3, 2)])
 def test_action_kernel_matches_reference(p, e):
     """act_code_rows is rref_code_rows after mul_code_rows, and the packed
     product read from a matrix's table of scaled rows is the product, on
@@ -271,9 +282,10 @@ def test_action_kernel_matches_reference(p, e):
             assert mul_code_rows(F, rows, A.rows, n) == product
             if scale is not None:
                 packed = [int.from_bytes(bytes(r), "big") for r in product]
-                assert _packed_products(A._scaled_rows(scale), rows) == packed
+                products = _packed_bodies(F)[0]
+                assert products(F, A._scaled_rows(scale), rows, n) == packed
                 # a second pass reads the filled table
-                assert _packed_products(A._scaled_rows(scale), rows) == packed
+                assert products(F, A._scaled_rows(scale), rows, n) == packed
             snaps = act_code_rows(F, rows, A, sizes)
             assert snaps == rref_code_rows(F, product, sizes)
             assert act_code_rows(F, rows, A) == [snaps[-1]] == [ref_rref(F, product)]

@@ -244,6 +244,11 @@ def test_parse_rejects_with_line_numbers(tmp_path):
     expect_error(good[:2] + ["ambient n=\u0663"] + good[3:], 3)
     expect_error(good[:3] + ["type 1,\u0662"] + good[4:], 4)
     expect_error(good[:6] + ["subspace k=\u0661"] + good[7:], 7)
+    # so are row entries: int() would read each of these as a code
+    expect_error(good[:7] + ["1 0 +0"] + good[8:], 8)
+    expect_error(good[:9] + ["1 0_0 0"] + good[10:], 10)
+    expect_error(good[:10] + ["0 \u0661 0"] + good[11:], 11)
+    expect_error(good[:7] + [f"1 0 {padded}0"] + good[8:], 8)  # past int()'s digits
     # duplicate members, reported once the second copy is complete
     dup = good[:4] + ["count 2"] + good[5:] + good[5:]
     expect_error(dup, 17)

@@ -166,10 +166,8 @@ def test_spread_context_rejects_bad_shapes(F2):
         pass
     else:
         raise AssertionError("s = 1 has no proper lines to reduce")
-    try:
+    with pytest.raises(BadDimensionsError):
         build_spread_context(F2, 0, 2)
-    except BadDimensionsError:
-        pass
 
 
 @pytest.mark.parametrize("e, size", [(1, 7), (2, 21)])
@@ -257,10 +255,8 @@ def test_spread_type_gate(ctx_q3k3s2, ctx_q2k2s2):
         pass
     else:
         raise AssertionError("5 does not divide 728")
-    try:
+    with pytest.raises(NotADivisorError):
         table_row(ctx_q3k3s2, 0)
-    except NotADivisorError:
-        pass
     try:
         spread_type_orbit_odfc(ctx_q2k2s2, 3)
     except GcdConditionFailedError:
@@ -396,10 +392,8 @@ def test_full_type_input_gates(ftx_q2k2, F2):
         pass
     else:
         raise AssertionError("rank-1 U1 accepted")
-    try:
+    with pytest.raises(RankDeficientError):
         full_type_generator_flag(ftx_q2k2, U2=[[0, 0, 0], [0, 0, 0]])
-    except RankDeficientError:
-        pass
     # default v1 = 0, v2 = e1: forcing (v1 | v2) into rowsp(U1 | U2)
     try:
         full_type_generator_flag(ftx_q2k2, v1=[[1, 0]], v2=[[0, 1, 0]])
@@ -413,10 +407,8 @@ def test_full_type_input_gates(ftx_q2k2, F2):
         pass
     else:
         raise AssertionError("v2 inside rowsp(U2) makes V2 singular")
-    try:
+    with pytest.raises(BadDimensionsError):
         full_type_generator_flag(ftx_q2k2, U1=[[1, 0, 0], [0, 1, 0]])
-    except BadDimensionsError:
-        pass
 
     flag = full_type_generator_flag(ftx_q2k2)
     partial = [s for s in flag.subspaces if s.dim != 2]
@@ -530,16 +522,16 @@ def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
     assert built and all(sum(f is m for f in built) <= 1 for m in code)
 
 
-def test_a_lineage_shares_one_row_pool(F4):
+def _check_one_row_pool(F, t, size):
     """Every image Flag.apply reaches from a flag shares that flag's row
-    memo: across the 65-flag maximum code for q=4, k=3, s=2, each row value
-    a walk computed is one tuple.  Two builds share no pool and no row, and
+    memo: across the maximum code for k=3, s=2 over F, each row value a
+    walk computed is one tuple.  Two builds share no pool and no row, and
     a flag made by Flag(...) or parsed from a file has no pool."""
-    ctx = build_spread_context(F4, 3, 2)
+    ctx = build_spread_context(F, 3, 2)
     seed = canonical_admissible_flag(ctx)
     assert seed._pool is None
-    codes = [spread_type_max_odfc(ctx, 13) for _ in range(2)]
-    assert codes[0] == codes[1] and len(codes[0]) == 65
+    codes = [spread_type_max_odfc(ctx, t) for _ in range(2)]
+    assert codes[0] == codes[1] and len(codes[0]) == size
     row_ids = []
     for code in codes:
         pool = code.members[0]._pool
@@ -558,3 +550,14 @@ def test_a_lineage_shares_one_row_pool(F4):
     parsed = parse_code_file(format_flag_code(codes[0])).code
     assert parsed == codes[0]
     assert all(f._pool is None for f in parsed)
+
+
+def test_a_lineage_shares_one_row_pool(F4):
+    """The 65-flag maximum code for q=4: rows packed by XOR lanes."""
+    _check_one_row_pool(F4, 13, 65)
+
+
+def test_an_odd_lineage_shares_one_row_pool(F3):
+    """The 28-flag maximum code for q=3: rows packed in lanes added
+    modulo 3, so an odd walk unpacks each row once too."""
+    _check_one_row_pool(F3, 14, 28)

@@ -94,10 +94,8 @@ def test_non_prime_characteristic_rejected():
         pass
     else:
         raise AssertionError("4 is not prime")
-    try:
+    with pytest.raises(FieldConstructionError):
         make_field(1, 1)
-    except FieldConstructionError:
-        pass
 
 
 def test_primitive_element_orders():

@@ -94,10 +94,8 @@ def test_projections_and_disjointness():
         pass
     else:
         raise AssertionError("positions count from 1")
-    try:
+    with pytest.raises(IndexError):
         projected_code(code, 3)
-    except IndexError:
-        pass
 
 
 def test_example_code_is_not_odfc():

@@ -26,6 +26,20 @@ def test_no_assert_statements():
     assert sorted(SRC.glob("*.py")) and not found, found
 
 
+def test_no_test_passes_when_nothing_is_raised():
+    """A test that expects an error says so with pytest.raises, or with an
+    else that fails: a try whose handler only passes and that has no else
+    passes when the call raises nothing."""
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Try) and not node.orelse
+                  and any(all(isinstance(s, ast.Pass) for s in h.body)
+                          for h in node.handlers)]
+    assert not found, found
+
+
 def test_package_exports_resolve_to_library_objects():
     assert len(set(flagcodes.__all__)) == len(flagcodes.__all__)
     for name in flagcodes.__all__:

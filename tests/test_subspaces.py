@@ -43,10 +43,8 @@ def test_distance_bounds_frozen():
             pass
         else:
             raise AssertionError(f"accepted {bad}")
-    try:
+    with pytest.raises(BadDimensionsError):
         partial_spread_size_bound(4, 4, 2)
-    except BadDimensionsError:
-        pass
 
 
 def test_canonical_form_identifies_equal_spans():
