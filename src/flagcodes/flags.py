@@ -11,8 +11,10 @@ Whether a code attains that bound is decided by its projections at the two
 critical levels a = max{i : 2 t_i <= n} and b = min{i : 2 t_i >= n}: the
 code is optimum distance iff both projected codes carry the full cardinality
 and attain the maximum subspace distance of their dimension.  Both routes
-(definition and characterization) are implemented and kept in agreement by
-the tests.
+are implemented as independent computations: the definition by the flag
+pair scan, the characterization by each critical projection's own
+min_distance, which a cover scan decides at the maximum (see
+SubspaceCode).  The tests keep them in agreement.
 
 A Flag is its levels: each level's canonical RREF rows, the rows every
 reader takes, from equality, hashing and sorting to writing and the seen
@@ -39,12 +41,11 @@ pool until its first apply.
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
 level_distances feeds both adapted bases in level by level and reads every
-level's distance from the rank after it, so a code's one pair pass keeps
-the flag minimum and each level's minimum alike.  That pass takes each
-member's adapted basis once, not once per pair.  An orbit code carries its
-group generator, and so do its projections and unions with it first;
-min_distance walks it through the code, and never trusts it, before it
-skips any pair (see subspaces).
+level's distance from the rank after it.  A flag keeps its adapted basis,
+so a code's pair scan builds each member's once, not once per pair.  An
+orbit code carries its group generator, and so do its projections and
+unions with it first; min_distance walks it through the code, and never
+trusts it, before it skips any pair (see subspaces).
 """
 
 from math import gcd
@@ -54,7 +55,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, act_code_rows, rank_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit, scan_pairs)
+                        group_orbit)
 
 
 class Flag:
@@ -189,25 +190,20 @@ class Flag:
 
 
 def level_distances(F: Flag, G: Flag) -> tuple:
-    """(d(F_1, G_1), ..., d(F_r, G_r)) from one rank elimination."""
-    F._check_mate(G)
-    return _adapted_level_distances(F.field, F.dims, F._adapted_rows(),
-                                    G._adapted_rows())
+    """(d(F_1, G_1), ..., d(F_r, G_r)) from one rank elimination.
 
-
-def _adapted_level_distances(field, dims, a, b) -> tuple:
-    """level_distances of two flags of type dims given by adapted rows a, b.
-
-    The rows of both go in level by level, so the first 2 t_i rows span
-    F_i + G_i, and the rank after them is its dimension:
+    The adapted rows of both go in level by level, so the first 2 t_i rows
+    span F_i + G_i, and the rank after them is its dimension:
     d_i = 2 dim(F_i + G_i) - 2 t_i.
     """
+    F._check_mate(G)
+    dims, a, b = F.dims, F._adapted_rows(), G._adapted_rows()
     rows = []
     lo = 0
     for t in dims:
         rows += a[lo:t] + b[lo:t]
         lo = t
-    ranks = rank_code_rows(field, rows, [2 * t for t in dims])
+    ranks = rank_code_rows(F.field, rows, [2 * t for t in dims])
     return tuple(2 * (r - t) for r, t in zip(ranks, dims))
 
 
@@ -248,35 +244,6 @@ class FlagCode(Code):
     def _distance(self):
         return flag_distance  # read at call time, as in SubspaceCode
 
-    def _scan(self) -> int:
-        """The flag minimum and every level's minimum, from one pass.
-
-        Each member's adapted rows are read once, into a table local to
-        the scan, and each pair scan_pairs gives costs one
-        _adapted_level_distances, read at call time: one rank elimination.
-        Besides the least flag distance, the pass keeps, for each
-        level, the least nonzero level distance (0 when the level has one
-        distinct member) as that projection's min_distance.  That is exact,
-        also on a generator walk: two distinct level-i subspaces are level i
-        of some pair of flags, and the walk maps that pair to a scanned pair
-        with the same level distances.
-        """
-        field, dims = self.field, self.dims
-        adapted = {f: f._adapted_rows() for f in self.members}
-        best = None
-        levels = [0] * len(dims)
-        for f, g in scan_pairs(self):
-            ds = _adapted_level_distances(field, dims, adapted[f], adapted[g])
-            d = sum(ds)
-            if best is None or d < best:
-                best = d
-            for i, x in enumerate(ds):
-                if x and (x < levels[i] or not levels[i]):
-                    levels[i] = x
-        for i, x in enumerate(levels, start=1):
-            projected_code(self, i)._min_distance = x
-        return 0 if best is None else best
-
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "
                 f"on GF({self.field.order})^{self.n})")
@@ -316,7 +283,8 @@ def is_odfc_by_characterization(code: FlagCode) -> bool:
     """Optimum distance decided at the critical levels only.
 
     On an orbit code Stab(F) <= Stab(F_i), so full cardinality at level i
-    is the paper's orbit condition |Stab(F_i)| = |Stab(F)|.
+    is the paper's orbit condition |Stab(F_i)| = |Stab(F)|.  Each critical
+    projection's distance is its own min_distance, not the flag scan's.
     """
     if len(code) < 2:
         return False

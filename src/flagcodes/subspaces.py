@@ -136,9 +136,9 @@ class Code:
     sorted by `key`, their canonical rows.  `generator`, when given, is an
     n x n matrix over the field whose orbits min_distance may use once it
     has walked them (see scan_pairs).  Each kind names its pair distance in
-    `_distance()` and may replace the scan, `_scan()`, that fills the kept
-    min_distance.  Two codes are equal when they are of one kind and hold
-    the same members.
+    `_distance()`; `_scan()`, the pair scan unless a kind replaces it,
+    computes the kept min_distance of that code alone.  Two codes are
+    equal when they are of one kind and hold the same members.
     """
 
     __slots__ = ("field", "n", "members", "_set", "generator", "_min_distance")
@@ -211,6 +211,19 @@ class SubspaceCode(Code):
 
     def _distance(self):
         return subspace_distance  # read at call time, so a wrapper sees each pair
+
+    def _scan(self) -> int:
+        """The maximum distance when the cover scan certifies it, else pairs.
+
+        Two or more members reach 2 min(k, n - k) exactly when they form a
+        partial spread (2k <= n) or their duals do (2k > n, see dual_code).
+        Above _COVER_LIMIT_BITS points the pair scan runs alone.
+        """
+        q = self.field.order
+        if len(self) > 1 and (q ** self.n - 1) // (q - 1) <= _COVER_LIMIT_BITS:
+            if is_partial_spread(dual_code(self) if 2 * self.dim > self.n else self):
+                return max_distance_bound(self.n, self.dim)
+        return min_pair_distance(self, self._distance())
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1
@@ -342,7 +355,7 @@ def member_points(sub: Subspace) -> list:
     return points
 
 
-# above a bitmap of this many points the spread checks ask min_distance()
+# above a bitmap of this many points the spread checks scan pairs
 _COVER_LIMIT_BITS = 1 << 25
 
 
@@ -357,8 +370,9 @@ def is_partial_spread(code: SubspaceCode) -> bool:
     before any point is built; a member that reaches the scan then has
     (q^k - 1)/(q - 1) points with 2k <= n, about the square root of the
     bitmap's size.  Above _COVER_LIMIT_BITS points, a size the header fixes,
-    it asks the code's min_distance() instead: distinct k-subspaces meet
-    trivially iff their distance is 2k.
+    it scans pairs instead, with min_pair_distance: distinct k-subspaces
+    meet trivially iff their distance is 2k.  SubspaceCode.min_distance
+    reads its maximum from this scan.
     """
     if len(code) == 1:
         return True
@@ -367,7 +381,7 @@ def is_partial_spread(code: SubspaceCode) -> bool:
     q = code.field.order
     bits = (q ** code.n - 1) // (q - 1)
     if bits > _COVER_LIMIT_BITS:
-        return code.min_distance() == 2 * code.dim
+        return min_pair_distance(code, subspace_distance) == 2 * code.dim
     seen = bytearray((bits + 7) >> 3)
     for m in code.members:
         for x in member_points(m):

@@ -105,13 +105,15 @@ def test_construct_then_verify_agree(tmp_path, capsys):
 
 
 def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
-    # 28 flags of 5 levels: one flag pair scan builds each flag's adapted
-    # rows once and runs one rank elimination per pair, and no canonical
-    # one; it fills the flag minimum and every level's minimum, which both
-    # verdicts then read; no level is scanned again
+    # 28 flags of type (1, 2, 3, 4, 5) on GF(3)^6: the definition verdict
+    # runs one flag pair scan, one rank elimination per pair and no
+    # canonical one, building each flag's adapted rows once; each level
+    # runs its own cover scan, on its duals where 2t > n, which certifies
+    # its maximum, so no level scans a pair
     path = os.path.join(tmp_path, "t56.flagcode")
     write_flag_code(spread_type_orbit_odfc(ctx_q3k3s2, 56), path)
-    calls = dict.fromkeys(("scans", "pairs", "ranks", "rrefs", "adapted",
+    calls = dict.fromkeys(("flag scans", "pairs", "ranks", "rrefs", "adapted",
+                           "level scans", "cover scans", "duals",
                            "subspace pairs"), 0)
     scanning = []
 
@@ -124,19 +126,27 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
             return original(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(flags, "_adapted_level_distances", "pairs")
+    counted(flags, "flag_distance", "pairs")
     counted(flags, "rank_code_rows", "ranks")
     # a canonical elimination is rref_code_rows, or act_code_rows, the
     # product by a matrix followed by it
     for module, name in ((flags, "act_code_rows"), (subspaces, "act_code_rows"),
                          (subspaces, "rref_code_rows"), (matrices, "rref_code_rows")):
         counted(module, name, "rrefs")
-    counted(flags.Flag, "_adapted_rows", "adapted")
+    adapted = flags.Flag._adapted_rows
+
+    def counted_adapted(f):
+        calls["adapted"] += f._adapted is None  # a build, not a kept read
+        return adapted(f)
+    monkeypatch.setattr(flags.Flag, "_adapted_rows", counted_adapted)
+    counted(subspaces.SubspaceCode, "_scan", "level scans", scan_only=False)
+    counted(subspaces, "is_partial_spread", "cover scans", scan_only=False)
+    counted(subspaces, "dual_code", "duals", scan_only=False)
     counted(subspaces, "subspace_distance", "subspace pairs", scan_only=False)
-    scan = flags.FlagCode._scan
+    scan = subspaces.Code._scan
 
     def counted_scan(code):
-        calls["scans"] += 1
+        calls["flag scans"] += 1
         scanning.append(code)
         try:
             return scan(code)
@@ -147,9 +157,31 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
     assert rc == 0
     report = json.loads(stdout)
     assert report["size"] == 28 and report["verdicts_agree"] is True
+    assert [lv["dim"] for lv in report["levels"]] == [1, 2, 3, 4, 5]
     pairs = 28 * 27 // 2
-    assert calls == {"scans": 1, "pairs": pairs, "ranks": pairs, "rrefs": 0,
-                     "adapted": 28, "subspace pairs": 0}
+    assert calls == {"flag scans": 1, "pairs": pairs, "ranks": pairs, "rrefs": 0,
+                     "adapted": 28, "level scans": 5, "cover scans": 5,
+                     "duals": 2, "subspace pairs": 0}
+
+
+def test_verdicts_are_independent(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
+    # a flag rank kernel that reads every rank one short fails the
+    # definition verdict alone: the characterization reads its critical
+    # level from that projection's own cover scan, not from the flag scan
+    code = spread_type_orbit_odfc(ctx_q3k3s2, 56)
+    path = os.path.join(tmp_path, "t56.flagcode")
+    write_flag_code(code, path)
+    rank = flags.rank_code_rows
+    monkeypatch.setattr(flags, "rank_code_rows",
+                        lambda *args: [r - 1 for r in rank(*args)])
+    assert not flags.is_odfc_by_definition(code)
+    assert flags.is_odfc_by_characterization(code)
+    rc, stdout, _ = run(capsys, "verify", path)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report["odfc_by_definition"] is False
+    assert report["odfc_by_characterization"] is True
+    assert report["verdicts_agree"] is False
 
 
 def test_verify_spread_runs_one_cover_scan(tmp_path, capsys, monkeypatch):

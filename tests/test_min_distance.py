@@ -17,9 +17,9 @@ from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        canonical_admissible_flag,
                        flag_distance_bound, full_type_generator_flag,
                        is_odfc_by_characterization, is_odfc_by_definition,
-                       is_partial_spread, orbit_flag, orbit_subspace,
-                       projected_code, singer_group, spread_type_max_odfc,
-                       subspace_distance, union_flag_codes)
+                       is_partial_spread, max_distance_bound, orbit_flag,
+                       orbit_subspace, projected_code, singer_group,
+                       spread_type_max_odfc, subspace_distance, union_flag_codes)
 from flagcodes import flags, subspaces
 from flagcodes.subspaces import min_pair_distance, orbit_walk, scan_pairs
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError, ShapeError,
@@ -80,22 +80,21 @@ def test_generator_must_act_on_the_code(F2, F3):
 def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
     T = ctx_q3k3s2.group.subgroup_of_order(56)
     flag_code, _ = orbit_flag(T, canonical_admissible_flag(ctx_q3k3s2))
-    spread = ctx_q3k3s2.spread
-    # a fresh copy: the shared context's spread may keep an earlier answer
-    sub_code = SubspaceCode(spread, generator=spread.generator)
+    # a subspace orbit below its maximum 6, so no cover scan decides it
+    e = Matrix.identity(ctx_q3k3s2.base_field, 6).rows
+    sub_code, _ = orbit_subspace(T, Subspace(ctx_q3k3s2.base_field, 6,
+                                             [e[0], e[1], e[3]]))
     assert len(flag_code) == len(sub_code) == 28
     pairs = []
     applies = []
-    # the flag scan reads each flag's adapted rows from a table it builds,
-    # so its pair distance takes rows; the full scan reaches the same one
-    for module, name, member in ((flags, "_adapted_level_distances", Flag),
+    for module, name, member in ((flags, "flag_distance", Flag),
                                  (subspaces, "subspace_distance", Subspace)):
         distance, apply = getattr(module, name), member.apply
         monkeypatch.setattr(module, name, lambda *args, d=distance:
                             pairs.append(1) or d(*args))
         monkeypatch.setattr(member, "apply", lambda x, A, a=apply:
                             applies.append(1) or a(x, A))
-    for code, d in ((flag_code, 18), (sub_code, 6)):
+    for code, d in ((flag_code, 18), (sub_code, 2)):
         pairs.clear()
         applies.clear()
         assert code.min_distance() == d
@@ -153,11 +152,11 @@ def test_max_code_scans_one_representative_per_chain(name, t, count, request,
                                                      monkeypatch):
     # a maximum spread-type code of M members keeps r = min(m, |O_0|)
     # representatives, |O_0| g-chains or m T-orbits, and scans
-    # r M - r (r + 1) / 2 pairs, each one _adapted_level_distances
+    # r M - r (r + 1) / 2 pairs, each one flag_distance
     code = spread_type_max_odfc(request.getfixturevalue(name), t)
     pairs = []
-    distance = flags._adapted_level_distances
-    monkeypatch.setattr(flags, "_adapted_level_distances",
+    distance = flags.flag_distance
+    monkeypatch.setattr(flags, "flag_distance",
                         lambda *args: pairs.append(1) or distance(*args))
     d = code.min_distance()
     assert len(pairs) == count
@@ -250,8 +249,9 @@ def _sharing(rng, flag, j):
 
 
 @pytest.mark.parametrize("name, t", [("ctx_q2k2s2", 5), ("ctx_q3k3s2", 56)])
-def test_flag_scan_keeps_every_level_minimum(name, t, request, monkeypatch):
-    """One flag pass fills every projection's min_distance, exactly."""
+def test_every_level_minimum_is_exact(name, t, request):
+    """Each projection computes its own min_distance, exactly, and the
+    flag scan keeps none of them."""
     ctx = request.getfixturevalue(name)
     rng = random.Random(f"levels:{name}")
     base = canonical_admissible_flag(ctx)
@@ -271,26 +271,22 @@ def test_flag_scan_keeps_every_level_minimum(name, t, request, monkeypatch):
              FlagCode([base]),
              # level 1 has one distinct member, level 2 two
              FlagCode([base, _sharing(rng, base, 1), _sharing(rng, base, 2)])]
-    distance = subspaces.subspace_distance
+    below = 0
     for code in codes:
-        assert projected_code(code, 1)._min_distance is None
-        d = code.min_distance()
-        calls = []
-        monkeypatch.setattr(subspaces, "subspace_distance",
-                            lambda u, v: calls.append(1) or distance(u, v))
-        kept = [projected_code(code, i).min_distance()
-                for i in range(1, len(code.dims) + 1)]
-        assert not calls  # every level was kept by the flag scan
-        monkeypatch.setattr(subspaces, "subspace_distance", distance)
-        assert d == code.min_distance(full=True)
-        assert kept == [projected_code(code, i).min_distance(full=True)
-                        for i in range(1, len(code.dims) + 1)], code
+        assert code.min_distance() == code.min_distance(full=True)
+        levels = [projected_code(code, i) for i in range(1, len(code.dims) + 1)]
+        assert all(proj._min_distance is None for proj in levels)
+        kept = [proj.min_distance() for proj in levels]
+        assert kept == [proj.min_distance(full=True) for proj in levels], code
+        below += sum(0 < d < max_distance_bound(code.n, proj.dim)
+                     for d, proj in zip(kept, levels))
+    assert below  # some levels miss their maximum and fall to pairs
     assert [len(projected_code(codes[1], i)) for i in (1, 2)] == \
            [2 * len(orbit), len(orbit)]
     assert len(projected_code(codes[2], 1)) == len(orbit)
     assert kept[0] == 0 and kept[1] > 0
     assert codes[4].min_distance() == 0
-    # a projection asked before the flag scan scans itself, and agrees
+    # a projection asked before the flag scan agrees with one asked after
     code = FlagCode(list(codes[2]), generator=T.generator)
     before = projected_code(code, 2).min_distance()
     assert code.min_distance() == codes[2].min_distance()

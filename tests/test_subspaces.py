@@ -163,19 +163,31 @@ def test_spread_recognition():
 
 @pytest.mark.parametrize("cover_limit", [subspaces._COVER_LIMIT_BITS, 0])
 def test_spread_predicates_agree_on_both_routes(cover_limit, monkeypatch):
-    """The cover scan, and above _COVER_LIMIT_BITS the code's min_distance()."""
+    """The cover scan, and above _COVER_LIMIT_BITS one pair scan, for the
+    spread predicates and for min_distance() alike."""
     monkeypatch.setattr(subspaces, "_COVER_LIMIT_BITS", cover_limit)
+    pairs = []
+    distance = subspaces.subspace_distance
+    monkeypatch.setattr(subspaces, "subspace_distance",
+                        lambda u, v: pairs.append(1) or distance(u, v))
     F2 = make_field(2, 1)
     ctx = build_spread_context(F2, 2, 3)
     S, H = ctx.spread, ctx.hyperplanes
-    cases = [(S, (True, True)),
-             (H, (False, False)),
-             (SubspaceCode(S.members[:3]), (True, False)),
-             (SubspaceCode(S.members[:1]), (True, False)),
-             (SubspaceCode(list(enumerate_grassmannian(F2, 2, 4))[:3]), (False, False)),
-             (dual_code(H), (True, True))]
-    for code, expected in cases:
+    cases = [(S, (True, True), 4),
+             (H, (False, False), 4),
+             (SubspaceCode(S.members[:3]), (True, False), 4),
+             (SubspaceCode(S.members[:1]), (True, False), 0),
+             (SubspaceCode(list(enumerate_grassmannian(F2, 2, 4))[:3]), (False, False), 2),
+             (dual_code(H), (True, True), 4)]
+    for code, expected, d in cases:
         assert (is_partial_spread(code), is_spread(code)) == expected, code
+        # a fresh copy, without a generator: every pair or none is scanned
+        pairs.clear()
+        fresh = SubspaceCode(code.members)
+        assert fresh.min_distance() == d, code
+        m = len(fresh)
+        at_max = m > 1 and d == max_distance_bound(fresh.n, fresh.dim)
+        assert len(pairs) == (0 if cover_limit and at_max else m * (m - 1) // 2)
 
 
 def test_spread_covers_every_vector_once():
