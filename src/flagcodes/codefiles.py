@@ -26,6 +26,7 @@ text is never held whole in memory; format_* join the same blocks into one
 string.
 """
 
+import io
 import re
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -141,23 +142,43 @@ def write_subspace_code(code: SubspaceCode, path, tower=None):
 
 
 class _Cursor:
+    """The nonblank lines of a file's text, stripped, read one at a time with
+    the numbers str.splitlines() gives them; no list of the lines is kept.
+    last_line is the number of the last line read, 1 before the first.
+
+    rows is the parse's memo of basis rows, from a row's stripped text to
+    its checked tuple (see _parse_subspace): it lives as long as the cursor.
+    """
+
     def __init__(self, text: str):
-        self.lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
-                      if ln.strip()]
-        self.pos = 0
-        self.last_line = self.lines[-1][0] if self.lines else 1
+        self._lines = _numbered_lines(text)
+        self.last_line = 1
+        self.rows = {}
 
     def next(self, what: str) -> tuple:
-        if self.pos >= len(self.lines):
+        item = next(self._lines, None)
+        if item is None:
             raise CodeFileError(self.last_line, f"unexpected end of file, wanted {what}")
-        item = self.lines[self.pos]
-        self.pos += 1
+        self.last_line = item[0]
         return item
 
     def done(self):
-        if self.pos < len(self.lines):
-            no, ln = self.lines[self.pos]
-            raise CodeFileError(no, f"trailing content: {ln!r}")
+        item = next(self._lines, None)
+        if item is not None:
+            raise CodeFileError(item[0], f"trailing content: {item[1]!r}")
+
+
+def _numbered_lines(text: str) -> Iterator[tuple]:
+    """(number, stripped line) for each nonblank line of text.  A physical
+    line ends at \\n, \\r or \\r\\n, and splitlines() splits it at the rarer
+    boundaries, so the numbers are those of text.splitlines()."""
+    no = 0
+    for physical in io.StringIO(text, newline=""):
+        for ln in physical.splitlines():
+            no += 1
+            ln = ln.strip()
+            if ln:
+                yield no, ln
 
 
 def _expect(cur: _Cursor, pattern: str, what: str):
@@ -179,25 +200,35 @@ def _number(no: int, digits: str, limit: int, what: str) -> int:
     return int(digits)
 
 
+def _row(no: int, ln: str, n: int, q: int) -> tuple:
+    """The codes of a basis row's text, refused unless they are n codes
+    below q written in ASCII digits."""
+    if ln.strip("0123456789 \t"):  # int() would also read +0, 0_0 and other scripts
+        raise CodeFileError(no, f"row entries are ASCII digits, got {ln!r}")
+    toks = ln.split()
+    if len(toks) != n:
+        raise CodeFileError(no, f"row has {len(toks)} entries, ambient is {n}")
+    try:
+        row = tuple(map(int, toks))
+    except ValueError:  # more digits than int() reads
+        raise CodeFileError(no, f"entry too long in {ln!r}") from None
+    if max(row) >= q:  # no sign, so no entry is negative
+        raise CodeFileError(no, f"entry out of range [0, {q})")
+    return row
+
+
 def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
     no, m = _expect(cur, r"subspace k=([0-9]+)", f"subspace k={expect_dim}")
     k = _number(no, m.group(1), n, "subspace k")
     if k != expect_dim:
         raise CodeFileError(no, f"subspace declares k={k}, type wants {expect_dim}")
     rows = []
+    memo = cur.rows
     for _ in range(k):
         rno, ln = cur.next("a basis row")
-        if ln.strip("0123456789 \t"):  # int() would also read +0, 0_0 and other scripts
-            raise CodeFileError(rno, f"row entries are ASCII digits, got {ln!r}")
-        toks = ln.split()
-        if len(toks) != n:
-            raise CodeFileError(rno, f"row has {len(toks)} entries, ambient is {n}")
-        try:
-            row = list(map(int, toks))
-        except ValueError:  # more digits than int() reads
-            raise CodeFileError(rno, f"entry too long in {ln!r}") from None
-        if max(row) >= field.order:  # no sign, so no entry is negative
-            raise CodeFileError(rno, f"entry out of range [0, {field.order})")
+        row = memo.get(ln)
+        if row is None:
+            row = memo[ln] = _row(rno, ln, n, field.order)
         rows.append(row)
     sub = Subspace._from_rref(field, n, rref_code_rows(field, rows)[0])
     if sub.dim != k:
@@ -271,4 +302,5 @@ def read_code_file(path) -> CodeFileData:
         # the valid prefix plus one character ends on the bad byte's line
         line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
         raise CodeFileError(line, "not valid UTF-8") from None
+    del raw  # the parse holds the text alone
     return parse_code_file(text)

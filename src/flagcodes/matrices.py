@@ -143,20 +143,11 @@ class Matrix:
 
     def kernel(self) -> "Matrix":
         """Basis rows of {x : M x^T = 0}, whose span is the dual of M's row
-        space (see Subspace.dual); shape (ncols - rank) x ncols."""
+        space; shape (ncols - rank) x ncols.  The rows are reduced, then
+        kernel_code_rows reads the basis off them, as Subspace.dual does."""
         reduced = rref_code_rows(self.field, self.rows)[0]
-        neg = self.field.neg_code
-        piv_of_col = {r.index(1): r for r in reduced}
-        out = []
-        for f in range(self.ncols):
-            if f in piv_of_col:
-                continue
-            v = [0] * self.ncols
-            v[f] = 1
-            for c, r in piv_of_col.items():
-                v[c] = neg(r[f])
-            out.append(tuple(v))
-        return Matrix._trusted(self.field, tuple(out), self.ncols)
+        return Matrix._trusted(self.field, kernel_code_rows(self.field, reduced, self.ncols),
+                               self.ncols)
 
     def is_identity(self) -> bool:
         return (self.nrows == self.ncols and
@@ -215,6 +206,25 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     zr = (0,) * b.ncols
     rows = tuple(r + zr for r in a.rows) + tuple(zl + r for r in b.rows)
     return Matrix._trusted(a.field, rows, a.ncols + b.ncols)
+
+
+def kernel_code_rows(F: FiniteField, reduced: tuple, ncols: int) -> tuple:
+    """A basis of {x : r x^T = 0 for every r in reduced}, where reduced are
+    canonical RREF rows: for each column f that is no pivot, e_f minus the
+    sum of r[f] e_(pivot of r) over the rows r.  Each is orthogonal to every
+    r, since r is 1 at its own pivot and 0 at the others."""
+    neg = F.neg_code
+    piv_of_col = {r.index(1): r for r in reduced}
+    out = []
+    for f in range(ncols):
+        if f in piv_of_col:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for c, r in piv_of_col.items():
+            v[c] = neg(r[f])
+        out.append(tuple(v))
+    return tuple(out)
 
 
 def _identity_rows(n: int) -> list:

@@ -20,7 +20,8 @@ import operator
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, ShapeError, SingularMatrixError)
 from .fields import FiniteField
-from .matrices import Matrix, act_code_rows, rank_code_rows, rref_code_rows
+from .matrices import (Matrix, act_code_rows, kernel_code_rows, rank_code_rows,
+                       rref_code_rows)
 
 
 def max_distance_bound(n: int, k: int) -> int:
@@ -96,9 +97,14 @@ class Subspace:
         return rank_code_rows(self.field, self.rows + other.rows)[0] == self.dim
 
     def dual(self) -> "Subspace":
-        """Orthogonal complement under the standard dot product (see dual_code)."""
-        return Subspace(self.field, self.n,
-                        Matrix._trusted(self.field, self.rows, self.n).kernel().rows)
+        """Orthogonal complement under the standard dot product (see dual_code).
+
+        The rows are canonical already, so the kernel basis is read straight
+        off them (see matrices.kernel_code_rows) and reduced once; its entries
+        are codes of the field, so none is checked again."""
+        F, n = self.field, self.n
+        basis = kernel_code_rows(F, self.rows, n)
+        return Subspace._from_rref(F, n, rref_code_rows(F, basis)[0])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

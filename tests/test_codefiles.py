@@ -208,56 +208,103 @@ def test_code_over_an_intermediate_tower_is_refused(tmp_path):
     assert read_code_file(path).code == code
 
 
-def test_parse_rejects_with_line_numbers(tmp_path):
-    good = ["FLAGCODE v1", "field p=2 e=1", "ambient n=3", "type 1,2",
-            "count 1", "flag", "subspace k=1", "1 0 0",
-            "subspace k=2", "1 0 0", "0 1 0"]
+_GOOD = ["FLAGCODE v1", "field p=2 e=1", "ambient n=3", "type 1,2",
+         "count 1", "flag", "subspace k=1", "1 0 0",
+         "subspace k=2", "1 0 0", "0 1 0"]
 
-    def expect_error(lines, lineno_contains):
-        try:
-            parse_code_file("\n".join(lines) + "\n")
-        except CodeFileError as e:
-            assert e.line == lineno_contains, (e.line, str(e))
-        else:
-            raise AssertionError("bad file parsed")
 
-    expect_error(["NOPE v1"] + good[1:], 1)
-    expect_error(good[:1] + ["field p=4 e=1"] + good[2:], 2)
-    expect_error(good[:3] + ["type 2,1"] + good[4:], 4)
-    expect_error(good[:4] + ["count 0"] + good[5:], 5)
-    expect_error(good[:7] + ["1 0"] + good[8:], 8)        # short row
-    expect_error(good[:7] + ["1 0 2"] + good[8:], 8)      # entry out of range
-    expect_error(good[:7] + ["1 x 0"] + good[8:], 8)      # non-integer entry
-    expect_error(good[:10], 10)                           # truncated block
-    expect_error(good + ["flag"], 12)                     # trailing content
-    expect_error(good[:6] + ["subspace k=2"] + good[7:], 7)  # k off the type
-    expect_error(good[:10] + ["1 0 0"], 9)                # rows span dim 1
-    expect_error(["SUBCODE v1"] + good[1:], 4)            # two type dims
-    # header numbers are ASCII digits, bounded as written: zero padding past
-    # the 4,300 digits int() reads from a string is refused with its line,
-    # and so is a digit of another script, which int() would read
+def _malformed():
+    """(lines, line): a malformed file, one line each, and the line its error
+    names when the lines are joined by "\\n"."""
+    good = _GOOD
     padded = "0" * 5000
-    expect_error(good[:4] + [f"count {padded}1"] + good[5:], 5)
-    expect_error(good[:1] + [f"field p={padded}2 e=1"] + good[2:], 2)
-    expect_error(good[:6] + [f"subspace k={padded}1"] + good[7:], 7)
-    expect_error(good[:4] + ["count \u0661"] + good[5:], 5)  # ARABIC-INDIC ONE
-    expect_error(good[:2] + ["ambient n=\u0663"] + good[3:], 3)
-    expect_error(good[:3] + ["type 1,\u0662"] + good[4:], 4)
-    expect_error(good[:6] + ["subspace k=\u0661"] + good[7:], 7)
-    # so are row entries: int() would read each of these as a code
-    expect_error(good[:7] + ["1 0 +0"] + good[8:], 8)
-    expect_error(good[:9] + ["1 0_0 0"] + good[10:], 10)
-    expect_error(good[:10] + ["0 \u0661 0"] + good[11:], 11)
-    expect_error(good[:7] + [f"1 0 {padded}0"] + good[8:], 8)  # past int()'s digits
     # duplicate members, reported once the second copy is complete
     dup = good[:4] + ["count 2"] + good[5:] + good[5:]
-    expect_error(dup, 17)
+    return [
+        (["NOPE v1"] + good[1:], 1),
+        (good[:1] + ["field p=4 e=1"] + good[2:], 2),
+        (good[:3] + ["type 2,1"] + good[4:], 4),
+        (good[:4] + ["count 0"] + good[5:], 5),
+        (good[:7] + ["1 0"] + good[8:], 8),        # short row
+        (good[:7] + ["1 0 2"] + good[8:], 8),      # entry out of range
+        (good[:7] + ["1 x 0"] + good[8:], 8),      # non-integer entry
+        (good[:10], 10),                           # truncated block
+        (good + ["flag"], 12),                     # trailing content
+        (good[:6] + ["subspace k=2"] + good[7:], 7),  # k off the type
+        (good[:10] + ["1 0 0"], 9),                # rows span dim 1
+        (["SUBCODE v1"] + good[1:], 4),            # two type dims
+        # header numbers are ASCII digits, bounded as written: zero padding
+        # past the 4,300 digits int() reads from a string is refused with
+        # its line, and so is a digit of another script, which int() would
+        # read
+        (good[:4] + [f"count {padded}1"] + good[5:], 5),
+        (good[:1] + [f"field p={padded}2 e=1"] + good[2:], 2),
+        (good[:6] + [f"subspace k={padded}1"] + good[7:], 7),
+        (good[:4] + ["count \u0661"] + good[5:], 5),  # ARABIC-INDIC ONE
+        (good[:2] + ["ambient n=\u0663"] + good[3:], 3),
+        (good[:3] + ["type 1,\u0662"] + good[4:], 4),
+        (good[:6] + ["subspace k=\u0661"] + good[7:], 7),
+        # so are row entries: int() would read each of these as a code
+        (good[:7] + ["1 0 +0"] + good[8:], 8),
+        (good[:9] + ["1 0_0 0"] + good[10:], 10),
+        (good[:10] + ["0 \u0661 0"] + good[11:], 11),
+        (good[:7] + [f"1 0 {padded}0"] + good[8:], 8),  # past int()'s digits
+        (dup, 17),
+    ]
+
+
+def _error_line(text) -> int:
+    try:
+        parse_code_file(text)
+    except CodeFileError as e:
+        return e.line
+    raise AssertionError("bad file parsed")
+
+
+def test_parse_rejects_with_line_numbers():
+    for lines, line in _malformed():
+        assert _error_line("\n".join(lines) + "\n") == line, lines
+
+
+# every line boundary str.splitlines() knows
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS,
+                         ids=[f"U+{ord(s[0]):04X}" + ("+LF" if len(s) > 1 else "")
+                              for s in _SEPARATORS])
+def test_line_numbers_under_every_separator(sep):
+    # each malformed file again, its lines ended by sep, with blank and
+    # whitespace-only lines before, between and after them; the error names
+    # the line str.splitlines() numbers, the same nonblank line as with "\n"
+    fillers = ["", " \t", "", "   "]
+    for lines, line in _malformed():
+        padded = [fillers[0]]
+        for i, ln in enumerate(lines):
+            padded += [ln] + [fillers[i % len(fillers)]] * (i % 3)
+        padded += fillers[1:]
+        text = sep.join(padded) + sep
+        nonblank = [i + 1 for i, ln in enumerate(text.splitlines()) if ln.strip()]
+        assert len(nonblank) == len(lines)
+        assert _error_line(text) == nonblank[line - 1], (sep, lines)
+
+
+def test_non_utf8_line_after_a_carriage_return(tmp_path):
+    # the bad byte sits on the line after a "\r"-ended one; the line named
+    # is the one str.splitlines() gives the text around it
+    lines = _GOOD[:9] + ["1 0 \ufffd"] + _GOOD[10:]
+    text = "\r".join(lines) + "\r"
+    line = next(i + 1 for i, ln in enumerate(text.splitlines()) if "\ufffd" in ln)
+    path = tmp_path / "bad.flagcode"
+    path.write_bytes(text.encode().replace("\ufffd".encode(), b"\xff"))
+    with pytest.raises(CodeFileError) as err:
+        read_code_file(path)
+    assert err.value.line == line == 10
 
 
 def test_nested_violation_reported_at_flag_line():
-    lines = ["FLAGCODE v1", "field p=2 e=1", "ambient n=3", "type 1,2",
-             "count 1", "flag", "subspace k=1", "1 0 0",
-             "subspace k=2", "0 1 0", "0 0 1"]
+    lines = _GOOD[:9] + ["0 1 0", "0 0 1"]
     try:
         parse_code_file("\n".join(lines) + "\n")
     except CodeFileError as e:
@@ -273,3 +320,37 @@ def test_read_missing_file(tmp_path):
         pass
     else:
         raise AssertionError("missing file read")
+
+
+def test_parse_shares_rows_and_checks_each(ctx_q4k3s3):
+    # the 4,161-flag (q=4, k=3, s=3) maximum code holds 20,511 distinct rows
+    # among about 112,000 row lines: a parse checks each distinct row text
+    # once, gives its repeats one tuple, and keeps no list of the lines
+    code = spread_type_max_odfc(ctx_q4k3s3, 57)
+    text = format_flag_code(code, tower=(3, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = parse_code_file(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(text)
+    assert data.code == code
+    rows = [row for flag in data.code for level in flag.levels for row in level]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows) // 4
+    assert kept - before < 3 * size, (kept - before, size)
+    assert peak - before < 10 * size, (peak - before, size)
+    # a malformed row after tens of thousands of good ones is still refused,
+    # at its own line: a new text, with an entry out of range or one entry
+    # too many, or a repeat of the row before it, which leaves its block a
+    # dimension short, named at the block's `subspace` line
+    lines = text.splitlines()
+    mid = next(i for i in range(len(lines) // 2, len(lines))
+               if lines[i - 1][0].isdigit() and lines[i][0].isdigit())
+    head = max(i for i in range(mid) if lines[i].startswith("subspace"))
+    for i, bad, line in [(len(lines) - 1, lines[-1][:-1] + "4", len(lines)),
+                         (mid, lines[mid] + " 0", mid + 1),
+                         (mid, lines[mid - 1], head + 1)]:
+        broken = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
+        assert _error_line(broken) == line, (i, bad)

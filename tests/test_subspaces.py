@@ -8,8 +8,9 @@ import pytest
 from conftest import enumerate_grassmannian, gaussian_binomial
 from flagcodes import (Matrix, Subspace, SubspaceCode, build_spread_context,
                        dual_code, is_partial_spread, is_spread, make_field,
-                       max_distance_bound, partial_spread_size_bound,
-                       subspace_distance, subspaces)
+                       matrices, max_distance_bound,
+                       partial_spread_size_bound, subspace_distance,
+                       subspaces)
 from flagcodes.errors import AmbientMismatchError, BadDimensionsError
 from flagcodes.subspaces import member_vectors
 
@@ -113,6 +114,45 @@ def test_dual_subspace_involution():
     assert zero.dual() == full and full.dual() == zero
     A = Matrix(F2, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)])
     assert zero.apply(A) == zero and full.apply(A) == full
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (131, 1)],
+                         ids=["GF2", "GF3", "GF4", "GF5", "GF9-table", "GF131-table"])
+def test_dual_matches_the_reference_kernel(p, e, monkeypatch):
+    # the kernel comes straight from the canonical rows; the reference
+    # reduces a Matrix of them and takes its kernel, and Subspace reduces that
+    F = make_field(p, e)
+    rng = random.Random(1000 * p + e)
+    for n in range(1, 7):
+        zero, full = Subspace.standard(F, n, 0), Subspace.standard(F, n, n)
+        assert zero.dual() == full and full.dual() == zero
+        for k in range(n + 1):
+            for _ in range(3):
+                U = Subspace(F, n, [])
+                while U.dim < k:
+                    U = Subspace(F, n, U.rows + (tuple(rng.randrange(F.order)
+                                                       for _ in range(n)),))
+                D = U.dual()
+                assert D == Subspace(F, n, Matrix(F, U.rows, n).kernel().rows)
+                assert D.dim == n - k and D.dual() == U
+    # one reduction of the kernel basis, and no entry checked again
+    calls = {"rref": 0, "Matrix": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rref = counted("rref", matrices.rref_code_rows)
+    monkeypatch.setattr(matrices, "rref_code_rows", rref)
+    monkeypatch.setattr(subspaces, "rref_code_rows", rref)
+    monkeypatch.setattr(Matrix, "__init__", counted("Matrix", Matrix.__init__))
+    for k in range(5):
+        U = Subspace.standard(F, 4, k)
+        calls.update(rref=0, Matrix=0)
+        U.dual()
+        assert calls == {"rref": 1, "Matrix": 0}, (k, calls)
 
 
 def test_code_distance_examples():
