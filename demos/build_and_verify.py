@@ -24,7 +24,7 @@ print("critical levels:", a, b)
 for i in sorted({a, b}):
     proj = projected_code(code, i)
     print(f"  level {i}: {len(proj)} subspaces of dim {code.dims[i - 1]}, "
-          f"distance {proj.min_distance(full=True)}")
+          f"distance {proj.min_distance()}")
 
 d = min(flag_distance(f, g)
         for i, f in enumerate(code.members)

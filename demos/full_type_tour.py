@@ -25,10 +25,10 @@ for sub in flag.subspaces:
     print(" ", sub)
 
 orbit = full_type_orbit_odfc(ctx, flag)
-print("orbit:", len(orbit), "flags, distance", orbit.min_distance(full=True))
+print("orbit:", len(orbit), "flags, distance", orbit.min_distance())
 
 mx = full_type_max_odfc(ctx)
-print("max:  ", len(mx), "flags, distance", mx.min_distance(full=True),
+print("max:  ", len(mx), "flags, distance", mx.min_distance(),
       "(size q^(k+1) + 1 =", 2 ** 3 + 1, ")")
 print()
 
@@ -38,8 +38,8 @@ ctx3 = build_full_type_context(F3, 2)
 orbit3 = full_type_orbit_odfc(ctx3, full_type_generator_flag(ctx3))
 mx3 = full_type_max_odfc(ctx3)
 print("q=3 orbit:", len(orbit3), "flags, distance",
-      orbit3.min_distance(full=True))
-print("q=3 max:  ", len(mx3), "flags, distance", mx3.min_distance(full=True))
+      orbit3.min_distance())
+print("q=3 max:  ", len(mx3), "flags, distance", mx3.min_distance())
 print()
 
 # the negative branch: v1 != 0 collapses a pair at the middle level
@@ -47,4 +47,4 @@ hooked = _max_code_with_hook(ctx, Matrix.identity(F2, 2),
                              Matrix.identity(F2, 3).take_rows(1, 3),
                              Matrix(F2, [[1, 0]]), Matrix(F2, [[1, 0, 0]]))
 print("hooked v1=(1,0):", len(hooked), "flags, distance",
-      hooked.min_distance(full=True), "(below the bound)")
+      hooked.min_distance(), "(below the bound)")

@@ -34,4 +34,4 @@ print()
 code = spread_type_orbit_odfc(ctx, 28)
 bound = flag_distance_bound(ctx.n, code.dims)
 print("t=28 orbit:", len(code), "flags, distance",
-      code.min_distance(full=True), "of bound", bound)
+      code.min_distance(), "of bound", bound)

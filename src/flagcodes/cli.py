@@ -34,7 +34,8 @@ from .fields import make_field
 from .flags import (critical_indices, flag_distance_bound, is_disjoint,
                     is_odfc_by_definition, is_odfc_by_characterization,
                     projected_code)
-from .subspaces import max_distance_bound, partial_spread_size_bound
+from .subspaces import (is_partial_spread, is_spread, max_distance_bound,
+                        partial_spread_size_bound)
 
 
 def _emit(payload: dict):
@@ -146,22 +147,16 @@ def _verify_flag(data: CodeFileData) -> dict:
 def _verify_subspace(data: CodeFileData) -> dict:
     code = data.code
     q, k = code.field.order, code.dim
-    # both spread verdicts follow from the distance, which the code's one
-    # cover scan decides: distinct k-subspaces meet trivially iff their
-    # distance is 2k, and a partial spread is a spread iff its members'
-    # nonzero vectors fill the space
-    distance = code.min_distance()
-    partial = len(code) == 1 or distance == 2 * k
     return {
         "kind": "subspace-code",
         "q": q,
         "n": code.n,
         "dim": k,
         "size": len(code),
-        "distance": distance,
+        "distance": code.min_distance(),
         "max_distance": max_distance_bound(code.n, k),
-        "partial_spread": partial,
-        "spread": partial and q ** code.n - 1 == len(code) * (q ** k - 1),
+        "partial_spread": is_partial_spread(code),
+        "spread": is_spread(code),
         "partial_spread_bound": partial_spread_size_bound(code.n, k, q),
     }
 

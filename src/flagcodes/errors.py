@@ -54,7 +54,9 @@ class RankDeficientError(ValueError):
 
 
 class NotExtendingError(ValueError):
-    """An operation that needs an extension field got a prime field."""
+    """A prime field where an extension field is needed, or a full-type
+    vector inside the row space it should extend: (v1 | v2) in that of
+    (U1 | U2), or v2 in that of U2."""
 
 
 class CodeFileError(ValueError):

@@ -55,7 +55,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, act_code_rows, rank_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit)
+                        group_orbit, max_distance_bound)
 
 
 class Flag:
@@ -212,8 +212,9 @@ def flag_distance(F: Flag, G: Flag) -> int:
 
 
 def flag_distance_bound(n: int, dims) -> int:
-    """Largest possible distance between two flags of the given type."""
-    return 2 * sum(t if 2 * t <= n else n - t for t in dims)
+    """Largest possible distance between two flags of the given type: the
+    sum of each level's maximum."""
+    return sum(max_distance_bound(n, t) for t in dims)
 
 
 def critical_indices(n: int, dims):

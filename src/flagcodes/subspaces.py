@@ -182,15 +182,12 @@ class Code:
     def __hash__(self):
         return hash(self._set)
 
-    def min_distance(self, full: bool = False) -> int:
+    def min_distance(self) -> int:
         """Minimum pairwise distance; 0 for singleton codes.
 
-        A code never changes, so the default answer is computed once, by
-        `_scan`, and kept.  full=True is the plain pair scan, run on every
-        call; it neither reads nor writes the kept answer.
+        A code never changes, so the answer is computed once, by `_scan`,
+        and kept; the test suite checks it against a pair scan of its own.
         """
-        if full:
-            return min_pair_distance(self, self._distance(), True)
         if self._min_distance is None:
             self._min_distance = self._scan()
         return self._min_distance
@@ -222,12 +219,15 @@ class SubspaceCode(Code):
         """The maximum distance when the cover scan certifies it, else pairs.
 
         Two or more members reach 2 min(k, n - k) exactly when they form a
-        partial spread (2k <= n) or their duals do (2k > n, see dual_code).
-        Above _COVER_LIMIT_BITS points the pair scan runs alone.
+        partial spread (2k <= n) or their duals do (2k > n, see dual_code),
+        which one _cover_scan decides.  Above _COVER_LIMIT_BITS points, a
+        limit no other function reads, the pair scan runs alone.  The
+        spread predicates read this answer, kept by min_distance, and never
+        scan themselves.
         """
         q = self.field.order
         if len(self) > 1 and (q ** self.n - 1) // (q - 1) <= _COVER_LIMIT_BITS:
-            if is_partial_spread(dual_code(self) if 2 * self.dim > self.n else self):
+            if _cover_scan(dual_code(self) if 2 * self.dim > self.n else self):
                 return max_distance_bound(self.n, self.dim)
         return min_pair_distance(self, self._distance())
 
@@ -276,27 +276,26 @@ def group_orbit(group, seed):
     return members, group.order // len(members)
 
 
-def scan_pairs(code, full: bool = False):
+def scan_pairs(code):
     """The pairs of code members that min_distance scans, each once.
 
-    Unless full is set, the code's generator g splits the code into
-    g-chains, each kept as one representative; a singular g certifies
-    nothing.  From each member not yet placed, g is walked, one apply per
-    member, until it gets back to its start (a closed orbit, its start the
-    representative) or leaves the code.  A walk that leaves the code is
-    then walked back with g^(-1) to its chain start s, the first member
-    whose preimage is not in the code, and s is the representative of
-    the chain s, s g, ..., whatever the order of the members.  The pairs
-    are (representative, member), each unordered pair once.  That is
-    exact for invertible g: chained members s g^i and t g^j, with
-    m = min(i, j), are the image under g^m of s g^(i-m) and t g^(j-m):
-    one of them is a chain start, the other is still on its chain, and
-    g^m keeps every distance.  With every member a representative this is
-    the plain pair scan.
+    The code's generator g splits the code into g-chains, each kept as one
+    representative; a singular g certifies nothing.  From each member not
+    yet placed, g is walked, one apply per member, until it gets back to its
+    start (a closed orbit, its start the representative) or leaves the code.
+    A walk that leaves the code is then walked back with g^(-1) to its chain
+    start s, the first member whose preimage is not in the code, and s is
+    the representative of the chain s, s g, ..., whatever the order of the
+    members.  The pairs are (representative, member), each unordered pair
+    once.  That is exact for invertible g: chained members s g^i and t g^j,
+    with m = min(i, j), are the image under g^m of s g^(i-m) and t g^(j-m):
+    one of them is a chain start, the other is still on its chain, and g^m
+    keeps every distance.  With every member a representative this is the
+    plain pair scan.
     """
     ms = code.members
     g = code.generator
-    if full or len(ms) == 1 or g is None or not g.is_invertible():
+    if len(ms) == 1 or g is None or not g.is_invertible():
         reps = list(ms)
     else:
         unplaced = set(ms)
@@ -315,9 +314,9 @@ def scan_pairs(code, full: bool = False):
     return ((r, m) for i, r in enumerate(reps) for m in order[i + 1:])
 
 
-def min_pair_distance(code, distance, full: bool = False) -> int:
+def min_pair_distance(code, distance) -> int:
     """Minimum of distance over the pairs scan_pairs gives; 0 for a singleton."""
-    return min((distance(r, m) for r, m in scan_pairs(code, full)), default=0)
+    return min((distance(r, m) for r, m in scan_pairs(code)), default=0)
 
 
 def member_vectors(sub: Subspace) -> list:
@@ -361,34 +360,21 @@ def member_points(sub: Subspace) -> list:
     return points
 
 
-# above a bitmap of this many points the spread checks scan pairs
+# above a bitmap of this many points SubspaceCode._scan scans pairs alone
 _COVER_LIMIT_BITS = 1 << 25
 
 
-def is_partial_spread(code: SubspaceCode) -> bool:
-    """Whether members pairwise intersect trivially.
+def _cover_scan(code: SubspaceCode) -> bool:
+    """Whether no point lies in two members, for k-subspaces with 2k <= n.
 
     Two subspaces meet trivially iff they share no point, so the whole
     check is one scan over the members' points (member_points), each marked
     in a bitmap of the (q^n - 1)/(q - 1) points of the ambient space; the
-    first point marked twice ends it.  Singleton codes pass vacuously, and
-    distinct k-subspaces with 2k > n always meet, so both are answered
-    before any point is built; a member that reaches the scan then has
-    (q^k - 1)/(q - 1) points with 2k <= n, about the square root of the
-    bitmap's size.  Above _COVER_LIMIT_BITS points, a size the header fixes,
-    it scans pairs instead, with min_pair_distance: distinct k-subspaces
-    meet trivially iff their distance is 2k.  SubspaceCode.min_distance
-    reads its maximum from this scan.
+    first point marked twice ends it.  A member has (q^k - 1)/(q - 1)
+    points, about the square root of the bitmap's size.
     """
-    if len(code) == 1:
-        return True
-    if 2 * code.dim > code.n:
-        return False
     q = code.field.order
-    bits = (q ** code.n - 1) // (q - 1)
-    if bits > _COVER_LIMIT_BITS:
-        return min_pair_distance(code, subspace_distance) == 2 * code.dim
-    seen = bytearray((bits + 7) >> 3)
+    seen = bytearray(((q ** code.n - 1) // (q - 1) + 7) >> 3)
     for m in code.members:
         for x in member_points(m):
             byte, bit = x >> 3, 1 << (x & 7)
@@ -398,8 +384,21 @@ def is_partial_spread(code: SubspaceCode) -> bool:
     return True
 
 
+def is_partial_spread(code: SubspaceCode) -> bool:
+    """Whether members pairwise intersect trivially.
+
+    Singleton codes pass vacuously, and distinct k-subspaces with 2k > n
+    always meet.  Otherwise distinct k-subspaces meet trivially iff their
+    distance is 2k, so the verdict reads the code's kept min_distance,
+    which one cover scan certifies (SubspaceCode._scan).
+    """
+    return len(code) == 1 or (2 * code.dim <= code.n
+                              and code.min_distance() == 2 * code.dim)
+
+
 def is_spread(code: SubspaceCode) -> bool:
-    """Partial spread that also covers every nonzero vector of the ambient."""
+    """Partial spread that also covers every nonzero vector of the ambient:
+    the size identity, then is_partial_spread's reading of min_distance."""
     q = code.field.order
     covered = len(code) * (q ** code.dim - 1)
     if covered != q ** code.n - 1:

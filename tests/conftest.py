@@ -12,7 +12,9 @@ reduction and the matrix product on that arithmetic.
 enumerate_grassmannian lists every k-subspace of GF(q)^n by its canonical
 rows, written down pivot set by pivot set with no elimination, and
 gaussian_binomial counts them: the brute-force pools the spread, dual and
-metric tests compare the library against.
+metric tests compare the library against.  pair_scan_distance is the
+minimum distance oracle: the plain scan over every pair of members, which
+shares no code with the library's min_distance.
 The terminal-summary hook at the bottom turns the test_acceptance results
 into one PASS/FAIL line per criterion.
 """
@@ -23,8 +25,9 @@ from itertools import combinations, product
 
 import pytest
 
-from flagcodes import (Matrix, Subspace, build_full_type_context,
-                       build_spread_context, extend_field, make_field)
+from flagcodes import (FlagCode, Matrix, Subspace, build_full_type_context,
+                       build_spread_context, extend_field, flag_distance,
+                       make_field, subspace_distance)
 
 # An n x n matrix over GF(q) is invertible with probability above 0.28, so
 # 200 draws all singular is a broken kernel, not bad luck (below 1e-28).
@@ -149,6 +152,13 @@ def enumerate_grassmannian(field, k, n):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield Subspace._from_rref(field, n, tuple(tuple(r) for r in rows))
+
+
+def pair_scan_distance(code):
+    """Minimum distance over every pair of members; 0 for a singleton."""
+    distance = flag_distance if isinstance(code, FlagCode) else subspace_distance
+    return min((distance(u, v) for u, v in combinations(code.members, 2)),
+               default=0)
 
 
 @pytest.fixture(scope="session")

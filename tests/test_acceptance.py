@@ -8,7 +8,8 @@ conftest prints one PASS/FAIL line per criterion at the end of the run.
 import random
 import time
 
-from conftest import enumerate_grassmannian, ref_add, ref_mul
+from conftest import (enumerate_grassmannian, pair_scan_distance, ref_add,
+                      ref_mul)
 from flagcodes import (Flag, FlagCode, Matrix, Subspace,
                        SubspaceCode, dual_code,
                        field_reduction, flag_distance, flag_distance_bound,
@@ -199,7 +200,7 @@ def test_criterion_07_rank_condition_oracle(ftx_q2k2, F2):
                     seen += 1
                     orbit, _ = orbit_subspace(G, Subspace(F2, 5, stacked.rows))
                     attains = (len(orbit) > 1
-                               and orbit.min_distance(full=True) == 4)
+                               and pair_scan_distance(orbit) == 4)
                     assert attains == ((r1, r2) == full)
             assert seen >= 100
 
@@ -217,9 +218,9 @@ def test_criterion_08_nonzero_hook_breaks_middle_level(ftx_q2k2, F2):
             clash = min(subspace_distance(level[i], level[j])
                         for i in range(9) for j in range(i + 1, 9))
             assert clash < 4
-            assert code.min_distance(full=True) < 12
+            assert pair_scan_distance(code) < 12
             if v1 == (1, 0):
-                assert code.min_distance(full=True) == 10
+                assert pair_scan_distance(code) == 10
 
 
 def test_criterion_09_reduction_and_metric_suites(F2, F4):
@@ -262,7 +263,7 @@ def test_criterion_09_reduction_and_metric_suites(F2, F4):
             DC = dual_code(C)
             assert len(DC) == len(C)
             assert all(m.dim == 4 - d for m in DC)
-            assert DC.min_distance(full=True) == C.min_distance(full=True)
+            assert pair_scan_distance(DC) == pair_scan_distance(C)
 
 
 def test_criterion_10_worked_example_code(F2):
@@ -279,9 +280,9 @@ def test_criterion_10_worked_example_code(F2):
         c1 = projected_code(code, 1)
         c2 = projected_code(code, 2)
         assert len(c1) == 3
-        assert c1.min_distance(full=True) == 2
+        assert pair_scan_distance(c1) == 2
         assert len(c2) == 2
-        assert c2.min_distance(full=True) == 6
+        assert pair_scan_distance(c2) == 6
         assert not is_disjoint(code)
         assert not is_odfc_by_definition(code)
         assert not is_odfc_by_characterization(code)

@@ -140,7 +140,7 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
         return adapted(f)
     monkeypatch.setattr(flags.Flag, "_adapted_rows", counted_adapted)
     counted(subspaces.SubspaceCode, "_scan", "level scans", scan_only=False)
-    counted(subspaces, "is_partial_spread", "cover scans", scan_only=False)
+    counted(subspaces, "_cover_scan", "cover scans", scan_only=False)
     counted(subspaces, "dual_code", "duals", scan_only=False)
     counted(subspaces, "subspace_distance", "subspace pairs", scan_only=False)
     scan = subspaces.Code._scan

@@ -4,7 +4,7 @@ A code's generator only decides which pairs the scan may skip: the walk
 from each member either returns to its start inside the code (a certified
 orbit, one representative) or leaves it, and is walked back to the start
 of its chain, the chain's one representative.  The result must equal the
-full pair scan for any generator.
+plain pair scan, conftest's pair_scan_distance, for any generator.
 """
 
 import random
@@ -12,7 +12,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import enumerate_grassmannian, random_invertible
+from conftest import (enumerate_grassmannian, pair_scan_distance,
+                      random_invertible)
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        canonical_admissible_flag,
                        flag_distance_bound, full_type_generator_flag,
@@ -37,7 +38,7 @@ def test_union_with_a_foreign_flag_is_not_odfc(ctx_q2k2s2, F2):
     code = union_flag_codes([orbit, FlagCode([f])])
     assert len(code) == 6 and code.generator == T.generator
     assert orbit.min_distance() == 8
-    assert code.min_distance() == code.min_distance(full=True) == 4
+    assert code.min_distance() == pair_scan_distance(code) == 4
     assert not is_odfc_by_definition(code)
     assert not is_odfc_by_characterization(code)
 
@@ -51,7 +52,7 @@ def test_generator_the_code_leaves_gives_the_true_distance(F2):
     assert len(c) == 17
     g = singer_group(F2, 4).generator
     code = SubspaceCode(c, generator=g)
-    assert code.min_distance() == code.min_distance(full=True) == 2
+    assert code.min_distance() == pair_scan_distance(code) == 2
     assert not code.attains_max_distance()
     assert not is_partial_spread(code)
 
@@ -64,7 +65,7 @@ def test_singular_generator_certifies_nothing(F2):
                Subspace(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]),
                Subspace(F2, 4, [(1, 0, 1, 0), (0, 0, 0, 1)])]
     code = SubspaceCode(members, generator=g)
-    assert code.min_distance() == code.min_distance(full=True) == 2
+    assert code.min_distance() == pair_scan_distance(code) == 2
 
 
 def test_generator_must_act_on_the_code(F2, F3):
@@ -99,14 +100,12 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
         applies.clear()
         assert code.min_distance() == d
         assert (len(pairs), len(applies)) == (27, 28)
-        # a code never changes: the answer is kept, and full=True still scans
+        # a code never changes: the answer is kept
         pairs.clear()
         applies.clear()
         assert code.min_distance() == d
         assert (len(pairs), len(applies)) == (0, 0)
-        for _ in range(2):
-            assert code.min_distance(full=True) == d
-        assert len(pairs) == 2 * (28 * 27 // 2)
+        assert pair_scan_distance(code) == d
 
 
 def test_codes_equal_by_kind_and_members(ctx_q2k2s2):
@@ -139,7 +138,7 @@ def test_one_representative_per_walk(F2):
         code = SubspaceCode(orbit[:m], generator=g)
         pairs = []
         d = min_pair_distance(code, lambda u, v: pairs.append(1) or subspace_distance(u, v))
-        assert d == code.min_distance(full=True)
+        assert d == pair_scan_distance(code)
         assert len(pairs) == m - 1
 
 
@@ -160,15 +159,15 @@ def test_max_code_scans_one_representative_per_chain(name, t, count, request,
                         lambda *args: pairs.append(1) or distance(*args))
     d = code.min_distance()
     assert len(pairs) == count
-    assert d == code.min_distance(full=True) == flag_distance_bound(code.n, code.dims)
+    assert d == pair_scan_distance(code) == flag_distance_bound(code.n, code.dims)
 
 
 def _assert_exact(code):
-    assert code.min_distance() == code.min_distance(full=True), code
+    assert code.min_distance() == pair_scan_distance(code), code
     _assert_pairs_covered(code)
     for i in range(1, len(getattr(code, "dims", ())) + 1):
         proj = projected_code(code, i)
-        assert proj.min_distance() == proj.min_distance(full=True), (code, i)
+        assert proj.min_distance() == pair_scan_distance(proj), (code, i)
 
 
 def _assert_pairs_covered(code):
@@ -273,11 +272,11 @@ def test_every_level_minimum_is_exact(name, t, request):
              FlagCode([base, _sharing(rng, base, 1), _sharing(rng, base, 2)])]
     below = 0
     for code in codes:
-        assert code.min_distance() == code.min_distance(full=True)
+        assert code.min_distance() == pair_scan_distance(code)
         levels = [projected_code(code, i) for i in range(1, len(code.dims) + 1)]
         assert all(proj._min_distance is None for proj in levels)
         kept = [proj.min_distance() for proj in levels]
-        assert kept == [proj.min_distance(full=True) for proj in levels], code
+        assert kept == [pair_scan_distance(proj) for proj in levels], code
         below += sum(0 < d < max_distance_bound(code.n, proj.dim)
                      for d, proj in zip(kept, levels))
     assert below  # some levels miss their maximum and fall to pairs

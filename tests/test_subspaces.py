@@ -1,7 +1,7 @@
 """Subspace canonical forms, the Grassmann metric, codes, spreads, duality."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -221,13 +221,44 @@ def test_spread_predicates_agree_on_both_routes(cover_limit, monkeypatch):
              (dual_code(H), (True, True), 4)]
     for code, expected, d in cases:
         assert (is_partial_spread(code), is_spread(code)) == expected, code
-        # a fresh copy, without a generator: every pair or none is scanned
+        # a fresh copy, without a generator: every pair or none is scanned,
+        # once, by the one min_distance() the predicates read too
         pairs.clear()
         fresh = SubspaceCode(code.members)
+        assert (is_partial_spread(fresh), is_spread(fresh)) == expected, code
         assert fresh.min_distance() == d, code
         m = len(fresh)
         at_max = m > 1 and d == max_distance_bound(fresh.n, fresh.dim)
         assert len(pairs) == (0 if cover_limit and at_max else m * (m - 1) // 2)
+
+
+def test_one_cover_scan_answers_every_spread_verdict(ctx_q2k2s4, monkeypatch):
+    """The 85 lines S of GF(2)^8 and the 85 hyperplanes H: on a fresh copy,
+    is_partial_spread, is_spread and min_distance(), asked in any order,
+    read one cover scan, one member_points call per member.  H's is the
+    scan of its duals, lines again, since 2 * 6 > 8 answers both of its
+    predicates before any point is built."""
+    dims = []
+    duals = []
+    points, dual = subspaces.member_points, subspaces.dual_code
+    monkeypatch.setattr(subspaces, "member_points",
+                        lambda sub: dims.append(sub.dim) or points(sub))
+    monkeypatch.setattr(subspaces, "dual_code",
+                        lambda code: duals.append(1) or dual(code))
+    verdicts = {"partial": is_partial_spread, "spread": is_spread,
+                "distance": SubspaceCode.min_distance}
+    S, H = ctx_q2k2s4.spread, ctx_q2k2s4.hyperplanes
+    assert (len(S), S.dim, len(H), H.dim) == (85, 2, 85, 6)
+    for code, expected, dual_scans in (
+            (S, {"partial": True, "spread": True, "distance": 4}, 0),
+            (H, {"partial": False, "spread": False, "distance": 4}, 1)):
+        for order in permutations(verdicts):
+            fresh = SubspaceCode(code.members)
+            dims.clear()
+            duals.clear()
+            assert {v: verdicts[v](fresh) for v in order} == expected, order
+            assert dims == [2] * 85, (code, order)
+            assert len(duals) == dual_scans, (code, order)
 
 
 def test_spread_covers_every_vector_once():
