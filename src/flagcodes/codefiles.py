@@ -217,6 +217,25 @@ def _row(no: int, ln: str, n: int, q: int) -> tuple:
     return row
 
 
+def _canonical(rows: tuple) -> bool:
+    """Whether rows are canonical RREF, as the writers leave them: each
+    row's first nonzero entry is a 1, those leading columns increase, and
+    every other row is 0 at each of them."""
+    leads = []
+    for row in rows:
+        if next(filter(None, row), 0) != 1:
+            return False
+        lead = row.index(1)
+        if leads and lead <= leads[-1]:
+            return False
+        leads.append(lead)
+    others = len(rows) - 1
+    for c in leads:
+        if [r[c] for r in rows].count(0) != others:
+            return False
+    return True
+
+
 def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
     no, m = _expect(cur, r"subspace k=([0-9]+)", f"subspace k={expect_dim}")
     k = _number(no, m.group(1), n, "subspace k")
@@ -230,7 +249,10 @@ def _parse_subspace(cur: _Cursor, field, n, expect_dim: int) -> Subspace:
         if row is None:
             row = memo[ln] = _row(rno, ln, n, field.order)
         rows.append(row)
-    sub = Subspace._from_rref(field, n, rref_code_rows(field, rows)[0])
+    rows = tuple(rows)
+    if not _canonical(rows):
+        rows = rref_code_rows(field, rows)[0]
+    sub = Subspace._from_rref(field, n, rows)
     if sub.dim != k:
         raise CodeFileError(no, f"rows span dimension {sub.dim}, declared k={k}")
     return sub

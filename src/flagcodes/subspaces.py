@@ -93,8 +93,26 @@ class Subspace:
         return Subspace._from_rref(F, n, rows)
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether other lies in this subspace, by reduction, no elimination.
+
+        The canonical rows r_i are 1 at their own pivot p_i and 0 at the
+        others, so sum(v[p_i] r_i) is the one combination of them that
+        agrees with v at every pivot: v lies in the row space exactly when
+        it equals that sum."""
         self._check_mate(other)
-        return rank_code_rows(self.field, self.rows + other.rows)[0] == self.dim
+        add, mul = self.field.tables()[:2]
+        pivots = [(r.index(1), r) for r in self.rows]
+        for v in other.rows:
+            acc = None  # the sum so far, None before its first term
+            for c, r in pivots:
+                x = v[c]
+                if x:
+                    mrow = mul[x]
+                    acc = ([mrow[b] for b in r] if acc is None
+                           else [add[a][mrow[b]] for a, b in zip(acc, r)])
+            if acc is None or tuple(acc) != v:
+                return False
+        return True
 
     def dual(self) -> "Subspace":
         """Orthogonal complement under the standard dot product (see dual_code).
@@ -227,7 +245,7 @@ class SubspaceCode(Code):
         """
         q = self.field.order
         if len(self) > 1 and (q ** self.n - 1) // (q - 1) <= _COVER_LIMIT_BITS:
-            if _cover_scan(dual_code(self) if 2 * self.dim > self.n else self):
+            if _cover_scan(self):
                 return max_distance_bound(self.n, self.dim)
         return min_pair_distance(self, self._distance())
 
@@ -332,8 +350,9 @@ def member_vectors(sub: Subspace) -> list:
     return combos[1:]  # ordering keeps the zero vector first
 
 
-def member_points(sub: Subspace) -> list:
-    """The projective points of a subspace, as ranks in [0, (q^n - 1)/(q - 1)).
+def member_points(F: FiniteField, n: int, rows: tuple) -> list:
+    """The projective points of the row space of canonical rows in GF(q)^n,
+    as ranks in [0, (q^n - 1)/(q - 1)).
 
     A point is written as its vector with leading entry 1.  For canonical
     rows r_1, ..., r_k those are the vectors r_i + span(r_(i+1), ..., r_k),
@@ -341,14 +360,13 @@ def member_points(sub: Subspace) -> list:
     1 in column j and digits v after it has rank (q^(n-1-j) - 1)/(q - 1) + v
     read in base q, so the ranks of GF(q)^n's points fill the range once.
     """
-    F, n = sub.field, sub.n
     q = F.order
     add, mul = F.tables()[:2]
     weights = [q ** (n - 1 - c) for c in range(n)]
     points = []
     span = [(0,) * n]  # span(r_(i+1), ..., r_k)
-    for i in range(sub.dim - 1, -1, -1):
-        row = sub.rows[i]
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
         w = weights[row.index(1)]
         offset = (w - 1) // (q - 1) - w  # the leading 1 counts w in the value
         lifted = [tuple([add[a][b] for a, b in zip(row, v)]) for v in span]
@@ -360,12 +378,28 @@ def member_points(sub: Subspace) -> list:
     return points
 
 
+def _dual_rows(F: FiniteField, n: int, rows: tuple) -> tuple:
+    """The canonical rows of the dual of the row space of canonical rows,
+    in mirrored coordinates (column j read as column n - 1 - j).
+
+    kernel_code_rows gives one row per column f that is no pivot: 1 at f,
+    and nonzero elsewhere only at pivots, all left of f, where no other
+    kernel row is nonzero.  Mirrored, f is its leading 1, so the kernel
+    rows, mirrored and in reverse order, are canonical as they stand.
+    Mirroring permutes the points of GF(q)^n, so two duals share a point
+    exactly when their mirrored rows do.
+    """
+    return tuple(v[::-1] for v in reversed(kernel_code_rows(F, rows, n)))
+
+
 # above a bitmap of this many points SubspaceCode._scan scans pairs alone
 _COVER_LIMIT_BITS = 1 << 25
 
 
 def _cover_scan(code: SubspaceCode) -> bool:
-    """Whether no point lies in two members, for k-subspaces with 2k <= n.
+    """Whether no point lies in two members (2k <= n), or in the duals of
+    two members (2k > n, the duals' points listed from _dual_rows, with no
+    dual Subspace built).
 
     Two subspaces meet trivially iff they share no point, so the whole
     check is one scan over the members' points (member_points), each marked
@@ -373,10 +407,14 @@ def _cover_scan(code: SubspaceCode) -> bool:
     first point marked twice ends it.  A member has (q^k - 1)/(q - 1)
     points, about the square root of the bitmap's size.
     """
-    q = code.field.order
-    seen = bytearray(((q ** code.n - 1) // (q - 1) + 7) >> 3)
-    for m in code.members:
-        for x in member_points(m):
+    F, n = code.field, code.n
+    q = F.order
+    bases = (m.rows for m in code.members)
+    if 2 * code.dim > n:
+        bases = (_dual_rows(F, n, rows) for rows in bases)
+    seen = bytearray(((q ** n - 1) // (q - 1) + 7) >> 3)
+    for rows in bases:
+        for x in member_points(F, n, rows):
             byte, bit = x >> 3, 1 << (x & 7)
             if seen[byte] & bit:
                 return False

@@ -108,12 +108,15 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
     # 28 flags of type (1, 2, 3, 4, 5) on GF(3)^6: the definition verdict
     # runs one flag pair scan, one rank elimination per pair and no
     # canonical one, building each flag's adapted rows once; each level
-    # runs its own cover scan, on its duals where 2t > n, which certifies
-    # its maximum, so no level scans a pair
+    # runs its own cover scan, which lists each member's points once (its
+    # dual's where 2t > n, read from its kernel rows, with no dual code or
+    # dual subspace built) and certifies its maximum, so no level scans a
+    # pair
     path = os.path.join(tmp_path, "t56.flagcode")
     write_flag_code(spread_type_orbit_odfc(ctx_q3k3s2, 56), path)
     calls = dict.fromkeys(("flag scans", "pairs", "ranks", "rrefs", "adapted",
-                           "level scans", "cover scans", "duals",
+                           "level scans", "cover scans", "point lists",
+                           "dual point lists", "dual codes",
                            "subspace pairs"), 0)
     scanning = []
 
@@ -141,7 +144,10 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(flags.Flag, "_adapted_rows", counted_adapted)
     counted(subspaces.SubspaceCode, "_scan", "level scans", scan_only=False)
     counted(subspaces, "_cover_scan", "cover scans", scan_only=False)
-    counted(subspaces, "dual_code", "duals", scan_only=False)
+    counted(subspaces, "member_points", "point lists", scan_only=False)
+    counted(subspaces, "_dual_rows", "dual point lists", scan_only=False)
+    counted(subspaces, "dual_code", "dual codes", scan_only=False)
+    counted(subspaces.Subspace, "dual", "dual codes", scan_only=False)
     counted(subspaces, "subspace_distance", "subspace pairs", scan_only=False)
     scan = subspaces.Code._scan
 
@@ -161,7 +167,8 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
     pairs = 28 * 27 // 2
     assert calls == {"flag scans": 1, "pairs": pairs, "ranks": pairs, "rrefs": 0,
                      "adapted": 28, "level scans": 5, "cover scans": 5,
-                     "duals": 2, "subspace pairs": 0}
+                     "point lists": 5 * 28, "dual point lists": 2 * 28,
+                     "dual codes": 0, "subspace pairs": 0}
 
 
 def test_verdicts_are_independent(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
@@ -194,7 +201,7 @@ def test_verify_spread_runs_one_cover_scan(tmp_path, capsys, monkeypatch):
     calls = []
     points = subspaces.member_points
     monkeypatch.setattr(subspaces, "member_points",
-                        lambda sub: calls.append(1) or points(sub))
+                        lambda *args: calls.append(1) or points(*args))
     rc, stdout, _ = run(capsys, "verify", path)
     assert rc == 0
     report = json.loads(stdout)
@@ -216,8 +223,8 @@ def test_verify_large_field_partial_spread_scans_points(tmp_path, capsys, monkey
     marked = []
     points = subspaces.member_points
 
-    def counted(sub):
-        out = points(sub)
+    def counted(*args):
+        out = points(*args)
         marked.append(len(out))
         return out
     monkeypatch.setattr(subspaces, "member_points", counted)

@@ -1,15 +1,19 @@
 """The line-oriented code file format: round trips and parse errors."""
 
 import hashlib
+import json
 import os
+import random
 import tracemalloc
 
 import pytest
 
+from conftest import ref_add, ref_mul
 from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode,
-                       build_full_type_context, build_spread_context,
-                       extend_field, full_type_max_odfc, make_field,
-                       spread_type_max_odfc, spread_type_orbit_odfc)
+                       build_full_type_context, build_spread_context, cli,
+                       codefiles, extend_field, flags, full_type_max_odfc,
+                       make_field, spread_type_max_odfc,
+                       spread_type_orbit_odfc, subspaces)
 from flagcodes.codefiles import (format_flag_code, format_subspace_code,
                                  parse_code_file, read_code_file,
                                  write_flag_code, write_subspace_code)
@@ -313,6 +317,18 @@ def test_nested_violation_reported_at_flag_line():
         raise AssertionError("non-nested flag parsed")
 
 
+def test_reduced_rows_out_of_order_or_unreduced_are_reduced():
+    # canonical rows in the wrong order, or rows with leading 1s in
+    # increasing columns and a nonzero entry above a later pivot, are no
+    # canonical basis: the parse reduces them, and the file reads as the
+    # one that writes the canonical rows
+    good = parse_code_file("\n".join(_GOOD) + "\n").code
+    for rows in (["0 1 0", "1 0 0"], ["1 1 0", "0 1 0"]):
+        lines = _GOOD[:9] + rows
+        parsed = parse_code_file("\n".join(lines) + "\n").code
+        assert _levels(parsed) == _levels(good), rows
+
+
 def test_read_missing_file(tmp_path):
     try:
         read_code_file(os.path.join(tmp_path, "absent.flagcode"))
@@ -354,3 +370,84 @@ def test_parse_shares_rows_and_checks_each(ctx_q4k3s3):
                          (mid, lines[mid - 1], head + 1)]:
         broken = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
         assert _error_line(broken) == line, (i, bad)
+
+
+def _levels(code) -> list:
+    """Each member's canonical rows, level by level, in the code's order."""
+    if isinstance(code, FlagCode):
+        return [f.levels for f in code]
+    return [(sub.rows,) for sub in code]
+
+
+def _rewrite_bases(F, text: str, rng) -> tuple:
+    """(text, bases): text with every basis replaced by a non-canonical
+    basis of the same subspace, by the reference arithmetic, and those
+    bases.  Each row is scaled by a nonzero constant (one other than 1 for a
+    one-row basis), two rows are swapped, then each row is added to the
+    next, so with two or more rows the first two share a leading column or
+    lead out of order."""
+    lines = text.splitlines()
+    out, bases = [], []
+    i = 0
+    while i < len(lines):
+        out.append(lines[i])
+        i += 1
+        if not out[-1].startswith("subspace k="):
+            continue
+        k = int(out[-1][len("subspace k="):])
+        rows = [[int(x) for x in ln.split()] for ln in lines[i:i + k]]
+        i += k
+        low = 2 if k == 1 else 1
+        scales = [rng.randrange(low, F.order) for _ in rows]
+        rows = [[ref_mul(F, c, x) for x in r] for r, c in zip(rows, scales)]
+        if k > 1:
+            a, b = rng.sample(range(k), 2)
+            rows[a], rows[b] = rows[b], rows[a]
+            for j in range(1, k):
+                rows[j] = [ref_add(F, x, y) for x, y in zip(rows[j], rows[j - 1])]
+        bases.append(tuple(map(tuple, rows)))
+        out += [" ".join(map(str, r)) for r in rows]
+    return "\n".join(out) + "\n", bases
+
+
+def _verify_report(capsys, path) -> str:
+    """The verify report of path, its file field taken out."""
+    assert cli.main(["verify", path]) == 0
+    return capsys.readouterr().out.replace(f'"file": {json.dumps(path)}, ', "")
+
+
+@pytest.mark.parametrize("which", ["t56", "q4_max", "q2_spread"])
+def test_non_canonical_bases_read_as_the_canonical_file(
+        which, ctx_q3k3s2, ctx_q4k3s2, ctx_q2k2s4, tmp_path, capsys, monkeypatch):
+    # the 28-flag GF(3) t=56 orbit code, the 65-flag GF(4) (k=3, s=2)
+    # maximum code and the 85-line spread of GF(2)^8: a canonical file
+    # parses with no elimination at all, its bases kept as read and each
+    # flag's nesting checked by reduction; the same file with every basis
+    # non-canonical reduces each basis once and reads as the same code,
+    # and verify writes the same report apart from its file field
+    code, size, q = {
+        "t56": lambda: (spread_type_orbit_odfc(ctx_q3k3s2, 56), 28, 3),
+        "q4_max": lambda: (spread_type_max_odfc(ctx_q4k3s2, 13), 65, 4),
+        "q2_spread": lambda: (ctx_q2k2s4.spread, 85, 2)}[which]()
+    assert (len(code), code.field.order) == (size, q)
+    text = (format_flag_code(code) if isinstance(code, FlagCode)
+            else format_subspace_code(code))
+    rewritten, bases = _rewrite_bases(code.field, text, random.Random(26))
+    assert not any(map(codefiles._canonical, bases))
+    calls = []
+    for module, name in ((codefiles, "rref_code_rows"), (subspaces, "rank_code_rows"),
+                         (flags, "rank_code_rows")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, name=name:
+                            calls.append(name) or f(*args))
+    canonical = parse_code_file(text).code
+    assert calls == []
+    parsed = parse_code_file(rewritten).code
+    assert calls == ["rref_code_rows"] * len(bases)
+    assert parsed == canonical == code
+    assert _levels(parsed) == _levels(canonical) == _levels(code)
+    paths = [os.path.join(tmp_path, name) for name in ("canonical.code", "rewritten.code")]
+    for path, body in zip(paths, (text, rewritten)):
+        with open(path, "w") as fh:
+            fh.write(body)
+    assert _verify_report(capsys, paths[0]) == _verify_report(capsys, paths[1])

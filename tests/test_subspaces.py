@@ -5,13 +5,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import enumerate_grassmannian, gaussian_binomial
-from flagcodes import (Matrix, Subspace, SubspaceCode, build_spread_context,
-                       dual_code, is_partial_spread, is_spread, make_field,
-                       matrices, max_distance_bound,
-                       partial_spread_size_bound, subspace_distance,
-                       subspaces)
-from flagcodes.errors import AmbientMismatchError, BadDimensionsError
+from conftest import enumerate_grassmannian, gaussian_binomial, ref_rref
+from flagcodes import (Flag, Matrix, Subspace, SubspaceCode,
+                       build_spread_context, dual_code, flags,
+                       is_partial_spread, is_spread, make_field, matrices,
+                       max_distance_bound, partial_spread_size_bound,
+                       subspace_distance, subspaces)
+from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
+                              NotNestedError)
 from flagcodes.subspaces import member_vectors
 
 
@@ -237,28 +238,81 @@ def test_one_cover_scan_answers_every_spread_verdict(ctx_q2k2s4, monkeypatch):
     is_partial_spread, is_spread and min_distance(), asked in any order,
     read one cover scan, one member_points call per member.  H's is the
     scan of its duals, lines again, since 2 * 6 > 8 answers both of its
-    predicates before any point is built."""
+    predicates before any point is built: each hyperplane's dual points are
+    listed from its kernel rows, with no dual code or dual subspace."""
     dims = []
-    duals = []
-    points, dual = subspaces.member_points, subspaces.dual_code
+    dual_lists = []
+    dual_codes = []
+    points, dual_rows = subspaces.member_points, subspaces._dual_rows
     monkeypatch.setattr(subspaces, "member_points",
-                        lambda sub: dims.append(sub.dim) or points(sub))
+                        lambda F, n, rows: dims.append(len(rows)) or points(F, n, rows))
+    monkeypatch.setattr(subspaces, "_dual_rows",
+                        lambda *args: dual_lists.append(1) or dual_rows(*args))
+    dual_code, dual = subspaces.dual_code, Subspace.dual
     monkeypatch.setattr(subspaces, "dual_code",
-                        lambda code: duals.append(1) or dual(code))
+                        lambda code: dual_codes.append(1) or dual_code(code))
+    monkeypatch.setattr(Subspace, "dual",
+                        lambda sub: dual_codes.append(1) or dual(sub))
     verdicts = {"partial": is_partial_spread, "spread": is_spread,
                 "distance": SubspaceCode.min_distance}
     S, H = ctx_q2k2s4.spread, ctx_q2k2s4.hyperplanes
     assert (len(S), S.dim, len(H), H.dim) == (85, 2, 85, 6)
     for code, expected, dual_scans in (
             (S, {"partial": True, "spread": True, "distance": 4}, 0),
-            (H, {"partial": False, "spread": False, "distance": 4}, 1)):
+            (H, {"partial": False, "spread": False, "distance": 4}, 85)):
         for order in permutations(verdicts):
             fresh = SubspaceCode(code.members)
             dims.clear()
-            duals.clear()
+            dual_lists.clear()
             assert {v: verdicts[v](fresh) for v in order} == expected, order
             assert dims == [2] * 85, (code, order)
-            assert len(duals) == dual_scans, (code, order)
+            assert len(dual_lists) == dual_scans, (code, order)
+            assert dual_codes == [], (code, order)
+
+
+def test_nesting_by_reduction_matches_reference_rank(monkeypatch):
+    # every pair lo, hi of proper subspaces of GF(2)^4 and of GF(3)^3 with
+    # lo.dim < hi.dim: Flag([lo, hi]) is refused exactly when the stacked
+    # rows have reference rank above hi.dim, and no flag runs a rank
+    ranks = []
+    for module in (subspaces, flags):
+        rank = module.rank_code_rows
+        monkeypatch.setattr(module, "rank_code_rows",
+                            lambda *args, f=rank: ranks.append(1) or f(*args))
+    for q, n in ((2, 4), (3, 3)):
+        F = make_field(q, 1)
+        subs = [U for k in range(1, n) for U in enumerate_grassmannian(F, k, n)]
+        for lo in subs:
+            for hi in subs:
+                if lo.dim < hi.dim:
+                    nested = len(ref_rref(F, hi.rows + lo.rows)) == hi.dim
+                    try:
+                        Flag([lo, hi])
+                    except NotNestedError:
+                        assert not nested, (lo.rows, hi.rows)
+                    else:
+                        assert nested, (lo.rows, hi.rows)
+    assert ranks == []
+
+
+def test_dual_points_match_reference_rank():
+    # every U of GF(2)^5, GF(3)^4 and GF(4)^3 with 2 dim U > n: the points
+    # the cover scan lists for its dual are (q^(n-k) - 1)/(q - 1) distinct
+    # ranks in range, and two such U, V share one exactly when the stacked
+    # rows have reference rank below n, since U^perp meet V^perp = (U + V)^perp
+    for p, e, n in ((2, 1, 5), (3, 1, 4), (2, 2, 3)):
+        F = make_field(p, e)
+        q = F.order
+        points = {}
+        for k in range(n // 2 + 1, n):
+            for U in enumerate_grassmannian(F, k, n):
+                listed = subspaces.member_points(F, n, subspaces._dual_rows(F, n, U.rows))
+                assert len(set(listed)) == len(listed) == (q ** (n - k) - 1) // (q - 1)
+                assert all(0 <= x < (q ** n - 1) // (q - 1) for x in listed)
+                points[U] = set(listed)
+        for U, V in combinations(points, 2):
+            meet = not points[U].isdisjoint(points[V])
+            assert meet == (len(ref_rref(F, U.rows + V.rows)) < n), (U.rows, V.rows)
 
 
 def test_spread_covers_every_vector_once():
