@@ -20,9 +20,10 @@ g = diag(I_k, M) (M the companion matrix of the pinned degree-(k+1)
 modulus) has order q^(k+1) - 1.  For a full flag through
 U = rowspace(U1 | U2) and V = U + <(v1 | v2)>, the orbit is optimum
 distance iff U1 and V2 = (U2 over v2) are invertible, and appending the two
-completion flags through (U1 | 0) and (0 | U2) reaches q^(k+1) + 1 members
-exactly when v1 = 0.  All three complete with the lowest-index standard
-vectors, every level a snapshot of one elimination of their rows and I_n.
+completion flags through (U1 | 0) and (0 | U2) gives q^(k+1) + 1 members,
+whatever v1; the union is optimum distance exactly when v1 = 0.  All three
+complete with the lowest-index standard vectors, every level a snapshot of
+one elimination of their rows and I_n.
 """
 
 from math import gcd

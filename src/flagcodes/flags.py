@@ -44,8 +44,8 @@ level_distances feeds both adapted bases in level by level and reads every
 level's distance from the rank after it.  A flag keeps its adapted basis,
 so a code's pair scan builds each member's once, not once per pair.  An
 orbit code carries its group generator, and so do its projections and
-unions with it first; min_distance walks it through the code, and never
-trusts it, before it skips any pair (see subspaces).
+unions with it first; min_distance applies it once to each member, and
+never trusts it, before it skips any pair (see subspaces).
 """
 
 from math import gcd
@@ -55,7 +55,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, act_code_rows, rank_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit, max_distance_bound)
+                        group_orbit, max_distance_bound, min_pair_distance)
 
 
 class Flag:
@@ -242,8 +242,8 @@ class FlagCode(Code):
         self.dims = self.members[0].dims
         self._projections = None
 
-    def _distance(self):
-        return flag_distance  # read at call time, as in SubspaceCode
+    def _scan(self) -> int:
+        return min_pair_distance(self, flag_distance)
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "

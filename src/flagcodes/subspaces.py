@@ -6,9 +6,10 @@ is d(U, V) = dim(U + V) - dim(U \\cap V) = 2 rank(stacked bases) - dim U -
 dim V.
 
 A `Code`, the one base of subspace and flag codes, may carry a `generator`,
-an n x n matrix over its field, which it never trusts: min_distance walks
-the generator through the code and lets the start of each g-chain in the
-code, x, x g, x g^2, ..., stand for the whole chain.  For invertible g,
+an n x n matrix over its field, which it never trusts: min_distance applies
+the generator once to each member, looks the image up in the code, and lets
+the start of each g-chain in the code, x, x g, x g^2, ..., stand for the
+whole chain (on a closed orbit, any one member).  For invertible g,
 d(x g^i, y g^j) = d(x g^(i-m), y g^(j-m)), so the minimum over
 (representative, member) pairs is exact whatever the generator; it only
 decides how much of the quadratic pair scan is saved.  Both paths are
@@ -158,11 +159,12 @@ class Code:
 
     The members are subspaces (SubspaceCode) or flags (FlagCode), kept
     sorted by `key`, their canonical rows.  `generator`, when given, is an
-    n x n matrix over the field whose orbits min_distance may use once it
-    has walked them (see scan_pairs).  Each kind names its pair distance in
-    `_distance()`; `_scan()`, the pair scan unless a kind replaces it,
-    computes the kept min_distance of that code alone.  Two codes are
-    equal when they are of one kind and hold the same members.
+    n x n matrix over the field whose chains min_distance may use once it
+    has applied it to every member (see scan_pairs).  Each kind's `_scan()`
+    computes the kept min_distance of that code alone, naming its pair
+    distance at call time, so a wrapper of that module global sees every
+    pair.  Two codes are equal when they are of one kind and hold the
+    same members.
     """
 
     __slots__ = ("field", "n", "members", "_set", "generator", "_min_distance")
@@ -210,9 +212,6 @@ class Code:
             self._min_distance = self._scan()
         return self._min_distance
 
-    def _scan(self) -> int:
-        return min_pair_distance(self, self._distance())
-
 
 class SubspaceCode(Code):
     """A nonempty set of equal-dimensional subspaces of a common GF(q)^n."""
@@ -230,9 +229,6 @@ class SubspaceCode(Code):
             raise BadDimensionsError(
                 f"code members must have 0 < dim < {self.n}, got {self.dim}")
 
-    def _distance(self):
-        return subspace_distance  # read at call time, so a wrapper sees each pair
-
     def _scan(self) -> int:
         """The maximum distance when the cover scan certifies it, else pairs.
 
@@ -247,7 +243,7 @@ class SubspaceCode(Code):
         if len(self) > 1 and (q ** self.n - 1) // (q - 1) <= _COVER_LIMIT_BITS:
             if _cover_scan(self):
                 return max_distance_bound(self.n, self.dim)
-        return min_pair_distance(self, self._distance())
+        return min_pair_distance(self, subspace_distance)
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1
@@ -271,16 +267,6 @@ def orbit_walk(start, g: Matrix) -> list:
     return walk
 
 
-def _walk_unplaced(x, A: Matrix, unplaced: set) -> tuple:
-    """(last, stop): walk x by A, taking each image out of unplaced, up to
-    stop, the first image not in it; last is the image before stop."""
-    cur = x.apply(A)
-    while cur in unplaced:
-        unplaced.remove(cur)
-        x, cur = cur, cur.apply(A)
-    return x, cur
-
-
 def group_orbit(group, seed):
     """(orbit members from seed, stabilizer order) under a cyclic group."""
     if seed.field is not group.field:
@@ -298,35 +284,38 @@ def scan_pairs(code):
     """The pairs of code members that min_distance scans, each once.
 
     The code's generator g splits the code into g-chains, each kept as one
-    representative; a singular g certifies nothing.  From each member not
-    yet placed, g is walked, one apply per member, until it gets back to its
-    start (a closed orbit, its start the representative) or leaves the code.
-    A walk that leaves the code is then walked back with g^(-1) to its chain
-    start s, the first member whose preimage is not in the code, and s is
-    the representative of the chain s, s g, ..., whatever the order of the
-    members.  The pairs are (representative, member), each unordered pair
-    once.  That is exact for invertible g: chained members s g^i and t g^j,
-    with m = min(i, j), are the image under g^m of s g^(i-m) and t g^(j-m):
-    one of them is a chain start, the other is still on its chain, and g^m
-    keeps every distance.  With every member a representative this is the
-    plain pair scan.
+    representative; a singular g certifies nothing.  One pass applies g to
+    each member and looks the image up among the members, so each member
+    knows its successor in the code, if any.  A chain start, a member that
+    no member maps to, is the representative of the chain s, s g, ...,
+    walked by successors until it leaves the code; the members no walk
+    reaches lie on closed orbits inside the code, and the first of each
+    (in member order) is its representative.  The pairs are
+    (representative, member), each unordered pair once.  That is exact for
+    invertible g: every member is s g^i for the representative s of its
+    chain or orbit, and members s g^i and t g^j, with m = min(i, j), are
+    the image under g^m of s g^(i-m) and t g^(j-m): one of them is a
+    representative, the other is still in the code, and g^m keeps every
+    distance.  With every member a representative this is the plain pair
+    scan.
     """
     ms = code.members
     g = code.generator
-    if len(ms) == 1 or g is None or not g.is_invertible():
+    if g is None or not g.is_invertible():
         reps = list(ms)
     else:
-        unplaced = set(ms)
+        index = {m: i for i, m in enumerate(ms)}
+        succ = [index.get(m.apply(g)) for m in ms]
+        hit = set(succ)
+        placed = [False] * len(ms)
         reps = []
-        back = None  # g^(-1), made for the first walk that leaves the code
-        for m in ms:
-            if m in unplaced:
-                unplaced.remove(m)
-                if _walk_unplaced(m, g, unplaced)[1] != m:
-                    if back is None:
-                        back = g.inverse()
-                    m = _walk_unplaced(m, back, unplaced)[0]
-                reps.append(m)
+        starts = [i for i in range(len(ms)) if i not in hit]
+        for i in starts + list(range(len(ms))):  # then the closed orbits
+            if not placed[i]:
+                reps.append(ms[i])
+                while i is not None and not placed[i]:
+                    placed[i] = True
+                    i = succ[i]
     chosen = set(reps)
     order = reps + [m for m in ms if m not in chosen]
     return ((r, m) for i, r in enumerate(reps) for m in order[i + 1:])

@@ -149,7 +149,7 @@ def test_verify_runs_each_scan_once(ctx_q3k3s2, tmp_path, capsys, monkeypatch):
     counted(subspaces, "dual_code", "dual codes", scan_only=False)
     counted(subspaces.Subspace, "dual", "dual codes", scan_only=False)
     counted(subspaces, "subspace_distance", "subspace pairs", scan_only=False)
-    scan = subspaces.Code._scan
+    scan = flags.FlagCode._scan
 
     def counted_scan(code):
         calls["flag scans"] += 1

@@ -1,10 +1,10 @@
 """Minimum distance with a generator that min_distance checks, never trusts.
 
-A code's generator only decides which pairs the scan may skip: the walk
-from each member either returns to its start inside the code (a certified
-orbit, one representative) or leaves it, and is walked back to the start
-of its chain, the chain's one representative.  The result must equal the
-plain pair scan, conftest's pair_scan_distance, for any generator.
+A code's generator only decides which pairs the scan may skip: one pass
+applies it to each member and finds each member's successor in the code,
+so each g-chain is kept as its start, a member no member maps to, and each
+closed orbit as one of its members.  The result must equal the plain pair
+scan, conftest's pair_scan_distance, for any generator.
 """
 
 import random
@@ -127,19 +127,58 @@ def test_codes_equal_by_kind_and_members(ctx_q2k2s2):
         union_flag_codes([flag_code, lines])
 
 
-def test_one_representative_per_walk(F2):
-    # m consecutive members of a 15-member Singer orbit are one g-chain:
-    # the first walk, from whichever member sorts first, leaves the code
-    # and is walked back to the chain start, its one representative
+@pytest.fixture
+def scan_counts(monkeypatch):
+    """Calls of Subspace.apply and Flag.apply (applies) and of
+    Matrix.inverse (inverses), counted from here on."""
+    counts = {"applies": 0, "inverses": 0}
+    for owner, name, key in ((Subspace, "apply", "applies"),
+                             (Flag, "apply", "applies"),
+                             (Matrix, "inverse", "inverses")):
+        def counted(*args, f=getattr(owner, name), key=key):
+            counts[key] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def _subspace_scan(code, counts):
+    """(distance, pairs, applies, inverses) of one min_pair_distance."""
+    counts.update(applies=0, inverses=0)
+    pairs = []
+    d = min_pair_distance(code, lambda u, v: pairs.append(1) or subspace_distance(u, v))
+    return d, len(pairs), counts["applies"], counts["inverses"]
+
+
+def test_one_representative_per_walk(F2, scan_counts):
+    # m consecutive members of a 15-member Singer orbit are one g-chain,
+    # or for m = 15 one closed orbit: one representative, found with one
+    # apply per member and no g^(-1)
     g = singer_group(F2, 4).generator
     orbit = orbit_walk(Subspace(F2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]), g)
     assert len(orbit) == 15
     for m in range(1, 16):
         code = SubspaceCode(orbit[:m], generator=g)
-        pairs = []
-        d = min_pair_distance(code, lambda u, v: pairs.append(1) or subspace_distance(u, v))
+        d, pairs, applies, inverses = _subspace_scan(code, scan_counts)
         assert d == pair_scan_distance(code)
-        assert len(pairs) == m - 1
+        assert (pairs, applies, inverses) == (m - 1, m, 0)
+
+
+def test_closed_orbit_and_open_chain_under_one_generator(F2, scan_counts):
+    # the closed 15-plane Singer orbit of <e1, e3> and a chain of 1 to 14
+    # members of the other 15-plane orbit: two representatives, so
+    # 2 |C| - 3 pairs
+    g = singer_group(F2, 4).generator
+    closed = orbit_walk(Subspace(F2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]), g)
+    other = next(o for o in (orbit_walk(U, g)
+                             for U in enumerate_grassmannian(F2, 2, 4)
+                             if U not in closed)
+                 if len(o) == 15)
+    for m in range(1, 15):
+        code = SubspaceCode(closed + other[:m], generator=g)
+        d, pairs, applies, inverses = _subspace_scan(code, scan_counts)
+        assert d == pair_scan_distance(code) == 2
+        assert (pairs, applies, inverses) == (2 * len(code) - 3, len(code), 0)
 
 
 @pytest.mark.parametrize("name, t, count", [
@@ -148,17 +187,20 @@ def test_one_representative_per_walk(F2):
     ("ctx_q4k3s2", 39, 310), ("ctx_q3k3s2", 1, 27), ("ctx_q3k3s2", 4, 53),
     ("ctx_q3k3s2", 28, 53), ("ctx_q3k3s2", 56, 27)])
 def test_max_code_scans_one_representative_per_chain(name, t, count, request,
-                                                     monkeypatch):
+                                                     monkeypatch, scan_counts):
     # a maximum spread-type code of M members keeps r = min(m, |O_0|)
     # representatives, |O_0| g-chains or m T-orbits, and scans
-    # r M - r (r + 1) / 2 pairs, each one flag_distance
+    # r M - r (r + 1) / 2 pairs, each one flag_distance, after one apply
+    # per member and no g^(-1)
     code = spread_type_max_odfc(request.getfixturevalue(name), t)
     pairs = []
     distance = flags.flag_distance
     monkeypatch.setattr(flags, "flag_distance",
                         lambda *args: pairs.append(1) or distance(*args))
+    scan_counts.update(applies=0, inverses=0)
     d = code.min_distance()
     assert len(pairs) == count
+    assert scan_counts == {"applies": len(code), "inverses": 0}
     assert d == pair_scan_distance(code) == flag_distance_bound(code.n, code.dims)
 
 
