@@ -46,7 +46,7 @@ class SpreadContext:
     embedded Singer group.
 
     Attributes: base_field, k, s, n, extension (GF(q^k)), group, spread,
-    hyperplanes (SubspaceCodes carrying the group generator),
+    hyperplanes (SubspaceCodes, each decided by one cover scan),
     member_stabilizer_order (q^k - 1).  For k = 1 the extension is the base
     field, g is the companion matrix itself and the seeds are not reduced.
     Set-up certifies the two seeds; spread and hyperplanes walk their orbit
@@ -160,8 +160,7 @@ def conjugate_spread(ctx: SpreadContext, B: Matrix):
     B_inv = B.inverse()  # raises SingularMatrixError when not invertible
     # a conjugate has the order of the checked Singer generator
     group = CyclicMatrixGroup._trusted(B_inv @ ctx.group.generator @ B, ctx.group.order)
-    code = SubspaceCode((m.apply(B) for m in ctx.spread.members),
-                        generator=group.generator)
+    code = SubspaceCode(m.apply(B) for m in ctx.spread.members)
     return code, group
 
 

@@ -43,9 +43,10 @@ the forward-only rank_code_rows, not the canonical rref_code_rows:
 level_distances feeds both adapted bases in level by level and reads every
 level's distance from the rank after it.  A flag keeps its adapted basis,
 so a code's pair scan builds each member's once, not once per pair.  An
-orbit code carries its group generator, and so do its projections and
-unions with it first; min_distance applies it once to each member, and
-never trusts it, before it skips any pair (see subspaces).
+orbit code carries its group generator, and so does a union with it
+first; min_distance applies it once to each member, and never trusts it,
+before it skips any pair (see subspaces.scan_pairs).  A projection carries
+none: a level at its maximum is decided by its cover scan.
 """
 
 from math import gcd
@@ -233,17 +234,25 @@ def critical_indices(n: int, dims):
 
 
 class FlagCode(Code):
-    """A nonempty set of flags of one type on a common ambient space."""
+    """A nonempty set of flags of one type on a common ambient space.
 
-    __slots__ = ("dims", "_projections")
+    `generator`, when given, is an n x n matrix over the field whose chains
+    min_distance may use once it has applied it to every member (see
+    subspaces.scan_pairs); it is checked to act on the code, never trusted.
+    """
+
+    __slots__ = ("dims", "generator", "_projections")
 
     def __init__(self, members, *, generator=None):
-        super().__init__(members, generator, lambda f: f.levels)
+        super().__init__(members, lambda f: f.levels)
+        if generator is not None:
+            check_acting_matrix(self.field, self.n, generator)
         self.dims = self.members[0].dims
+        self.generator = generator
         self._projections = None
 
     def _scan(self) -> int:
-        return min_pair_distance(self, flag_distance)
+        return min_pair_distance(self.members, flag_distance, self.generator)
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "
@@ -261,9 +270,8 @@ def projected_code(code: FlagCode, index: int) -> SubspaceCode:
     if code._projections is None:
         F, n = code.field, code.n
         code._projections = tuple(
-            SubspaceCode((Subspace._from_rref(F, n, f.levels[i])
-                          for f in code.members),
-                         generator=code.generator)
+            SubspaceCode(Subspace._from_rref(F, n, f.levels[i])
+                         for f in code.members)
             for i in range(len(code.dims)))
     return code._projections[index - 1]
 

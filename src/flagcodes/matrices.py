@@ -141,14 +141,6 @@ class Matrix:
             raise SingularMatrixError("matrix is singular")
         return Matrix._trusted(self.field, tuple(r[n:] for r in reduced), n)
 
-    def kernel(self) -> "Matrix":
-        """Basis rows of {x : M x^T = 0}, whose span is the dual of M's row
-        space; shape (ncols - rank) x ncols.  The rows are reduced, then
-        kernel_code_rows reads the basis off them, as Subspace.dual does."""
-        reduced = rref_code_rows(self.field, self.rows)[0]
-        return Matrix._trusted(self.field, kernel_code_rows(self.field, reduced, self.ncols),
-                               self.ncols)
-
     def is_identity(self) -> bool:
         return (self.nrows == self.ncols and
                 all(x == (1 if i == j else 0)

@@ -141,6 +141,9 @@ def singer_group(field: FiniteField, n: int) -> CyclicMatrixGroup:
 
 
 def orbit_subspace(group: CyclicMatrixGroup, U: Subspace):
-    """(orbit SubspaceCode, stabilizer order) under repeated generator action."""
+    """(orbit SubspaceCode, stabilizer order) under repeated generator action.
+
+    The code carries no generator: a subspace code at its maximum distance
+    is decided by its cover scan (see SubspaceCode)."""
     members, stab = group_orbit(group, U)
-    return SubspaceCode(members, generator=group.generator), stab
+    return SubspaceCode(members), stab

@@ -4,16 +4,6 @@ A subspace is identified with the reduced row echelon form of any generator
 matrix, so equality, hashing and membership are exact.  The subspace metric
 is d(U, V) = dim(U + V) - dim(U \\cap V) = 2 rank(stacked bases) - dim U -
 dim V.
-
-A `Code`, the one base of subspace and flag codes, may carry a `generator`,
-an n x n matrix over its field, which it never trusts: min_distance applies
-the generator once to each member, looks the image up in the code, and lets
-the start of each g-chain in the code, x, x g, x g^2, ..., stand for the
-whole chain (on a closed orbit, any one member).  For invertible g,
-d(x g^i, y g^j) = d(x g^(i-m), y g^(j-m)), so the minimum over
-(representative, member) pairs is exact whatever the generator; it only
-decides how much of the quadratic pair scan is saved.  Both paths are
-cross-checked in the test suite.
 """
 
 import operator
@@ -158,31 +148,25 @@ class Code:
     """A nonempty set of members of one shape on a common GF(q)^n.
 
     The members are subspaces (SubspaceCode) or flags (FlagCode), kept
-    sorted by `key`, their canonical rows.  `generator`, when given, is an
-    n x n matrix over the field whose chains min_distance may use once it
-    has applied it to every member (see scan_pairs).  Each kind's `_scan()`
-    computes the kept min_distance of that code alone, naming its pair
-    distance at call time, so a wrapper of that module global sees every
-    pair.  Two codes are equal when they are of one kind and hold the
-    same members.
+    sorted by `key`, their canonical rows.  Each kind's `_scan()` computes
+    the kept min_distance of that code alone, naming its pair distance at
+    call time, so a wrapper of that module global sees every pair.  Two
+    codes are equal when they are of one kind and hold the same members.
     """
 
-    __slots__ = ("field", "n", "members", "_set", "generator", "_min_distance")
+    __slots__ = ("field", "n", "members", "_set", "_min_distance")
 
-    def __init__(self, members, generator, key):
+    def __init__(self, members, key):
         members = list(members)
         if not members:
             raise BadDimensionsError("a code needs at least one member")
         first = members[0]
         for m in members:
             first._check_mate(m)
-        if generator is not None:
-            check_acting_matrix(first.field, first.n, generator)
         self.field = first.field
         self.n = first.n
         self._set = frozenset(members)
         self.members = tuple(sorted(self._set, key=key))
-        self.generator = generator
         self._min_distance = None
 
     def __iter__(self):
@@ -218,8 +202,8 @@ class SubspaceCode(Code):
 
     __slots__ = ("dim",)
 
-    def __init__(self, members, *, generator=None):
-        super().__init__(members, generator, lambda s: s.rows)
+    def __init__(self, members):
+        super().__init__(members, lambda s: s.rows)
         self.dim = self.members[0].dim
         for m in self.members:
             if m.dim != self.dim:
@@ -243,7 +227,7 @@ class SubspaceCode(Code):
         if len(self) > 1 and (q ** self.n - 1) // (q - 1) <= _COVER_LIMIT_BITS:
             if _cover_scan(self):
                 return max_distance_bound(self.n, self.dim)
-        return min_pair_distance(self, subspace_distance)
+        return min_pair_distance(self.members, subspace_distance)
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1
@@ -280,17 +264,19 @@ def group_orbit(group, seed):
     return members, group.order // len(members)
 
 
-def scan_pairs(code):
-    """The pairs of code members that min_distance scans, each once.
+def scan_pairs(members, g=None):
+    """The pairs of a code's sorted members that min_distance scans, each
+    once.
 
-    The code's generator g splits the code into g-chains, each kept as one
-    representative; a singular g certifies nothing.  One pass applies g to
-    each member and looks the image up among the members, so each member
-    knows its successor in the code, if any.  A chain start, a member that
-    no member maps to, is the representative of the chain s, s g, ...,
-    walked by successors until it leaves the code; the members no walk
-    reaches lie on closed orbits inside the code, and the first of each
-    (in member order) is its representative.  The pairs are
+    A generator g, an n x n matrix over the field, splits the members into
+    g-chains, each kept as one representative; without g, or with a
+    singular one, which certifies nothing, every member is one.  One pass
+    applies g to each member and looks the image up among the members, so
+    each member knows its successor in the code, if any.  A chain start, a
+    member that no member maps to, is the representative of the chain
+    s, s g, ..., walked by successors until it leaves the code; the members
+    no walk reaches lie on closed orbits inside the code, and the first of
+    each (in member order) is its representative.  The pairs are
     (representative, member), each unordered pair once.  That is exact for
     invertible g: every member is s g^i for the representative s of its
     chain or orbit, and members s g^i and t g^j, with m = min(i, j), are
@@ -299,31 +285,29 @@ def scan_pairs(code):
     distance.  With every member a representative this is the plain pair
     scan.
     """
-    ms = code.members
-    g = code.generator
     if g is None or not g.is_invertible():
-        reps = list(ms)
+        reps = list(members)
     else:
-        index = {m: i for i, m in enumerate(ms)}
-        succ = [index.get(m.apply(g)) for m in ms]
+        index = {m: i for i, m in enumerate(members)}
+        succ = [index.get(m.apply(g)) for m in members]
         hit = set(succ)
-        placed = [False] * len(ms)
+        placed = [False] * len(members)
         reps = []
-        starts = [i for i in range(len(ms)) if i not in hit]
-        for i in starts + list(range(len(ms))):  # then the closed orbits
+        starts = [i for i in range(len(members)) if i not in hit]
+        for i in starts + list(range(len(members))):  # then the closed orbits
             if not placed[i]:
-                reps.append(ms[i])
+                reps.append(members[i])
                 while i is not None and not placed[i]:
                     placed[i] = True
                     i = succ[i]
     chosen = set(reps)
-    order = reps + [m for m in ms if m not in chosen]
+    order = reps + [m for m in members if m not in chosen]
     return ((r, m) for i, r in enumerate(reps) for m in order[i + 1:])
 
 
-def min_pair_distance(code, distance) -> int:
+def min_pair_distance(members, distance, g=None) -> int:
     """Minimum of distance over the pairs scan_pairs gives; 0 for a singleton."""
-    return min((distance(r, m) for r, m in scan_pairs(code)), default=0)
+    return min((distance(r, m) for r, m in scan_pairs(members, g)), default=0)
 
 
 def member_vectors(sub: Subspace) -> list:

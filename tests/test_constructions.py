@@ -14,7 +14,8 @@ from flagcodes import (Flag, Matrix, Subspace,
                        flag_distance_bound, full_type_generator_flag,
                        full_type_max_odfc, full_type_orbit_odfc,
                        is_odfc_by_characterization, is_odfc_by_definition,
-                       is_partial_spread, is_spread, make_field, orbit_flag,
+                       is_partial_spread, is_spread, make_field,
+                       max_distance_bound, orbit_flag,
                        orbit_subspace, projected_code, spread_type_max_odfc,
                        spread_type_orbit_odfc, table_row, union_flag_codes)
 from flagcodes import constructions, singer, subspaces
@@ -63,7 +64,8 @@ def test_certified_orbits_match_brute_force(name, distance_route, request):
         assert code == oracle
         assert code.members == oracle.members
         assert field_reduction(Subspace.standard(E, s, d)) in code
-        assert code.generator == ctx.group.generator
+        # an orbit of subspaces carries no generator: its cover scan decides it
+        assert not hasattr(code, "generator")
     assert is_spread(ctx.spread)
     if distance_route == "pairs":
         assert pair_scan_distance(ctx.hyperplanes) == 2 * k
@@ -383,6 +385,32 @@ def test_full_type_orbit_and_max(ftx_q2k2, ftx_q3k2):
     assert (len(o3), o3.min_distance()) == (26, 12)
     assert (len(m3), m3.min_distance()) == (28, 12)
     assert is_odfc_by_definition(o3) and is_odfc_by_definition(m3)
+
+
+def test_every_projection_of_a_built_code_is_at_its_maximum(
+        ctx_q2k2s2, ctx_q3k3s2, ftx_q2k2, ftx_q3k2, monkeypatch):
+    """Every level of every orbit and maximum code the two constructions
+    build reaches its maximum distance, so the cover scan decides each
+    projection with no subspace_distance pair: a subspace code has no use
+    for a generator."""
+    codes = []
+    for ctx in (ctx_q2k2s2, ctx_q3k3s2):
+        for t in admissible_subgroup_orders(ctx):
+            codes += [spread_type_orbit_odfc(ctx, t), spread_type_max_odfc(ctx, t)]
+    for ctx in (ftx_q2k2, ftx_q3k2):
+        codes += [full_type_orbit_odfc(ctx, full_type_generator_flag(ctx)),
+                  full_type_max_odfc(ctx)]
+    codes = [code for code in codes if len(code) > 1]
+    assert len(codes) == 21
+    pairs = []
+    distance = subspaces.subspace_distance
+    monkeypatch.setattr(subspaces, "subspace_distance",
+                        lambda *args: pairs.append(1) or distance(*args))
+    for code in codes:
+        for i, t in enumerate(code.dims, start=1):
+            proj = projected_code(code, i)
+            assert proj.min_distance() == max_distance_bound(code.n, t), (code, i)
+    assert pairs == []
 
 
 def test_full_type_input_gates(ftx_q2k2, F2):

@@ -1,10 +1,12 @@
 """Minimum distance with a generator that min_distance checks, never trusts.
 
-A code's generator only decides which pairs the scan may skip: one pass
-applies it to each member and finds each member's successor in the code,
-so each g-chain is kept as its start, a member no member maps to, and each
-closed orbit as one of its members.  The result must equal the plain pair
-scan, conftest's pair_scan_distance, for any generator.
+A flag code's generator only decides which pairs the scan may skip: one
+pass applies it to each member and finds each member's successor in the
+code, so each g-chain is kept as its start, a member no member maps to, and
+each closed orbit as one of its members.  The result must equal the plain
+pair scan, conftest's pair_scan_distance, for any generator.  A subspace
+code carries none, so subspace orbits are checked here as one-level flag
+codes.
 """
 
 import random
@@ -15,16 +17,21 @@ import pytest
 from conftest import (enumerate_grassmannian, pair_scan_distance,
                       random_invertible)
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
-                       canonical_admissible_flag,
+                       canonical_admissible_flag, flag_distance,
                        flag_distance_bound, full_type_generator_flag,
                        is_odfc_by_characterization, is_odfc_by_definition,
                        is_partial_spread, max_distance_bound, orbit_flag,
                        orbit_subspace, projected_code, singer_group,
                        spread_type_max_odfc, subspace_distance, union_flag_codes)
 from flagcodes import flags, subspaces
-from flagcodes.subspaces import min_pair_distance, orbit_walk, scan_pairs
+from flagcodes.subspaces import Code, min_pair_distance, orbit_walk, scan_pairs
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError, ShapeError,
                               TypeMismatchError)
+
+
+def _one_level(levels, g=None) -> FlagCode:
+    """The flag code of the one-level flags [U], U in levels, carrying g."""
+    return FlagCode((Flag([U]) for U in levels), generator=g)
 
 
 def test_union_with_a_foreign_flag_is_not_odfc(ctx_q2k2s2, F2):
@@ -51,10 +58,13 @@ def test_generator_the_code_leaves_gives_the_true_distance(F2):
     c = [U for U in planes if subspace_distance(a, U) in (0, 4)]
     assert len(c) == 17
     g = singer_group(F2, 4).generator
-    code = SubspaceCode(c, generator=g)
+    code = _one_level(c, g)
     assert code.min_distance() == pair_scan_distance(code) == 2
-    assert not code.attains_max_distance()
-    assert not is_partial_spread(code)
+    assert not is_odfc_by_definition(code)
+    sub_code = SubspaceCode(c)
+    assert sub_code.min_distance() == 2
+    assert not sub_code.attains_max_distance()
+    assert not is_partial_spread(sub_code)
 
 
 def test_singular_generator_certifies_nothing(F2):
@@ -64,18 +74,24 @@ def test_singular_generator_certifies_nothing(F2):
     members = [Subspace(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
                Subspace(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]),
                Subspace(F2, 4, [(1, 0, 1, 0), (0, 0, 0, 1)])]
-    code = SubspaceCode(members, generator=g)
+    code = _one_level(members, g)
     assert code.min_distance() == pair_scan_distance(code) == 2
 
 
 def test_generator_must_act_on_the_code(F2, F3):
     U = Subspace.standard(F2, 3, 1)
     with pytest.raises(ShapeError):
-        SubspaceCode([U], generator=Matrix(F2, [(1, 0), (0, 1), (1, 1)]))
+        FlagCode([Flag([U])], generator=Matrix(F2, [(1, 0), (0, 1), (1, 1)]))
     with pytest.raises(AmbientMismatchError):
-        SubspaceCode([U], generator=Matrix.identity(F2, 4))
+        FlagCode([Flag([U])], generator=Matrix.identity(F2, 4))
     with pytest.raises(MixedFieldsError):
         FlagCode([Flag([U])], generator=Matrix.identity(F3, 3))
+    # the generator is a flag-code certificate: no subspace code takes or
+    # keeps one, and the common base holds none
+    with pytest.raises(TypeError):
+        SubspaceCode([U], generator=Matrix.identity(F2, 3))
+    assert not hasattr(SubspaceCode([U]), "generator")
+    assert "generator" not in Code.__slots__
 
 
 def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
@@ -85,7 +101,8 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
     e = Matrix.identity(ctx_q3k3s2.base_field, 6).rows
     sub_code, _ = orbit_subspace(T, Subspace(ctx_q3k3s2.base_field, 6,
                                              [e[0], e[1], e[3]]))
-    assert len(flag_code) == len(sub_code) == 28
+    level_code = _one_level(sub_code, T.generator)
+    assert len(flag_code) == len(sub_code) == len(level_code) == 28
     pairs = []
     applies = []
     for module, name, member in ((flags, "flag_distance", Flag),
@@ -95,7 +112,11 @@ def test_certified_orbits_save_pairs_and_applies(ctx_q3k3s2, monkeypatch):
                             pairs.append(1) or d(*args))
         monkeypatch.setattr(member, "apply", lambda x, A, a=apply:
                             applies.append(1) or a(x, A))
-    for code, d in ((flag_code, 18), (sub_code, 2)):
+    # the subspace orbit carries no generator: after its cover scan it
+    # scans every pair, with no apply
+    assert sub_code.min_distance() == 2
+    assert (len(pairs), len(applies)) == (28 * 27 // 2, 0)
+    for code, d in ((flag_code, 18), (level_code, 2)):
         pairs.clear()
         applies.clear()
         assert code.min_distance() == d
@@ -142,11 +163,14 @@ def scan_counts(monkeypatch):
     return counts
 
 
-def _subspace_scan(code, counts):
-    """(distance, pairs, applies, inverses) of one min_pair_distance."""
+def _level_scan(code, counts):
+    """(distance, pairs, applies, inverses) of one min_pair_distance of a
+    one-level flag code under its generator."""
     counts.update(applies=0, inverses=0)
     pairs = []
-    d = min_pair_distance(code, lambda u, v: pairs.append(1) or subspace_distance(u, v))
+    d = min_pair_distance(code.members,
+                          lambda u, v: pairs.append(1) or flag_distance(u, v),
+                          code.generator)
     return d, len(pairs), counts["applies"], counts["inverses"]
 
 
@@ -158,8 +182,8 @@ def test_one_representative_per_walk(F2, scan_counts):
     orbit = orbit_walk(Subspace(F2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)]), g)
     assert len(orbit) == 15
     for m in range(1, 16):
-        code = SubspaceCode(orbit[:m], generator=g)
-        d, pairs, applies, inverses = _subspace_scan(code, scan_counts)
+        code = _one_level(orbit[:m], g)
+        d, pairs, applies, inverses = _level_scan(code, scan_counts)
         assert d == pair_scan_distance(code)
         assert (pairs, applies, inverses) == (m - 1, m, 0)
 
@@ -175,8 +199,8 @@ def test_closed_orbit_and_open_chain_under_one_generator(F2, scan_counts):
                              if U not in closed)
                  if len(o) == 15)
     for m in range(1, 15):
-        code = SubspaceCode(closed + other[:m], generator=g)
-        d, pairs, applies, inverses = _subspace_scan(code, scan_counts)
+        code = _one_level(closed + other[:m], g)
+        d, pairs, applies, inverses = _level_scan(code, scan_counts)
         assert d == pair_scan_distance(code) == 2
         assert (pairs, applies, inverses) == (2 * len(code) - 3, len(code), 0)
 
@@ -216,8 +240,8 @@ def _assert_pairs_covered(code):
     """Every pair of members, shifted back by g until it is a pair that
     scan_pairs gives, stays in the code on the way: the argument that makes
     the representative scan exact, checked pair by pair."""
-    scanned = {frozenset(p) for p in scan_pairs(code)}
     g = code.generator
+    scanned = {frozenset(p) for p in scan_pairs(code.members, g)}
     back = g.inverse() if g is not None and g.is_invertible() else None
     preimage = {}
 
@@ -260,12 +284,13 @@ def test_certificate_matches_full_scan_seeded(name, request):
         _assert_exact(union_flag_codes([orbit, second, extras]))
         _assert_exact(FlagCode(list(orbit) + list(extras),
                                generator=random_invertible(rng, F, n)))
+        # subspace orbits, as one-level flag codes under T's generator
         level = rng.choice(seed.subspaces)
         sub_orbit, _ = orbit_subspace(T, level.apply(random_invertible(rng, F, n)))
-        _assert_exact(sub_orbit)
-        _assert_exact(SubspaceCode(list(sub_orbit) + [
+        _assert_exact(_one_level(sub_orbit, T.generator))
+        _assert_exact(_one_level(list(sub_orbit) + [
             level.apply(random_invertible(rng, F, n)) for _ in range(2)],
-            generator=T.generator))
+            T.generator))
         # segments of g-chains from random starts, in sorted member order
         g = ctx.group.generator
         chains = []
@@ -275,7 +300,7 @@ def test_certificate_matches_full_scan_seeded(name, request):
                 chains.append(f)
                 f = f.apply(g)
         _assert_exact(FlagCode(chains, generator=g))
-        _assert_exact(SubspaceCode((f.subspaces[0] for f in chains), generator=g))
+        _assert_exact(_one_level((f.subspaces[0] for f in chains), g))
 
 
 def _sharing(rng, flag, j):
