@@ -37,7 +37,8 @@ from .matrices import Matrix, block_diag, hstack, rref_code_rows, vstack
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
 from .subspaces import Subspace, SubspaceCode
-from .flags import Flag, FlagCode, orbit_flag, union_flag_codes
+from .flags import (Flag, FlagCode, critical_indices, orbit_flag,
+                    union_flag_codes)
 
 
 class SpreadContext:
@@ -174,14 +175,12 @@ def admissible_flag_dims(ctx: SpreadContext) -> tuple:
 
 def canonical_admissible_flag(ctx: SpreadContext) -> Flag:
     """Standard coordinate flag with level k in S and level n-k in H."""
-    F = ctx.base_field
     dims = admissible_flag_dims(ctx)
-    subs = [Subspace.standard(F, ctx.n, d) for d in dims]
-    flag = Flag(subs)
+    subs = [Subspace.standard(ctx.base_field, ctx.n, d) for d in dims]
     # each orbit holds its seed, so this is membership in S and H
-    if (subs[ctx.k - 1], subs[dims.index(ctx.n - ctx.k)]) != ctx._seeds:
+    if tuple(subs[i - 1] for i in critical_indices(ctx.n, dims)) != ctx._seeds:
         raise AssertionError("canonical flag misses the spread or hyperplane code")
-    return flag
+    return Flag(subs)
 
 
 def _check_subgroup_order(ctx: SpreadContext, t: int):
@@ -216,16 +215,18 @@ def spread_type_orbit_odfc(ctx: SpreadContext, t: int) -> FlagCode:
 def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     """Union of orbits under the order-t subgroup T reaching size
     M = (q^n - 1)/(q^k - 1), the largest any optimum distance code of this
-    type built from t-orbits can have: the m = M gcd(t, q - 1)/t orbits
-    O_j of F g^j, j < m, with F the canonical flag and g the Singer
-    generator.
+    type built from t-orbits can have: the m = M / |O_0| orbits O_j of
+    F g^j, j < m, with O_0 the T-orbit of the canonical flag F and g the
+    Singer generator.  M is read from the context, the group order over
+    the member stabilizer order, and |O_0| from the built orbit.
 
-    O_0 = orbit_flag(T, F) is walked once, with its meet check, and each
-    further orbit is the translate O_j = O_(j-1) g, one apply per member.
-    Each translate's two critical levels are checked against those of the
-    orbits before it, and the size of the union is checked.  The code
-    carries g when m > |O_0| and T's generator otherwise, whichever leaves
-    min_distance fewer representatives: |O_0| g-chains or m T-orbits.
+    O_0 comes from spread_type_orbit_odfc, walked once with its meet and
+    size checks, and each further orbit is the translate O_j = O_(j-1) g,
+    one apply per member.  Each translate's critical levels are checked
+    against those of the orbits before it, and the size of the union is
+    checked.  The code carries g when m > |O_0| and T's generator, O_0's,
+    otherwise, whichever leaves min_distance fewer representatives:
+    |O_0| g-chains or m T-orbits.
 
     Why F g^j: g has period M on the spread S, as g^M lies in the
     scalars GF(q^k)^* that fix every member, and <g> is transitive on S,
@@ -239,16 +240,13 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     exactly the first powers of g whose critical levels are both unseen.
     As g commutes with T, the T-orbit of F g^j is O_0 g^j.
     """
-    _check_subgroup_order(ctx, t)
-    q = ctx.base_field.order
-    size = (q ** ctx.n - 1) // (q ** ctx.k - 1)
-    m = size * gcd(t, q - 1) // t
-    T = ctx.group.subgroup_of_order(t)
+    orbit = spread_type_orbit_odfc(ctx, t)
+    size = ctx.group.order // ctx.member_stabilizer_order
+    m = size // len(orbit)
     g = ctx.group.generator
-    # the positions of the spread and hyperplane levels
-    critical = (ctx.k - 1, admissible_flag_dims(ctx).index(ctx.n - ctx.k))
+    # the positions of the spread and hyperplane levels, one level for s = 2
+    critical = [i - 1 for i in dict.fromkeys(critical_indices(ctx.n, orbit.dims))]
 
-    orbit, _ = orbit_flag(T, canonical_admissible_flag(ctx))
     members = list(orbit)
     translate = orbit.members
     seen = [{f.levels[i] for f in orbit} for i in critical]
@@ -260,7 +258,7 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
                 raise AssertionError(f"orbit {j} meets an earlier one at a critical level")
             levels |= image
         members += translate
-    out = FlagCode(members, generator=g if m > len(orbit) else T.generator)
+    out = FlagCode(members, generator=g if m > len(orbit) else orbit.generator)
     if len(out) != size:
         raise AssertionError("union missed the maximum size")
     return out
@@ -276,13 +274,11 @@ class TableRow(NamedTuple):
 def table_row(ctx: SpreadContext, t: int) -> TableRow:
     """One row of the spread-type summary: the orbit of
     spread_type_orbit_odfc (size t / gcd(t, q - 1), checked there), the
-    orbit count (q^n - 1) gcd(t, q - 1) / ((q^k - 1) t) from the size
-    formula, and is_odfc from the gcd condition: gcd(t, q - 1) != t."""
+    orbit count m = M / |orbit| of spread_type_max_odfc, and is_odfc when
+    the orbit has more than one member, i.e. gcd(t, q - 1) != t."""
     code = spread_type_orbit_odfc(ctx, t)
-    q = ctx.base_field.order
-    d = gcd(t, q - 1)
-    m = (q ** ctx.n - 1) * d // ((q ** ctx.k - 1) * t)
-    return TableRow(t, len(code), m, d != t)
+    size = ctx.group.order // ctx.member_stabilizer_order
+    return TableRow(t, len(code), size // len(code), len(code) > 1)
 
 
 def admissible_subgroup_orders(ctx: SpreadContext) -> list:
@@ -316,7 +312,6 @@ class FullTypeContext:
         self.base_field = base_field
         self.k = k
         self.n = 2 * k + 1
-        self.companion = M
         self.group = CyclicMatrixGroup(g, q ** (k + 1) - 1)
 
     def __repr__(self):
@@ -347,17 +342,6 @@ def _blocks(ctx: FullTypeContext, U1, U2, v1, v2) -> tuple:
     return tuple(out)
 
 
-def _generator_flag(ctx: FullTypeContext, U1, U2, v1, v2) -> Flag:
-    k = ctx.k
-    if U1.rank() != k:
-        raise RankDeficientError("U1 must have rank k")
-    if U2.rank() != k:
-        raise RankDeficientError("U2 must have rank k")
-    U = hstack(U1, U2)
-    v_row = hstack(v1, v2)
-    return _completion_flag(ctx, U, v_row)
-
-
 def full_type_generator_flag(ctx: FullTypeContext, U1=None, U2=None,
                              v1=None, v2=None) -> Flag:
     """Full flag through U = rowspace(U1 | U2) and V = U + <(v1 | v2)>.
@@ -367,7 +351,12 @@ def full_type_generator_flag(ctx: FullTypeContext, U1=None, U2=None,
     U1 = I_k, U2 = the last k rows of I_(k+1), v1 = 0, v2 = e_1.  U1 and U2
     need rank k; the appended row must leave the row space of (U1 | U2).
     """
-    return _generator_flag(ctx, *_blocks(ctx, U1, U2, v1, v2))
+    U1, U2, v1, v2 = _blocks(ctx, U1, U2, v1, v2)
+    if U1.rank() != ctx.k:
+        raise RankDeficientError("U1 must have rank k")
+    if U2.rank() != ctx.k:
+        raise RankDeficientError("U2 must have rank k")
+    return _completion_flag(ctx, hstack(U1, U2), hstack(v1, v2))
 
 
 def full_type_orbit_odfc(ctx: FullTypeContext, flag: Flag) -> FlagCode:
@@ -408,7 +397,7 @@ def _max_code_with_hook(ctx: FullTypeContext, U1, U2, v1, v2) -> FlagCode:
     values break optimality while keeping the size."""
     F = ctx.base_field
     k = ctx.k
-    flag = _generator_flag(ctx, U1, U2, v1, v2)  # U1 and U2 of rank k
+    flag = full_type_generator_flag(ctx, U1, U2, v1, v2)  # U1 and U2 of rank k
     if vstack(U2, v2).rank() != k + 1:
         raise NotExtendingError("v2 lies in the row space of U2, so "
                                 "V2 = (U2 over v2) is singular")

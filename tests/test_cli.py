@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -494,3 +495,70 @@ def test_exit_code_4_on_internal_error(tmp_path, capsys, monkeypatch, exc):
     assert stdout == ""
     assert err.startswith(f"internal error: {type(exc).__name__}: {exc} (")
     assert "test_cli.py:" in err and "Traceback" not in err
+
+
+# inserted by the fuzzer below: digits, header and block words, a stray
+# carriage return and a byte that is never UTF-8
+_FUZZ_TOKENS = [b"0", b"7", b"13", b"99999", b"k=", b"flag", b"count 0", b"\r", b"\xff"]
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """data with 1-3 edits: a byte overwritten, a token inserted, a span
+    deleted, or a line duplicated or swapped with another."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(4)
+        i = rng.randrange(len(data))
+        if edit == 0:
+            data = data[:i] + bytes([rng.randrange(256)]) + data[i + 1:]
+        elif edit == 1:
+            data = data[:i] + rng.choice(_FUZZ_TOKENS) + data[i:]
+        elif edit == 2:
+            data = data[:i] + data[i + rng.randint(1, 16):]
+        else:
+            lines = data.split(b"\n")
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if rng.randrange(2):
+                lines.insert(a, lines[b])
+            else:
+                lines[a], lines[b] = lines[b], lines[a]
+            data = b"\n".join(lines)
+    return data
+
+
+def test_mutated_files_exit_0_or_3_without_traceback(tmp_path, capsys):
+    # base files written by the CLI: an orbit code, a maximum full-type
+    # code, and a spread with its hyperplanes; each mutant is verified in a
+    # subprocess of its own, one at a time, whose timeout turns a hang
+    # into a failure
+    out = lambda name: os.path.join(tmp_path, name)
+    for argv in [("construct", "spread-type", "--p", "3", "--k", "3", "--s", "2",
+                  "--t", "56", "--out", out("orbit.flagcode")),
+                 ("construct", "full-type", "--p", "2", "--k", "2", "--max-size",
+                  "--out", out("full.flagcode")),
+                 ("spread", "--p", "2", "--k", "2", "--s", "3", "--hyperplanes",
+                  "--out", out("s.subcode"))]:
+        assert run(capsys, *argv)[0] == 0
+    bases = []
+    for name in ("orbit.flagcode", "full.flagcode", "s.subcode",
+                 "s_hyperplanes.subcode"):
+        with open(out(name), "rb") as fh:
+            bases.append((name, fh.read()))
+    rng = random.Random(1)
+    codes = []
+    for i in range(24):
+        name, data = bases[i % len(bases)]
+        path = out(f"mutant{i}_{name}")
+        with open(path, "wb") as fh:
+            fh.write(_mutate(rng, data))
+        proc = subprocess.run([sys.executable, "-m", "flagcodes.cli", "verify", path],
+                              capture_output=True, text=True, timeout=15,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode in (0, 3), (path, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (path, proc.stderr)
+        if proc.returncode == 0:
+            json.loads(proc.stdout)
+        else:
+            assert proc.stderr.startswith("error: line "), (path, proc.stderr)
+        codes.append(proc.returncode)
+    # the edits reach the parser: most mutants are malformed
+    assert codes.count(3) > codes.count(0), codes

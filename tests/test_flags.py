@@ -1,15 +1,18 @@
 """Flags, the flag metric, projections, ODFC verdicts, orbit flag codes."""
 
 import random
+from functools import cache
+from itertools import combinations
 
 import pytest
 
-from conftest import pair_scan_distance
+from conftest import enumerate_grassmannian, pair_scan_distance, ref_rref
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, critical_indices,
                        flag_distance, flag_distance_bound,
                        is_disjoint, is_odfc_by_characterization,
-                       is_odfc_by_definition, make_field, orbit_flag,
-                       projected_code, singer_group, union_flag_codes)
+                       is_odfc_by_definition, level_distances, make_field,
+                       max_distance_bound, orbit_flag, projected_code,
+                       singer_group, union_flag_codes)
 from flagcodes.errors import (AdditivityViolatedError, BadDimensionsError,
                               NotNestedError, TypeMismatchError)
 
@@ -79,6 +82,59 @@ def test_critical_indices():
     assert critical_indices(6, (4, 5)) == (None, 1)
     assert critical_indices(6, (1, 2)) == (2, None)
     assert critical_indices(9, (1, 2, 3, 6, 7, 8)) == (3, 4)
+
+
+def _every_flag_by_type(F, n):
+    """{type: every flag of that type on GF(q)^n}: chains of
+    enumerate_grassmannian subspaces, nested by reference rank."""
+    pools = {d: list(enumerate_grassmannian(F, d, n)) for d in range(1, n)}
+
+    @cache
+    def nested(lo, hi):
+        return len(ref_rref(F, hi + lo)) == len(hi)
+
+    out = {}
+    for r in range(1, n):
+        for dims in combinations(range(1, n), r):
+            chains = [[U] for U in pools[dims[0]]]
+            for d in dims[1:]:
+                chains = [c + [V] for c in chains for V in pools[d]
+                          if nested(c[-1].rows, V.rows)]
+            out[dims] = [Flag(c) for c in chains]
+    return out
+
+
+def test_characterization_holds_on_every_flag_pair():
+    """Every pair of distinct flags of every type of GF(2)^4 and GF(3)^3,
+    with level distances from reference ranks: the library's
+    level_distances agree, and a pair is at the type's bound exactly when
+    every level critical_indices names is at its maximum.  No named level
+    can be left out: where some pair falls below the bound, for each named
+    level some pair does with the others at their maximum."""
+    pairs = 0
+    for F, n in [(make_field(2, 1), 4), (make_field(3, 1), 3)]:
+        @cache
+        def distance(a, b):  # canonical rows of two subspaces of one dim
+            return 2 * (len(ref_rref(F, a + b)) - len(a))
+
+        for dims, flags in _every_flag_by_type(F, n).items():
+            bound = flag_distance_bound(n, dims)
+            crit = [i - 1 for i in dict.fromkeys(critical_indices(n, dims))
+                    if i is not None]
+            needed = [False] * len(crit)
+            some_below = False
+            for A, B in combinations(flags, 2):
+                ref = tuple(map(distance, A.levels, B.levels))
+                assert level_distances(A, B) == ref, (dims, A.levels, B.levels)
+                at_max = [ref[i] == max_distance_bound(n, dims[i]) for i in crit]
+                below = sum(ref) < bound
+                assert below != all(at_max), (dims, A.levels, B.levels)
+                some_below |= below
+                for j in range(len(crit)):
+                    needed[j] |= below and all(at_max[:j] + at_max[j + 1:])
+            assert all(needed) or not some_below, (n, dims, crit)
+            pairs += len(flags) * (len(flags) - 1) // 2
+    assert pairs == 68122
 
 
 def test_projections_and_disjointness():
