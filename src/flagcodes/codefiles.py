@@ -11,11 +11,13 @@
     subspace k=2
     ...
 
-`tower=k,s` is optional provenance for spread-type constructions and has no
-effect on parsing.  The ambient field is reconstructed as make_field(p, e),
-so only codes over fields built that way can be written: the element codes
-of a tower over an intermediate field name other elements of GF(p^e), and
-format_* and write_* refuse such a code with ValueError, write_* before it
+`tower=k,s` is optional provenance for spread-type constructions: it must
+describe the ambient space as a spread context does (k >= 1, s >= 2,
+k s = n), and has no other effect on parsing.  The ambient field is
+reconstructed as make_field(p, e), so only codes over fields built that way
+can be written: the element codes of a tower over an intermediate field
+name other elements of GF(p^e).  format_* and write_* refuse such a code,
+or a tower that does not describe n, with ValueError, write_* before it
 opens the path.  A SUBCODE v1 file is identical except the type line holds
 a single dimension and the body is `count` subspace blocks with no `flag`
 separators.  Entries are integer element codes of GF(p^e); members are
@@ -55,13 +57,22 @@ def check_field_order(p: int, e: int):
         raise ValueError(f"field order {p}^{e} exceeds the limit {MAX_FIELD_ORDER}")
 
 
+def _check_tower(tower: tuple, n: int):
+    """ValueError unless tower = (k, s) has k >= 1, s >= 2 and k s = n, the
+    towers a spread context accepts."""
+    k, s = tower
+    if k < 1 or s < 2 or k * s != n:
+        raise ValueError(f"tower={k},{s} does not describe ambient n={n}: "
+                         "it needs k >= 1, s >= 2 and k*s = n")
+
+
 class CodeFileData(NamedTuple):
     kind: str                 # "flag" or "subspace"
     tower: tuple              # (k, s) or None
     code: object              # FlagCode or SubspaceCode
 
 
-def _field_line(field: FiniteField, tower) -> str:
+def _field_line(field: FiniteField, n: int, tower) -> str:
     q = field.order
     p = field.characteristic
     e = 0
@@ -72,6 +83,7 @@ def _field_line(field: FiniteField, tower) -> str:
                          f"a file with p={p} e={e} reads back over")
     line = f"field p={p} e={e}"
     if tower is not None:
+        _check_tower(tower, n)
         line += f" tower={tower[0]},{tower[1]}"
     return line
 
@@ -80,9 +92,10 @@ def _file_text(magic: str, code, dims: tuple, separator: str, members,
                tower) -> Iterator[str]:
     """The text of a code file, one string at a time: the header block, then
     one block per member of members, each given by its levels' canonical
-    rows and started by separator.  The header, and the field check in it,
-    is built by this call, before the first string is read."""
-    header = "\n".join([magic, _field_line(code.field, tower), f"ambient n={code.n}",
+    rows and started by separator.  The header, and the field and tower
+    checks in it, is built by this call, before the first string is read."""
+    header = "\n".join([magic, _field_line(code.field, code.n, tower),
+                        f"ambient n={code.n}",
                         "type " + ",".join(str(t) for t in dims),
                         f"count {len(code)}", ""])
     return chain([header], _member_blocks(code.field, dims, separator, members))
@@ -278,9 +291,15 @@ def parse_code_file(text: str) -> CodeFileData:
         field = make_field(p, e)
     except ValueError as exc:
         raise CodeFileError(no, str(exc)) from None
+    field_no = no
 
     no, m = _expect(cur, r"ambient n=([0-9]+)", "an ambient line")
     n = _number(no, m.group(1), MAX_AMBIENT_DIM, "ambient n")
+    if tower is not None:
+        try:
+            _check_tower(tower, n)
+        except ValueError as exc:
+            raise CodeFileError(field_no, str(exc)) from None
 
     no, m = _expect(cur, r"type ([0-9]+(?:,[0-9]+)*)", "a type line")
     dims = tuple(_number(no, t, n, "a type dimension")

@@ -44,11 +44,13 @@ level_distances feeds both adapted bases in level by level and reads every
 level's distance from the rank after it.  A flag keeps its adapted basis,
 so a code's pair scan builds each member's once, not once per pair.  An
 orbit code carries its group generator, and so does a union with it
-first; min_distance applies it once to each member, and never trusts it,
-before it skips any pair (see subspaces.scan_pairs).  A projection carries
-none: a level at its maximum is decided by its cover scan.
+first; it is refused unless invertible, and min_distance applies it once
+to each member before it skips any pair (see scan_pairs).  A code with no
+generator scans every pair, and a projection carries none: a level at its
+maximum is decided by its cover scan.
 """
 
+from itertools import combinations
 from math import gcd
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
@@ -56,7 +58,7 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import Matrix, act_code_rows, rank_code_rows
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit, max_distance_bound, min_pair_distance)
+                        group_orbit, max_distance_bound)
 
 
 class Flag:
@@ -236,9 +238,9 @@ def critical_indices(n: int, dims):
 class FlagCode(Code):
     """A nonempty set of flags of one type on a common ambient space.
 
-    `generator`, when given, is an n x n matrix over the field whose chains
-    min_distance may use once it has applied it to every member (see
-    subspaces.scan_pairs); it is checked to act on the code, never trusted.
+    `generator`, when given, is an invertible n x n matrix over the field
+    whose chains min_distance may use once it has applied it to every
+    member (see scan_pairs); it is checked to act on the code, never trusted.
     """
 
     __slots__ = ("dims", "generator", "_projections")
@@ -247,16 +249,54 @@ class FlagCode(Code):
         super().__init__(members, lambda f: f.levels)
         if generator is not None:
             check_acting_matrix(self.field, self.n, generator)
+            if not generator.is_invertible():
+                raise SingularMatrixError("a flag code's generator must be invertible")
         self.dims = self.members[0].dims
         self.generator = generator
         self._projections = None
 
     def _scan(self) -> int:
-        return min_pair_distance(self.members, flag_distance, self.generator)
+        pairs = (combinations(self.members, 2) if self.generator is None
+                 else scan_pairs(self.members, self.generator))
+        return min((flag_distance(u, v) for u, v in pairs), default=0)
 
     def __repr__(self):
         return (f"FlagCode({len(self.members)} flags of type {self.dims} "
                 f"on GF({self.field.order})^{self.n})")
+
+
+def scan_pairs(members, g: Matrix):
+    """The pairs of a code's sorted members that min_distance scans under
+    an invertible generator g, each once.
+
+    g splits the members into g-chains, each kept as one representative.
+    One pass applies g to each member and looks the image up among the
+    members, so each member knows its successor in the code, if any.  A
+    chain start, a member that no member maps to, is the representative of
+    the chain s, s g, ..., walked by successors until it leaves the code;
+    the members no walk reaches lie on closed orbits inside the code, and
+    the first of each (in member order) is its representative.  The pairs
+    are (representative, member), each unordered pair once.  That is exact:
+    every member is s g^i for the representative s of its chain or orbit,
+    and members s g^i and t g^j, with m = min(i, j), are the image under
+    g^m of s g^(i-m) and t g^(j-m): one of them is a representative, the
+    other is still in the code, and g^m keeps every distance.
+    """
+    index = {m: i for i, m in enumerate(members)}
+    succ = [index.get(m.apply(g)) for m in members]
+    hit = set(succ)
+    placed = [False] * len(members)
+    reps = []
+    starts = [i for i in range(len(members)) if i not in hit]
+    for i in starts + list(range(len(members))):  # then the closed orbits
+        if not placed[i]:
+            reps.append(members[i])
+            while i is not None and not placed[i]:
+                placed[i] = True
+                i = succ[i]
+    chosen = set(reps)
+    order = reps + [m for m in members if m not in chosen]
+    return ((r, m) for i, r in enumerate(reps) for m in order[i + 1:])
 
 
 def projected_code(code: FlagCode, index: int) -> SubspaceCode:

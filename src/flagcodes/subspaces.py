@@ -3,10 +3,12 @@
 A subspace is identified with the reduced row echelon form of any generator
 matrix, so equality, hashing and membership are exact.  The subspace metric
 is d(U, V) = dim(U + V) - dim(U \\cap V) = 2 rank(stacked bases) - dim U -
-dim V.
+dim V.  A code's distance is one cover scan at the maximum, else a scan of
+every pair; only a flag code carries a generator (see flags.scan_pairs).
 """
 
 import operator
+from itertools import combinations
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, ShapeError, SingularMatrixError)
@@ -227,7 +229,8 @@ class SubspaceCode(Code):
         if len(self) > 1 and (q ** self.n - 1) // (q - 1) <= _COVER_LIMIT_BITS:
             if _cover_scan(self):
                 return max_distance_bound(self.n, self.dim)
-        return min_pair_distance(self.members, subspace_distance)
+        return min((subspace_distance(u, v)
+                    for u, v in combinations(self.members, 2)), default=0)
 
     def attains_max_distance(self) -> bool:
         return (len(self.members) > 1
@@ -262,52 +265,6 @@ def group_orbit(group, seed):
     if group.order % len(members):
         raise AssertionError("orbit length does not divide the group order")
     return members, group.order // len(members)
-
-
-def scan_pairs(members, g=None):
-    """The pairs of a code's sorted members that min_distance scans, each
-    once.
-
-    A generator g, an n x n matrix over the field, splits the members into
-    g-chains, each kept as one representative; without g, or with a
-    singular one, which certifies nothing, every member is one.  One pass
-    applies g to each member and looks the image up among the members, so
-    each member knows its successor in the code, if any.  A chain start, a
-    member that no member maps to, is the representative of the chain
-    s, s g, ..., walked by successors until it leaves the code; the members
-    no walk reaches lie on closed orbits inside the code, and the first of
-    each (in member order) is its representative.  The pairs are
-    (representative, member), each unordered pair once.  That is exact for
-    invertible g: every member is s g^i for the representative s of its
-    chain or orbit, and members s g^i and t g^j, with m = min(i, j), are
-    the image under g^m of s g^(i-m) and t g^(j-m): one of them is a
-    representative, the other is still in the code, and g^m keeps every
-    distance.  With every member a representative this is the plain pair
-    scan.
-    """
-    if g is None or not g.is_invertible():
-        reps = list(members)
-    else:
-        index = {m: i for i, m in enumerate(members)}
-        succ = [index.get(m.apply(g)) for m in members]
-        hit = set(succ)
-        placed = [False] * len(members)
-        reps = []
-        starts = [i for i in range(len(members)) if i not in hit]
-        for i in starts + list(range(len(members))):  # then the closed orbits
-            if not placed[i]:
-                reps.append(members[i])
-                while i is not None and not placed[i]:
-                    placed[i] = True
-                    i = succ[i]
-    chosen = set(reps)
-    order = reps + [m for m in members if m not in chosen]
-    return ((r, m) for i, r in enumerate(reps) for m in order[i + 1:])
-
-
-def min_pair_distance(members, distance, g=None) -> int:
-    """Minimum of distance over the pairs scan_pairs gives; 0 for a singleton."""
-    return min((distance(r, m) for r, m in scan_pairs(members, g)), default=0)
 
 
 def member_vectors(sub: Subspace) -> list:

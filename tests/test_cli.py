@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from flagcodes import (cli, flags, matrices, spread_type_orbit_odfc,
-                       subspaces, write_flag_code)
+from flagcodes import (cli, flags, make_field, matrices,
+                       spread_type_orbit_odfc, subspaces, write_flag_code)
 from flagcodes.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -263,6 +263,33 @@ def test_verify_wide_members_answers_spread_in_bounded_time(tmp_path, members):
     assert report["spread"] is False
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("construct", "spread-type", "--p", "3", "--e", "2", "--k", "2", "--s", "2",
+      "--t", "41", "--max-size"), 82),
+    (("construct", "spread-type", "--p", "5", "--e", "2", "--k", "1", "--s", "3",
+      "--t", "31"), 31),
+    (("spread", "--p", "3", "--e", "2", "--k", "2", "--s", "2"), 82),
+], ids=["q9-max", "q25-orbit", "q9-spread"])
+def test_table_fields_round_trip(tmp_path, capsys, argv, size):
+    # GF(9) and GF(25) have no packed rows, so these builds and verifies run
+    # the table bodies of mul_code_rows, act_code_rows and rref_code_rows
+    p, e = (int(argv[argv.index(flag) + 1]) for flag in ("--p", "--e"))
+    assert make_field(p, e).byte_scalers() is None
+    path = os.path.join(tmp_path, "table.code")
+    rc, stdout, _ = run(capsys, *argv, "--out", path)
+    assert rc == 0 and json.loads(stdout)["size"] == size
+    rc, stdout, _ = run(capsys, "verify", path)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report["size"] == size
+    if argv[0] == "spread":
+        assert report["spread"] is True
+        assert report["distance"] == report["max_distance"]
+    else:
+        assert report["verdicts_agree"] is True
+        assert report["distance"] == report["bound"]
+
+
 def test_table1_golden(capsys):
     rc, stdout, _ = run(capsys, "table", "1")
     assert rc == 0
@@ -375,6 +402,26 @@ def test_exit_code_3_on_parse_error(tmp_path, capsys):
         rc, _, err = run(capsys, "verify", bad)
         assert rc == 3
         assert err == f"error: line {line}: not valid UTF-8\n"
+
+
+def test_tower_must_describe_the_ambient(tmp_path, capsys):
+    # k >= 1, s >= 2 and k s = n, or the field line is refused; k = 0 can
+    # only meet k s = n over n = 0, and the tower is checked before the type
+    path = os.path.join(tmp_path, "tower.flagcode")
+    for tower, n, want in [("1,3", 3, 0), ("5,5", 3, 3), ("3,1", 3, 3),
+                           ("0,2", 0, 3)]:
+        with open(path, "w") as fh:
+            fh.write(f"FLAGCODE v1\nfield p=2 e=1 tower={tower}\nambient n={n}\n"
+                     "type 1,2\ncount 1\nflag\nsubspace k=1\n1 0 0\n"
+                     "subspace k=2\n1 0 0\n0 1 0\n")
+        rc, stdout, err = run(capsys, "verify", path)
+        assert rc == want, (tower, n, err)
+        if want:
+            assert stdout == ""
+            assert err.startswith(f"error: line 2: tower={tower} does not "
+                                  f"describe ambient n={n}")
+        else:
+            assert json.loads(stdout)["tower"] == [1, 3]
 
 
 # p - 1 = 2r with r a 101-bit prime: trial division of p - 1 never finishes

@@ -212,6 +212,35 @@ def test_code_over_an_intermediate_tower_is_refused(tmp_path):
     assert read_code_file(path).code == code
 
 
+def test_tower_that_does_not_describe_the_ambient_is_refused(tmp_path):
+    # a tower is (k, s) with k >= 1, s >= 2 and k s = n, as a spread context
+    # takes it; the writers refuse any other before the path is opened, and
+    # the parser names the field line
+    code = small_flag_code()  # n = 3
+    sub_code = SubspaceCode(f.subspaces[0] for f in code)
+    path = os.path.join(tmp_path, "kept.code")
+    for tower in [(5, 5), (3, 1), (0, 3), (1, 2)]:
+        for fmt, write, c in [(format_flag_code, write_flag_code, code),
+                              (format_subspace_code, write_subspace_code,
+                               sub_code)]:
+            with pytest.raises(ValueError, match="does not describe"):
+                fmt(c, tower=tower)
+            with open(path, "w") as fh:
+                fh.write("precious\n")
+            with pytest.raises(ValueError, match="does not describe"):
+                write(c, path, tower=tower)
+            with open(path) as fh:
+                assert fh.read() == "precious\n"
+        text = format_flag_code(code).replace(
+            "field p=2 e=1", "field p=2 e=1 tower=%d,%d" % tower)
+        with pytest.raises(CodeFileError) as info:
+            parse_code_file(text)
+        assert info.value.line == 2
+    write_flag_code(code, path, tower=(1, 3))
+    data = read_code_file(path)
+    assert data.tower == (1, 3) and data.code == code
+
+
 _GOOD = ["FLAGCODE v1", "field p=2 e=1", "ambient n=3", "type 1,2",
          "count 1", "flag", "subspace k=1", "1 0 0",
          "subspace k=2", "1 0 0", "0 1 0"]

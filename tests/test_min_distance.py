@@ -4,9 +4,9 @@ A flag code's generator only decides which pairs the scan may skip: one
 pass applies it to each member and finds each member's successor in the
 code, so each g-chain is kept as its start, a member no member maps to, and
 each closed orbit as one of its members.  The result must equal the plain
-pair scan, conftest's pair_scan_distance, for any generator.  A subspace
-code carries none, so subspace orbits are checked here as one-level flag
-codes.
+pair scan, conftest's pair_scan_distance, for any invertible generator; a
+flag code refuses a singular one where it enters.  A subspace code carries
+none, so subspace orbits are checked here as one-level flag codes.
 """
 
 import random
@@ -24,9 +24,10 @@ from flagcodes import (Flag, FlagCode, Matrix, Subspace, SubspaceCode,
                        orbit_subspace, projected_code, singer_group,
                        spread_type_max_odfc, subspace_distance, union_flag_codes)
 from flagcodes import flags, subspaces
-from flagcodes.subspaces import Code, min_pair_distance, orbit_walk, scan_pairs
+from flagcodes.flags import scan_pairs
+from flagcodes.subspaces import Code, orbit_walk
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError, ShapeError,
-                              TypeMismatchError)
+                              SingularMatrixError, TypeMismatchError)
 
 
 def _one_level(levels, g=None) -> FlagCode:
@@ -69,12 +70,15 @@ def test_generator_the_code_leaves_gives_the_true_distance(F2):
 
 def test_singular_generator_certifies_nothing(F2):
     # g kills e3 and e4: walking it would lose dimension, and no orbit
-    # argument holds, so min_distance falls back to the pair scan
+    # argument holds, so the code refuses it where it enters; without it
+    # min_distance is the pair scan
     g = Matrix(F2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)])
     members = [Subspace(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
                Subspace(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]),
                Subspace(F2, 4, [(1, 0, 1, 0), (0, 0, 0, 1)])]
-    code = _one_level(members, g)
+    with pytest.raises(SingularMatrixError):
+        _one_level(members, g)
+    code = _one_level(members)
     assert code.min_distance() == pair_scan_distance(code) == 2
 
 
@@ -164,13 +168,12 @@ def scan_counts(monkeypatch):
 
 
 def _level_scan(code, counts):
-    """(distance, pairs, applies, inverses) of one min_pair_distance of a
-    one-level flag code under its generator."""
+    """(distance, pairs, applies, inverses) of one scan of a one-level flag
+    code over the pairs flags.scan_pairs gives under its generator."""
     counts.update(applies=0, inverses=0)
     pairs = []
-    d = min_pair_distance(code.members,
-                          lambda u, v: pairs.append(1) or flag_distance(u, v),
-                          code.generator)
+    d = min((pairs.append(1) or flag_distance(u, v)
+             for u, v in scan_pairs(code.members, code.generator)), default=0)
     return d, len(pairs), counts["applies"], counts["inverses"]
 
 
@@ -237,12 +240,13 @@ def _assert_exact(code):
 
 
 def _assert_pairs_covered(code):
-    """Every pair of members, shifted back by g until it is a pair that
-    scan_pairs gives, stays in the code on the way: the argument that makes
-    the representative scan exact, checked pair by pair."""
+    """Every pair of members of a code that carries a generator g, shifted
+    back by g until it is a pair that flags.scan_pairs gives, stays in the
+    code on the way: the argument that makes the representative scan
+    exact, checked pair by pair."""
     g = code.generator
     scanned = {frozenset(p) for p in scan_pairs(code.members, g)}
-    back = g.inverse() if g is not None and g.is_invertible() else None
+    back = g.inverse()
     preimage = {}
 
     def shifted(u):
