@@ -124,7 +124,9 @@ class SpreadContext:
 
 def _certify_seed(group: CyclicMatrixGroup, seed: Subspace, k: int):
     """Raise unless the orbit of seed has exactly m = (q^n - 1)/(q^k - 1)
-    members, i.e. its stabilizer order is q^k - 1 (see SpreadContext)."""
+    members, i.e. its stabilizer order is q^k - 1 (see SpreadContext).
+    Each power g^d, d dividing m, is read from the squares the checked
+    group's generator keeps, popcount(d) - 1 products."""
     q = group.field.order
     m = (q ** group.degree - 1) // (q ** k - 1)
     g = group.generator

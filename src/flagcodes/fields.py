@@ -24,7 +24,7 @@ after construction apart from idempotent lazy caches (the arithmetic
 tables), which makes them safe to share across threads.
 """
 
-from functools import partial
+from functools import partial, reduce
 
 from .errors import FieldConstructionError
 
@@ -94,7 +94,10 @@ def prime_factors(n: int) -> list:
 
 
 def power(x, n: int, mul, one):
-    """x^n for n >= 0 by square and multiply, in the monoid (mul, one)."""
+    """x^n for n >= 0 by square and multiply, in the monoid (mul, one):
+    about 2 log2(n) products.  A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
     out = one
     while n:
         if n & 1:
@@ -103,6 +106,16 @@ def power(x, n: int, mul, one):
         if n:
             x = mul(x, x)
     return out
+
+
+def power_from_squares(squares, n: int, mul, one):
+    """x^n from squares[i] = x^(2^i), for 0 <= n < 2^len(squares): the
+    product of the squares at the set bits of n, popcount(n) - 1 products.
+    A negative n, or one past the squares, raises ValueError."""
+    if n < 0 or n >> len(squares):
+        raise ValueError(f"exponent {n} is not read from {len(squares)} squares")
+    picked = [x for i, x in enumerate(squares) if n >> i & 1]
+    return reduce(mul, picked) if picked else one
 
 
 def order_dividing(n: int, is_one) -> int:
@@ -189,6 +202,9 @@ class FiniteField:
         return self.encode(_poly_rem(self.base, prod, self.modulus))
 
     def pow_code(self, a: int, n: int) -> int:
+        """a^n; a negative n is the power of a's inverse, none for a = 0."""
+        if n < 0:
+            return power(self.inv_code(a), -n, self.mul_codes, 1)
         return power(a, n, self.mul_codes, 1)
 
     def inv_code(self, a: int) -> int:
@@ -199,6 +215,8 @@ class FiniteField:
         return self.pow_code(a, self.order - 2)
 
     def order_of_code(self, a: int) -> int:
+        if a == 0:  # no power of zero is 1
+            raise ZeroDivisionError("order of zero")
         return order_dividing(self.order - 1, lambda d: self.pow_code(a, d) == 1)
 
     # -- lazy tables ---------------------------------------------------------

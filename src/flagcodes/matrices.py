@@ -31,13 +31,15 @@ computed from matrices that were already checked are wrapped with
 from bisect import insort
 
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
-from .fields import FiniteField, order_dividing, power
+from .fields import FiniteField, order_dividing, power, power_from_squares
 
 
 class Matrix:
     # _scaled: the _ScaledRow table of the rows, set by the first act_code_rows
-    # over a field with packed rows; equality, hashing and pickling read rows only
-    __slots__ = ("field", "rows", "nrows", "ncols", "_hash", "_scaled")
+    # over a field with packed rows; _squares: the rows of A, A^2, A^4, ...,
+    # kept by a cyclic group's generator only (see _with_squares); equality,
+    # hashing and pickling read rows only
+    __slots__ = ("field", "rows", "nrows", "ncols", "_hash", "_scaled", "_squares")
 
     def __init__(self, field: FiniteField, rows, ncols: int = None):
         """rows: iterable of iterables of element codes in [0, q).
@@ -71,6 +73,7 @@ class Matrix:
         self.ncols = ncols
         self._hash = None
         self._scaled = None
+        self._squares = None
 
     @classmethod
     def _trusted(cls, field: FiniteField, rows: tuple, ncols: int) -> "Matrix":
@@ -82,7 +85,22 @@ class Matrix:
         self.ncols = ncols
         self._hash = None
         self._scaled = None
+        self._squares = None
         return self
+
+    def _with_squares(self, count: int) -> "Matrix":
+        """A copy of this square matrix that keeps its count squares A,
+        A^2, ..., A^(2^(count-1)), count - 1 products, so that A^n for
+        n < 2^count is read from them (see __pow__)."""
+        if self.nrows != self.ncols:
+            raise ShapeError("powers need a square matrix")
+        F, nc = self.field, self.ncols
+        squares = [self.rows]
+        for _ in range(count - 1):
+            squares.append(tuple(mul_code_rows(F, squares[-1], squares[-1], nc)))
+        out = Matrix._trusted(F, self.rows, nc)
+        out._squares = squares
+        return out
 
     # -- constructors ---------------------------------------------------------
 
@@ -118,8 +136,14 @@ class Matrix:
         if n < 0:
             return self.inverse() ** (-n)
         F, nc = self.field, self.ncols
-        out = power(self.rows, n, lambda a, b: mul_code_rows(F, a, b, nc),
-                    _identity_rows(nc))
+
+        def mul(a, b):
+            return mul_code_rows(F, a, b, nc)
+
+        if self._squares is not None and n >> len(self._squares) == 0:
+            out = power_from_squares(self._squares, n, mul, _identity_rows(nc))
+        else:
+            out = power(self.rows, n, mul, _identity_rows(nc))
         return Matrix._trusted(F, tuple(out), nc)
 
     # -- reduction ------------------------------------------------------------
@@ -528,8 +552,11 @@ def matrix_order(A: Matrix, order_hint: int) -> int:
 
     order_hint is a known multiple of the order, such as the order of a
     group A lies in; the order is found by dividing out the primes of the
-    hint, O(log order_hint) matrix powers.  A singular matrix, or one whose
-    order does not divide the hint, raises ValueError.
+    hint, one power A^d per test (see order_dividing) after A^order_hint.
+    Each power is a square and multiply, about 2 log2(d) products, unless
+    A keeps its squares (a CyclicMatrixGroup's generator): then it is
+    popcount(d) - 1 products.  A singular matrix, or one whose order does
+    not divide the hint, raises ValueError.
     """
     if A.nrows != A.ncols:
         raise ShapeError("order needs a square matrix")

@@ -90,12 +90,18 @@ class CyclicMatrixGroup:
     """The cyclic group generated by one invertible matrix of known order.
 
     The constructor checks the declared order, which also refuses a
-    singular generator: no power of it is the identity.
+    singular generator: no power of it is the identity.  Its generator is
+    a copy of the given matrix that keeps the squares g^(2^i), i <
+    order.bit_length(), so the order check, the seed checks of the
+    constructions and subgroup_of_order read every power g^d, d <= order,
+    from one set of squarings.  Subgroups and conjugates (_trusted) keep
+    none.
     """
 
     __slots__ = ("field", "degree", "generator", "order")
 
     def __init__(self, generator: Matrix, order: int):
+        generator = generator._with_squares(order.bit_length())
         if matrix_order(generator, order_hint=order) != order:
             raise ValueError(f"generator order differs from declared {order}")
         self.field = generator.field
@@ -114,7 +120,8 @@ class CyclicMatrixGroup:
         return self
 
     def subgroup_of_order(self, t: int) -> "CyclicMatrixGroup":
-        """The unique subgroup of order t of a cyclic group."""
+        """The unique subgroup of order t of a cyclic group, generated by
+        g^(N/t), which a checked group reads from its generator's squares."""
         if t < 1 or self.order % t:
             raise NotADivisorError(f"{t} does not divide group order {self.order}")
         # g of order N makes g^(N/t) of order t

@@ -3,7 +3,8 @@
 Contexts are session-scoped because several files share them; each
 certifies its two Singer seeds when built and walks the 4,161-member
 orbits of the largest, (q=4, k=3, s=3), only when a test reads them.
-random_invertible is shared by the test files that draw random bases, and
+random_invertible is shared by the test files that draw random bases,
+count_products by those that bound the matrix products of a step, and
 the ref_* functions are the field oracle: arithmetic by the definition
 (polynomials over the base modulo the pinned modulus), reading only a
 field's base, characteristic, order, modulus and digit encoding, never the
@@ -25,6 +26,7 @@ from itertools import combinations, product
 
 import pytest
 
+from flagcodes import matrices
 from flagcodes import (FlagCode, Matrix, Subspace, build_full_type_context,
                        build_spread_context, extend_field, flag_distance,
                        make_field, subspace_distance)
@@ -44,6 +46,16 @@ def random_invertible(rng, F, n):
             return M
     pytest.fail(f"{_INVERTIBLE_DRAWS} random {n}x{n} matrices over "
                 f"GF({F.order}) were all singular")
+
+
+def count_products(monkeypatch):
+    """A list that grows by one at each matrices.mul_code_rows call, the
+    one matrix product body, for the rest of the test."""
+    calls = []
+    mul = matrices.mul_code_rows
+    monkeypatch.setattr(matrices, "mul_code_rows",
+                        lambda *a: calls.append(1) or mul(*a))
+    return calls
 
 
 def ref_add(F, a, b):

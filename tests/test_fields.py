@@ -8,7 +8,7 @@ import pytest
 from conftest import ref_add, ref_mul, ref_neg
 from flagcodes import Matrix, Subspace, extend_field, make_field
 from flagcodes.errors import FieldConstructionError
-from flagcodes.fields import factorize, is_prime, order_dividing, power
+from flagcodes.fields import factorize, is_prime, order_dividing, power, power_from_squares
 
 
 def brute_first_primitive_modulus(base, e):
@@ -108,6 +108,11 @@ def test_primitive_element_orders():
     F9 = make_field(3, 2)
     assert F9.order_of_code(F9.pow_code(3, 2)) == 4
     assert make_field(5, 1).order_of_code(3) == 4
+    # no power of zero is 1: its order is refused, as its inverse is, not
+    # read as q - 1, which would call it primitive
+    for F in (F4, make_field(5, 1)):
+        with pytest.raises(ZeroDivisionError):
+            F.order_of_code(0)
 
 
 def test_every_primitive_element_generates():
@@ -203,6 +208,31 @@ def test_power_by_square_and_multiply():
     assert power(object(), 0, None, "one") == "one"  # n = 0 takes no product
     for n in range(40):
         assert power(3, n, lambda a, b: a * b % 101, 1) == pow(3, n, 101)
+    # -1 >> 1 is -1, so a negative n once shifted forever
+    with pytest.raises(ValueError, match="negative"):
+        power(3, -1, lambda a, b: a * b % 101, 1)
+
+
+def test_power_from_squares():
+    mul = lambda a, b: a * b % 101
+    squares = [pow(3, 2 ** i, 101) for i in range(6)]
+    for n in range(64):  # every n below 2^6
+        assert power_from_squares(squares, n, mul, 1) == pow(3, n, 101)
+    assert power_from_squares([], 0, None, "one") == "one"
+    for n in (-1, 64):  # a negative n, and one past the squares
+        with pytest.raises(ValueError):
+            power_from_squares(squares, n, mul, 1)
+
+
+def test_negative_code_powers():
+    # a^-n is the n-th power of a's inverse, as for matrices; zero has none
+    for F in (make_field(2, 2), make_field(5, 1), make_field(3, 2)):
+        for a in range(1, F.order):
+            for n in range(1, 2 * F.order):
+                assert F.mul_codes(F.pow_code(a, -n), F.pow_code(a, n)) == 1
+            assert F.pow_code(a, -1) == F.inv_code(a)
+        with pytest.raises(ZeroDivisionError):
+            F.pow_code(0, -1)
 
 
 def test_order_dividing_matches_brute_force_orders():

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from conftest import random_invertible, ref_product
+from conftest import count_products, random_invertible, ref_product
 from flagcodes import (Matrix, block_diag, hstack, make_field, matrix_order,
                        singer_group, vstack)
 from flagcodes.errors import FieldConstructionError, ShapeError, SingularMatrixError
@@ -108,14 +108,17 @@ def test_pow_matches_repeated_product():
         up, down = up @ B, down @ B_inv
 
 
-def test_matrix_order_refuses_a_singular_matrix_at_once():
+def test_matrix_order_refuses_a_singular_matrix_at_once(monkeypatch):
     # no power of a singular matrix is the identity, whatever the hint: one
-    # power by the hint refuses it, where a walk would take q^n - 1 steps
+    # power by the hint refuses it, where a walk would take q^n - 1 steps.
+    # The count bound holds however slow the machine is
     F2 = make_field(2, 1)
+    calls = count_products(monkeypatch)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="does not divide hint"):
         matrix_order(Matrix.zero(F2, 18, 18), 2 ** 18 - 1)
     assert time.perf_counter() - t0 < 1
+    assert len(calls) <= 2 * 18  # one square and multiply of an 18-bit hint
     with pytest.raises(ValueError, match="does not divide hint"):
         matrix_order(Matrix(F2, [(1, 1), (1, 1)]), 3)
     # so is a hint the order does not divide, and a hint below 1
@@ -165,13 +168,18 @@ def test_matrix_order_matches_walked_powers():
             assert matrix_order(B, _gl_exponent(F.order, p, size + 2)) == _walked_order(B)
 
 
-def test_matrix_order_is_bounded():
+def test_matrix_order_is_bounded(monkeypatch):
     # walking its powers took about 6 s: 2^16 - 1 products; the Singer
-    # group checks its generator's order through the hint instead
+    # group checks its generator's order through the hint instead.  Its
+    # generator keeps its 16 squares (15 products), and each power it reads
+    # from them takes at most 15 more: the hint 3 * 5 * 17 * 257 and its
+    # four quotients, once in the group's check and once here
+    calls = count_products(monkeypatch)
     t0 = time.perf_counter()
     g = singer_group(make_field(2, 1), 16).generator
     assert matrix_order(g, 2 ** 16 - 1) == 2 ** 16 - 1
     assert time.perf_counter() - t0 < 1
+    assert len(calls) <= 15 + 2 * 5 * 15
     # p^2 - 1 has a 43-bit prime cofactor, which trial division cannot split:
     # the order is refused, not walked
     p = 163 * 2 ** 44 + 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_invertible, ref_add, ref_mul, ref_order
+from conftest import count_products, random_invertible, ref_add, ref_mul, ref_order
 from flagcodes import singer
 from flagcodes import (CyclicMatrixGroup, Matrix, Subspace,
                        is_spread, make_field, matrix_order,
@@ -12,7 +12,8 @@ from flagcodes import (CyclicMatrixGroup, Matrix, Subspace,
                        subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               NotADivisorError, NotExtendingError, ShapeError)
-from flagcodes.constructions import conjugate_spread
+from flagcodes.constructions import (SpreadContext, admissible_subgroup_orders,
+                                     conjugate_spread)
 from flagcodes.singer import companion_matrix, field_reduction, phi, psi
 
 
@@ -137,6 +138,54 @@ def test_subgroup_of_order():
         pass
     else:
         raise AssertionError("4 does not divide 15")
+
+
+def test_group_powers_read_the_squares(ctx_q4k3s3):
+    # a checked group's generator reads g^d from its squares g^(2^i) for d
+    # below 2^L, L = order.bit_length(), and runs square and multiply past
+    # them (d up to 2N): both equal square and multiply on a plain copy
+    for F, n in [(make_field(2, 1), 4), (make_field(3, 1), 3), (make_field(2, 2), 3)]:
+        G = singer_group(F, n)
+        g, plain = G.generator, Matrix(F, G.generator.rows)
+        for d in range(2 * G.order + 1):
+            assert g ** d == plain ** d, (F, n, d)
+    G = ctx_q4k3s3.group
+    g, plain = G.generator, Matrix(G.field, G.generator.rows)
+    rng = random.Random(31)
+    for d in (rng.randrange(2 * G.order) for _ in range(200)):
+        assert g ** d == plain ** d, d
+    assert plain._squares is None
+
+
+def test_subgroups_match_plain_powers(ctx_q3k3s2, ctx_q4k3s3):
+    # every admissible t of both paper tables
+    for ctx in (ctx_q3k3s2, ctx_q4k3s3):
+        G = ctx.group
+        plain = Matrix(G.field, G.generator.rows)
+        for t in admissible_subgroup_orders(ctx):
+            assert G.subgroup_of_order(t).generator == plain ** (G.order // t), t
+
+
+def test_only_a_checked_generator_keeps_squares(ctx_q4k3s3):
+    G = ctx_q4k3s3.group
+    assert len(G.generator._squares) == (4 ** 9 - 1).bit_length() == 18
+    assert G.subgroup_of_order(19).generator._squares is None
+    # the group's generator is a copy: the matrix handed in keeps none
+    g = Matrix(G.field, G.generator.rows)
+    assert CyclicMatrixGroup(g, G.order).generator == g
+    assert g._squares is None
+    # nor does a plain matrix, whatever the exponent
+    A = random_invertible(random.Random(31), make_field(2, 2), 3)
+    P = A ** (2 ** 300 + 1)
+    assert A._squares is None and P._squares is None
+
+
+def test_spread_context_set_up_products(monkeypatch):
+    # the 18 squares of g (17 products) serve the order check and both seed
+    # checks; a fresh square and multiply for every power costs 228 products
+    calls = count_products(monkeypatch)
+    SpreadContext(make_field(2, 2), 3, 3)
+    assert len(calls) == 92
 
 
 def test_orbit_under_subgroup():
