@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 from .errors import CodeFileError
 from .fields import FiniteField, make_field
 from .flags import Flag, FlagCode
-from .matrices import rref_code_rows
+from .matrices import lane_width, pack_rows, packed_rows, rref_code_rows
 from .subspaces import Subspace, SubspaceCode
 
 _FLAG_MAGIC = "FLAGCODE v1"
@@ -88,47 +88,57 @@ def _field_line(field: FiniteField, n: int, tower) -> str:
     return line
 
 
-def _file_text(magic: str, code, dims: tuple, separator: str, members,
+def _file_text(magic: str, code, dims: tuple, separator: str, keys,
                tower) -> Iterator[str]:
     """The text of a code file, one string at a time: the header block, then
-    one block per member of members, each given by its levels' canonical
-    rows and started by separator.  The header, and the field and tower
+    one block per key of keys, each member's canonical rows as pack_rows
+    writes them, started by separator.  The header, and the field and tower
     checks in it, is built by this call, before the first string is read."""
     header = "\n".join([magic, _field_line(code.field, code.n, tower),
                         f"ambient n={code.n}",
                         "type " + ",".join(str(t) for t in dims),
                         f"count {len(code)}", ""])
-    return chain([header], _member_blocks(code.field, dims, separator, members))
+    return chain([header], _member_blocks(code.field, code.n, dims, separator, keys))
 
 
-def _member_blocks(field: FiniteField, dims: tuple, separator: str,
-                   members) -> Iterator[str]:
-    """Each distinct row is joined once per file from a digit table of the
-    field, and each `subspace k=d` line once per dimension."""
+def _member_blocks(field: FiniteField, n: int, dims: tuple, separator: str,
+                   keys) -> Iterator[str]:
+    """Each row is its slice of a key; each distinct one is joined once per
+    file from a digit table of the field, and each `subspace k=d` line
+    once per dimension."""
+    w = lane_width(field)
+    step = n * w
     digits = [str(x) for x in range(field.order)]
-    heads = {t: f"subspace k={t}\n" for t in dims}
+    plan, start = [], 0  # each level's line and the offsets of its rows
+    for t in dims:
+        plan.append((f"subspace k={t}\n", range(start, start + t * step, step)))
+        start += t * step
     texts = {}
-    for levels in members:
+    get = texts.get
+    for key in keys:
         parts = [separator]
         append = parts.append
-        for rows in levels:
-            append(heads[len(rows)])
-            for row in rows:
-                text = texts.get(row)
+        for head, offsets in plan:
+            append(head)
+            for o in offsets:
+                row = key[o:o + step]
+                text = get(row)
                 if text is None:
-                    text = texts[row] = " ".join([digits[x] for x in row]) + "\n"
+                    codes = row if w == 1 else packed_rows(row, n, w)[0]
+                    text = texts[row] = " ".join([digits[x] for x in codes]) + "\n"
                 append(text)
         yield "".join(parts)
 
 
 def _flag_text(code: FlagCode, tower) -> Iterator[str]:
     return _file_text(_FLAG_MAGIC, code, code.dims, "flag\n",
-                      (flag.levels for flag in code.members), tower)
+                      (flag.key for flag in code.members), tower)
 
 
 def _subspace_text(code: SubspaceCode, tower) -> Iterator[str]:
+    w = lane_width(code.field)
     return _file_text(_SUB_MAGIC, code, (code.dim,), "",
-                      ((sub.rows,) for sub in code.members), tower)
+                      (pack_rows(sub.rows, w) for sub in code.members), tower)
 
 
 def format_flag_code(code: FlagCode, tower=None) -> str:

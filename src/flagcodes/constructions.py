@@ -33,7 +33,8 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      GcdConditionFailedError, NotADivisorError,
                      NotExtendingError, RankDeficientError, TypeMismatchError)
 from .fields import FiniteField, extend_field, factorize, order_dividing
-from .matrices import Matrix, block_diag, hstack, rref_code_rows, vstack
+from .matrices import (Matrix, block_diag, hstack, lane_width, pack_rows,
+                       rref_code_rows, vstack)
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
 from .subspaces import Subspace, SubspaceCode
@@ -246,16 +247,17 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     size = ctx.group.order // ctx.member_stabilizer_order
     m = size // len(orbit)
     g = ctx.group.generator
-    # the positions of the spread and hyperplane levels, one level for s = 2
-    critical = [i - 1 for i in dict.fromkeys(critical_indices(ctx.n, orbit.dims))]
+    # where the spread and hyperplane levels lie in a key, one level for s = 2
+    critical = [orbit.members[0]._level_slice(i - 1)
+                for i in dict.fromkeys(critical_indices(ctx.n, orbit.dims))]
 
     members = list(orbit)
     translate = orbit.members
-    seen = [{f.levels[i] for f in orbit} for i in critical]
+    seen = [{f.key[span] for f in orbit} for span in critical]
     for j in range(1, m):
         translate = [f.apply(g) for f in translate]
-        for i, levels in zip(critical, seen):
-            image = {f.levels[i] for f in translate}
+        for span, levels in zip(critical, seen):
+            image = {f.key[span] for f in translate}
             if not levels.isdisjoint(image):
                 raise AssertionError(f"orbit {j} meets an earlier one at a critical level")
             levels |= image
@@ -391,7 +393,8 @@ def _completion_flag(ctx, U, v_row):
         raise NotExtendingError("(v1 | v2) lies in the row space of (U1 | U2)")
     by_rank = {len(snap): snap for snap in snapshots}
     dims = tuple(range(1, n))
-    return Flag._trusted(F, n, tuple(by_rank[d] for d in dims), dims)
+    return Flag._trusted(F, n, pack_rows([r for d in dims for r in by_rank[d]],
+                                         lane_width(F)), dims)
 
 
 def _max_code_with_hook(ctx: FullTypeContext, U1, U2, v1, v2) -> FlagCode:

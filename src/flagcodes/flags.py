@@ -16,47 +16,43 @@ pair scan, the characterization by each critical projection's own
 min_distance, which a cover scan decides at the maximum (see
 SubspaceCode).  The tests keep them in agreement.
 
-A Flag is its levels: each level's canonical RREF rows, the rows every
-reader takes, from equality, hashing and sorting to writing and the seen
-sets of a construction.  An orbit walk keeps the rows the elimination
-snapshots as the image's levels and builds no Subspace; `subspaces`, the
-levels as Subspace objects, is built on first read, and projected_code
-builds each projection's members from the levels.  A flag builds its
-adapted basis on first read and keeps it, so a walk builds each flag's
-once.
+A Flag is one bytes string, its key: the canonical RREF rows of its
+levels, level after level, each code in w big-endian bytes, as
+matrices.pack_rows writes them (w = matrices.lane_width, 1 up to order
+256).  Equality, hashing, the FlagCode sort order (within one type, the
+order of the levels' rows), the writer, orbit_flag's meet check and a
+construction's seen sets read the key.  `levels`, the rows as tuples, and
+`subspaces`, the levels as Subspace objects, are views built on read, and
+projected_code unpacks each member's key once.
 
-A flag and every image apply reaches from it are one lineage, and they
-share one row pool: the packed reduction's memo from a packed row to its
-tuple (see matrices.act_code_rows), made at the lineage's first apply and
-handed on to each image.  Over a field with packed rows, GF(2^e),
-e <= 8, and GF(p), p <= 127, a row that an earlier apply of the lineage
-unpacked is then one dict hit and that apply's
-tuple, so the members an orbit walk makes share equal rows as one object
-(the seed keeps the rows it was made with).  The pool lives as long as a
-flag of the lineage does and holds at most the rows of every image the
-lineage computed.  Nothing else holds a pool, so constructions from fresh
-seeds share no rows.  A flag made by Flag(...), parsed or unpickled has no
-pool until its first apply.
+Beside its key a flag keeps a record of its adapted basis: the indices of
+the rows whose pivots are new at their level, so the first t_i rows it
+names span level i.  An apply's packed reduction writes the image's key
+and names those rows itself (see matrices.act_code_rows), so an orbit
+walk makes no row tuple and scans no row.  A flag made by Flag(...),
+parsed, unpickled or walked over a field without packed rows finds its
+adapted rows by one scan of its key on first read and keeps them, so a
+parsed code's pair scan slices each member's rows once, not once a pair.
 
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
-level_distances feeds both adapted bases in level by level and reads every
-level's distance from the rank after it.  A flag keeps its adapted basis,
-so a code's pair scan builds each member's once, not once per pair.  An
-orbit code carries its group generator, and so does a union with it
-first; it is refused unless invertible, and min_distance applies it once
-to each member before it skips any pair (see scan_pairs).  A code with no
-generator scans every pair, and a projection carries none: a level at its
-maximum is decided by its cover scan.
+level_distances feeds both adapted bases in level by level, over one-byte
+codes slices of the keys, and reads every level's distance from the rank
+after it.  An orbit code carries its group generator, and so does a union
+with it first; it is refused unless invertible, and min_distance applies
+it once to each member before it skips any pair (see scan_pairs).  A code
+with no generator scans every pair, and a projection carries none: a level
+at its maximum is decided by its cover scan.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, NotNestedError, SingularMatrixError,
                      TypeMismatchError, AdditivityViolatedError)
-from .matrices import Matrix, act_code_rows, rank_code_rows
+from .matrices import (Matrix, act_code_rows, lane_width, pack_rows, packed_rows,
+                       rank_code_rows)
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
                         group_orbit, max_distance_bound)
 
@@ -64,15 +60,15 @@ from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
 class Flag:
     """A strictly nested chain of proper nonzero subspaces.
 
-    `levels` holds each level's canonical RREF rows, level by level; it is
-    all that equality, hashing, sorting and writing read.  `subspaces`, the
-    levels as Subspace objects, is built on first read.
+    `key` packs each level's canonical RREF rows, level by level; it is
+    all that equality, hashing, sorting and writing read.  `levels` and
+    `subspaces` are views of it built on read.
     """
 
-    # _pool: the row memo of the flag's lineage, shared by every image
-    # apply reaches from it; None until the first apply
-    __slots__ = ("field", "n", "levels", "dims", "_hash", "_subspaces", "_adapted",
-                 "_pool")
+    # _adapted: the adapted basis record, the tuple of its rows' indices in
+    # key that the apply making the flag named, or else the list of the
+    # rows the first read found; _subspaces: the view, once read
+    __slots__ = ("field", "n", "dims", "key", "_adapted", "_subspaces")
 
     def __init__(self, subspaces):
         subspaces = tuple(subspaces)
@@ -88,25 +84,44 @@ class Flag:
             if not (lo.dim < hi.dim and hi.contains(lo)):
                 raise NotNestedError(
                     f"chain breaks between dims {lo.dim} and {hi.dim}")
-        self._init(first.field, first.n, tuple(s.rows for s in subspaces),
-                   tuple(s.dim for s in subspaces))
+        F = first.field
+        self._init(F, first.n, pack_rows([r for s in subspaces for r in s.rows],
+                                         lane_width(F)),
+                   tuple(s.dim for s in subspaces), None)
 
-    def _init(self, field, n, levels, dims):
+    def _init(self, field, n, key, dims, adapted):
         self.field = field
         self.n = n
-        self.levels = levels
+        self.key = key
         self.dims = dims
-        self._hash = None
+        self._adapted = adapted
         self._subspaces = None
-        self._adapted = None
-        self._pool = None
 
     @classmethod
-    def _trusted(cls, field, n, levels, dims) -> "Flag":
-        """Wrap kernel output: levels are canonical RREF row tuples of a chain."""
+    def _trusted(cls, field, n, key, dims, adapted=None) -> "Flag":
+        """Wrap kernel output: key packs the canonical RREF rows of a chain,
+        and adapted names its adapted basis rows, or is None."""
         self = cls.__new__(cls)
-        self._init(field, n, levels, dims)
+        self._init(field, n, key, dims, adapted)
         return self
+
+    def _level_slice(self, i: int) -> slice:
+        """Where level i, counted from 0, lies in the key."""
+        step = self.n * lane_width(self.field)
+        start = sum(self.dims[:i]) * step
+        return slice(start, start + self.dims[i] * step)
+
+    def _levels(self, shared: dict) -> tuple:
+        """Each level's canonical rows as tuples of codes; shared maps a
+        packed row to its tuple, and a row not in it is added."""
+        rows = iter([shared.get(r) or shared.setdefault(r, tuple(r))
+                     for r in packed_rows(self.key, self.n, lane_width(self.field))])
+        return tuple(tuple(islice(rows, t)) for t in self.dims)
+
+    @property
+    def levels(self) -> tuple:
+        """Each level's canonical rows, as tuples of codes, built on read."""
+        return self._levels({})
 
     @property
     def subspaces(self) -> tuple:
@@ -130,63 +145,62 @@ class Flag:
 
         One act_code_rows step on an adapted basis of the top level, whose
         first t_i rows span level i: the product by A, then one elimination
-        pass that snapshots the canonical basis of every level, which the
-        image keeps as its levels.  Over GF(2^e), e <= 8, and GF(p),
-        p <= 127, the products stay packed, read from the table of scaled
-        rows that A keeps, so a walk by one generator fills it once, and
-        the reduction unpacks each row through the lineage's pool, which
-        the image keeps: a row an earlier apply of the lineage unpacked
-        comes back as that tuple.
+        pass that snapshots the canonical basis of every level, packed into
+        the image's key.  Over GF(2^e), e <= 8, and GF(p), p <= 127, the
+        products stay packed, read from the table of scaled rows that A
+        keeps, so a walk by one generator fills it once, and the reduction
+        names the image's adapted basis rows as it writes them.
         Raises SingularMatrixError when a level loses dimension; a level
         that loses dimension takes the top level with it, so the top level
         alone tells.
         """
         F, n, dims = self.field, self.n, self.dims
         check_acting_matrix(F, n, A)
-        if self._pool is None:
-            self._pool = {}
-        levels = tuple(act_code_rows(F, self._adapted_rows(), A, dims, self._pool))
-        if len(levels[-1]) != dims[-1]:
+        key, ranks, adapted = act_code_rows(F, self._adapted_rows(), A, dims)
+        if ranks[-1] != dims[-1]:
             raise SingularMatrixError(
-                f"flag of type {dims} maps onto dims "
-                f"{tuple(len(rows) for rows in levels)}")
-        image = Flag._trusted(F, n, levels, dims)
-        image._pool = self._pool
-        return image
+                f"flag of type {dims} maps onto dims {tuple(ranks)}")
+        return Flag._trusted(F, n, key, dims, adapted)
 
     def _adapted_rows(self) -> list:
-        """Basis rows of the top level whose first t_i rows span level i,
-        built on first read and kept.
+        """Basis rows of the top level whose first t_i rows span level i:
+        the key's rows the record names, slices of it over one-byte codes.
 
-        Nested subspaces have nested pivot sets, so the RREF rows of each
-        level whose pivots are new at that level extend the rows below.
-        The pivot of an RREF row is the index of its leading 1.
+        Nested subspaces have nested pivot sets, so the rows of each level
+        whose pivots are new at that level extend the rows below.  A flag
+        no apply made finds them by one scan on first read, a canonical
+        row's first byte 1 lying in its leading code, the code 1, and keeps
+        the rows it found as its record, so a pair scan slices them once.
         """
-        if self._adapted is None:
-            rows = []
-            pivots = set()
-            for level in self.levels:
-                for row in level:
-                    lead = row.index(1)
-                    if lead not in pivots:
-                        pivots.add(lead)
-                        rows.append(row)
+        key, n, record = self.key, self.n, self._adapted
+        if type(record) is list:
+            return record
+        step = len(key) // sum(self.dims)  # n codes of w bytes
+        if record is None:
+            record, pivots = [], set()
+            for i in range(0, len(key), step):
+                lead = key.index(1, i, i + step) - i
+                if lead not in pivots:
+                    pivots.add(lead)
+                    record.append(i // step)
+        rows = [key[i * step:i * step + step] for i in record]
+        if step != n:
+            rows = [packed_rows(row, n, step // n)[0] for row in rows]
+        if type(record) is list:
             self._adapted = rows
-        return self._adapted
+        return rows
 
     def __eq__(self, other):
         if not isinstance(other, Flag):
             return NotImplemented
-        return (self.field is other.field and self.n == other.n
-                and self.levels == other.levels)
+        return (self.key == other.key and self.field is other.field
+                and self.n == other.n and self.dims == other.dims)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.levels)
-        return self._hash
+        return hash(self.key)  # a bytes object keeps its hash
 
     def __reduce__(self):
-        return Flag._trusted, (self.field, self.n, self.levels, self.dims)
+        return Flag._trusted, (self.field, self.n, self.key, self.dims)
 
     def __repr__(self):
         return f"Flag(type {self.dims} on GF({self.field.order})^{self.n})"
@@ -246,7 +260,7 @@ class FlagCode(Code):
     __slots__ = ("dims", "generator", "_projections")
 
     def __init__(self, members, *, generator=None):
-        super().__init__(members, lambda f: f.levels)
+        super().__init__(members, lambda f: f.key)
         if generator is not None:
             check_acting_matrix(self.field, self.n, generator)
             if not generator.is_invertible():
@@ -303,15 +317,16 @@ def projected_code(code: FlagCode, index: int) -> SubspaceCode:
     """The subspace code of all members' subspaces at one chain position.
 
     Every level is built on first use and kept on the code, so each
-    projection, and with it its min_distance, exists once per code.
+    projection, and with it its min_distance, exists once per code.  Each
+    member's key is unpacked once, each distinct row to one tuple.
     """
     if not 1 <= index <= len(code.dims):
         raise IndexError(f"index {index} outside type {code.dims}")
     if code._projections is None:
-        F, n = code.field, code.n
+        F, n, shared = code.field, code.n, {}
+        levels = [f._levels(shared) for f in code.members]
         code._projections = tuple(
-            SubspaceCode(Subspace._from_rref(F, n, f.levels[i])
-                         for f in code.members)
+            SubspaceCode(Subspace._from_rref(F, n, lv[i]) for lv in levels)
             for i in range(len(code.dims)))
     return code._projections[index - 1]
 
@@ -373,9 +388,11 @@ def orbit_flag(group, flag: Flag):
     size = len(members)
     N = group.order
     meet = 0
-    for i, seed_level in enumerate(flag.levels):
+    for i in range(len(flag.dims)):
+        span = flag._level_slice(i)
+        seed_level = flag.key[span]
         level_size = next((j for j in range(1, size)
-                           if members[j].levels[i] == seed_level), size)
+                           if members[j].key[span] == seed_level), size)
         meet = gcd(meet, N // level_size)
     if meet != stab:
         raise AssertionError("flag stabilizer is not the meet of level stabilizers")

@@ -15,12 +15,13 @@ table[j][c] the packed c B_j, each filled on first use (see _ScaledRow).
 A Matrix keeps the table of its own rows once it is made, so an orbit walk
 by one generator scales each row of it at most once per scalar.
 act_code_rows, the right action of a matrix on rows, is the product
-followed by the canonical reduction; over a field with packed rows it
-passes the packed products straight to the packed reduction, whose memo
-from a packed row to its tuple the caller may keep across calls:
-Flag.apply keeps one per lineage of flags, so an orbit walk unpacks each
-distinct row once.  The memo is the caller's; no Matrix, field or module
-holds one.
+followed by the canonical reduction, and it returns the snapshots packed:
+one bytes string of their rows, each code in lane_width(F) big-endian
+bytes (see pack_rows).  Over a field with packed rows the products go
+straight to the packed reduction, which writes each snapshot row into
+that string and names the rows whose pivots are new at each block, so a
+Flag keeps the string as its key and the names as its adapted basis; no
+row becomes a tuple.
 
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
@@ -28,7 +29,8 @@ computed from matrices that were already checked are wrapped with
 `Matrix._trusted`, without the per-entry check.
 """
 
-from bisect import insort
+from bisect import bisect_left, insort
+from itertools import islice
 
 from .errors import MixedFieldsError, ShapeError, SingularMatrixError
 from .fields import FiniteField, order_dividing, power, power_from_squares
@@ -266,24 +268,50 @@ def mul_code_rows(F: FiniteField, arows, brows, ncols):
     return out
 
 
-def act_code_rows(F: FiniteField, rows, A: Matrix, sizes=None, unpacked=None) -> list:
-    """rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes).
+def lane_width(F: FiniteField) -> int:
+    """Bytes per code in a packed key: 1 up to order 256."""
+    return (F.order - 1).bit_length() + 7 >> 3
+
+
+def pack_rows(rows, w: int) -> bytes:
+    """Rows of codes as one bytes string, each code in w big-endian bytes."""
+    if w == 1:
+        return b"".join(map(bytes, rows))
+    return b"".join([x.to_bytes(w, "big") for row in rows for x in row])
+
+
+def packed_rows(key: bytes, n: int, w: int) -> list:
+    """The rows of n codes in key: slices of it over one-byte codes, whose
+    items are the codes, and tuples of codes otherwise."""
+    step = n * w
+    rows = [key[o:o + step] for o in range(0, len(key), step)]
+    if w == 1:
+        return rows
+    return [tuple(int.from_bytes(r[c:c + w], "big") for c in range(0, step, w))
+            for r in rows]
+
+
+def act_code_rows(F: FiniteField, rows, A: Matrix, sizes=None) -> tuple:
+    """rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes)
+    as (key, ranks, adapted): the snapshots' rows packed one after another
+    by pack_rows(..., lane_width(F)), and their counts.
 
     The right action of A on the row space of each leading block of rows.
     Over a field with packed rows (see FiniteField.byte_scalers) the
     products stay packed from A's kept table of scaled rows into the packed
-    reduction, and unpacked is its memo from a packed row to its tuple (see
-    _xor_rref): a dict the caller keeps across calls, so a snapshot row met
-    in an earlier call is that call's tuple, not a new one; it holds at most
-    every snapshot row of the calls it was passed to.  None gives the call
-    a memo of its own.  The table body reads no memo.
+    reduction, which writes key itself; adapted then names, block by block,
+    the rows whose pivots are new at that block, by their index in key, so
+    when no block loses rank the first t it names span rows[:t], t in
+    sizes.  Other fields pack the tuples of rref_code_rows: adapted is None.
     """
     scale = F.byte_scalers()
     if scale is None:
-        return rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes)
+        snaps = rref_code_rows(F, mul_code_rows(F, rows, A.rows, A.ncols), sizes)
+        return (pack_rows([row for snap in snaps for row in snap], lane_width(F)),
+                [len(snap) for snap in snaps], None)
     products, rref = _packed_bodies(F)
     return rref(F, scale, products(F, A._scaled_rows(scale), rows, A.ncols),
-                sizes, A.ncols, {} if unpacked is None else unpacked)
+                sizes, A.ncols)
 
 
 def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
@@ -298,14 +326,18 @@ def rref_code_rows(F: FiniteField, rows, sizes=None) -> list:
     nothing, so a block of rank r yields r rows.  Once every column has a
     pivot, every later row reduces to zero and is skipped.  rows is not
     modified.  Fields with packed rows run the same pass on them (see
-    _xor_rref and _modp_rref); a snapshot row equal to a given row (a row
-    kept as given, as a parsed basis is) is the caller's tuple.
+    _xor_rref and _modp_rref) and unpack its key; a snapshot row equal to a
+    given row (a row kept as given, as a parsed basis is) is the caller's
+    tuple.
     """
     scale = F.byte_scalers()
-    if scale is not None:
-        packed = [int.from_bytes(bytes(row), "big") for row in rows]
-        return _packed_bodies(F)[1](F, scale, packed, sizes, len(rows[0]) if rows else 0,
-                                    dict(zip(packed, map(tuple, rows))))
+    if scale is not None and rows:
+        raw = [bytes(row) for row in rows]
+        key, ranks, _ = _packed_bodies(F)[1](
+            F, scale, [int.from_bytes(b, "big") for b in raw], sizes, len(raw[0]))
+        given = dict(zip(raw, map(tuple, rows))).get
+        out = iter([given(r) or tuple(r) for r in packed_rows(key, len(raw[0]), 1)])
+        return [tuple(islice(out, r)) for r in ranks]
     add, mul, neg, inv = F.tables()
     reduced = {}  # pivot column -> row, zero at every other pivot column
     ncols = len(rows[0]) if rows else 0
@@ -396,25 +428,26 @@ def _modp_products(F, table, arows, ncols) -> list:
     return out
 
 
-def _xor_rref(F, scale, rows, sizes, ncols, unpacked):
+def _xor_rref(F, scale, rows, sizes, ncols) -> tuple:
     """rref_code_rows over GF(2^e), e <= 8, on rows packed into ints, one
-    byte per code, the first of ncols codes in the top byte; -x is x and
-    x - y is x ^ y.
+    byte per code, the first of ncols codes in the top byte, returned as
+    act_code_rows returns it; -x is x and x - y is x ^ y.
 
     A kept row is keyed by the shift of its pivot byte, read from
     bit_length(), so the byte at a pivot is r >> shift & 255, and the
-    shifts are kept sorted, so the rows in pivot order are the shifts
-    read down.  unpacked maps a packed row to its tuple of codes: a
-    snapshot row found there is shared, and any other is unpacked once and
-    added, so snapshots share a row's tuple until the row changes.
+    shifts are kept sorted, so the rows in pivot order are the shifts read
+    down, each written into the key, and the row of shift s is row
+    len(shifts) - 1 - bisect_left(shifts, s) of its snapshot.
     """
     inv = F.tables()[3]
-    from_bytes, known = int.from_bytes, unpacked.get
+    from_bytes = int.from_bytes
     reduced = {}  # pivot shift -> packed row, zero at every other pivot
     shifts = []  # the keys of reduced, ascending
-    snapshots = []
+    key = bytearray()
+    ranks, adapted = [], []
     done = 0
     for t in (len(rows),) if sizes is None else sizes:
+        new = []  # the shifts this block kept
         for r in rows[done:t]:
             if len(reduced) == ncols:
                 break
@@ -440,19 +473,17 @@ def _xor_rref(F, scale, rows, sizes, ncols, unpacked):
                         reduced[s] = b ^ from_bytes(rb.translate(scale[x]), "big")
                 reduced[lead] = r
                 insort(shifts, lead)
+                new.append(lead)
         done = t
-        snapshot = []
+        last = len(key) // ncols + len(shifts) - 1  # the snapshot's last row
+        adapted += [last - bisect_left(shifts, s) for s in new]
         for s in reversed(shifts):
-            r = reduced[s]
-            u = known(r)
-            if u is None:
-                u = unpacked[r] = tuple(r.to_bytes(ncols, "big"))
-            snapshot.append(u)
-        snapshots.append(tuple(snapshot))
-    return snapshots
+            key += reduced[s].to_bytes(ncols, "big")
+        ranks.append(len(shifts))
+    return bytes(key), ranks, tuple(adapted)
 
 
-def _modp_rref(F, scale, rows, sizes, ncols, unpacked):
+def _modp_rref(F, scale, rows, sizes, ncols) -> tuple:
     """_xor_rref over GF(p), p <= 127: x - c y is x + (p - c) y, one
     translate, then p is taken off every lane that reached p, the lanes
     where adding 128 - p sets the top bit.  Both lanes are below p, so
@@ -460,14 +491,16 @@ def _modp_rref(F, scale, rows, sizes, ncols, unpacked):
     """
     p = F.characteristic
     inv = F.tables()[3]
-    from_bytes, known = int.from_bytes, unpacked.get
+    from_bytes = int.from_bytes
     top = from_bytes(b"\x80" * ncols, "big")  # the top bit of every lane
     lift = from_bytes(bytes([128 - p]) * ncols, "big")
     reduced = {}  # pivot shift -> packed row, zero at every other pivot
     shifts = []  # the keys of reduced, ascending
-    snapshots = []
+    key = bytearray()
+    ranks, adapted = [], []
     done = 0
     for t in (len(rows),) if sizes is None else sizes:
+        new = []  # the shifts this block kept
         for r in rows[done:t]:
             if len(reduced) == ncols:
                 break
@@ -497,16 +530,14 @@ def _modp_rref(F, scale, rows, sizes, ncols, unpacked):
                         reduced[s] = b - ((b + lift & top) >> 7) * p
                 reduced[lead] = r
                 insort(shifts, lead)
+                new.append(lead)
         done = t
-        snapshot = []
+        last = len(key) // ncols + len(shifts) - 1  # the snapshot's last row
+        adapted += [last - bisect_left(shifts, s) for s in new]
         for s in reversed(shifts):
-            r = reduced[s]
-            u = known(r)
-            if u is None:
-                u = unpacked[r] = tuple(r.to_bytes(ncols, "big"))
-            snapshot.append(u)
-        snapshots.append(tuple(snapshot))
-    return snapshots
+            key += reduced[s].to_bytes(ncols, "big")
+        ranks.append(len(shifts))
+    return bytes(key), ranks, tuple(adapted)
 
 
 def rank_code_rows(F: FiniteField, rows, sizes=None) -> list:

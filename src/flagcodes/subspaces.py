@@ -13,8 +13,8 @@ from itertools import combinations
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, ShapeError, SingularMatrixError)
 from .fields import FiniteField
-from .matrices import (Matrix, act_code_rows, kernel_code_rows, rank_code_rows,
-                       rref_code_rows)
+from .matrices import (Matrix, act_code_rows, kernel_code_rows, lane_width,
+                       packed_rows, rank_code_rows, rref_code_rows)
 
 
 def max_distance_bound(n: int, k: int) -> int:
@@ -79,11 +79,12 @@ class Subspace:
         """
         check_acting_matrix(self.field, self.n, A)
         F, n = self.field, self.n
-        rows = act_code_rows(F, self.rows, A)[0]
-        if len(rows) != self.dim:
+        key, (dim,), _ = act_code_rows(F, self.rows, A)
+        if dim != self.dim:
             raise SingularMatrixError(
-                f"a dim {self.dim} subspace maps onto dim {len(rows)}")
-        return Subspace._from_rref(F, n, rows)
+                f"a dim {self.dim} subspace maps onto dim {dim}")
+        return Subspace._from_rref(
+            F, n, tuple(map(tuple, packed_rows(key, n, lane_width(F)))))
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other lies in this subspace, by reduction, no elimination.

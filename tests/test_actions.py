@@ -267,10 +267,10 @@ def _scalar_rows(rng, F, count, n):
     (2, 1), (2, 2), (2, 3), (2, 8), pytest.param(2, (2, 2), id="2-2x2"), (3, 1),
     (5, 1), (7, 1), (127, 1), (131, 1), (3, 2)])
 def test_action_kernel_matches_reference(p, e):
-    """act_code_rows is rref_code_rows after mul_code_rows, and the packed
-    product read from a matrix's table of scaled rows is the product, on
-    rows with zero and dependent members and every scalar of the field, at
-    every prefix size."""
+    """act_code_rows is rref_code_rows after mul_code_rows, packed, and the
+    packed product read from a matrix's table of scaled rows is the
+    product, on rows with zero and dependent members and every scalar of
+    the field, at every prefix size."""
     F = _field(p, e)
     scale = F.byte_scalers()
     rng = random.Random(f"act:{p}^{e}")
@@ -286,37 +286,58 @@ def test_action_kernel_matches_reference(p, e):
                 assert products(F, A._scaled_rows(scale), rows, n) == packed
                 # a second pass reads the filled table
                 assert products(F, A._scaled_rows(scale), rows, n) == packed
-            snaps = act_code_rows(F, rows, A, sizes)
-            assert snaps == rref_code_rows(F, product, sizes)
-            assert act_code_rows(F, rows, A) == [snaps[-1]] == [ref_rref(F, product)]
+            snaps = rref_code_rows(F, product, sizes)
+            key, ranks, adapted = act_code_rows(F, rows, A, sizes)
+            assert (key, ranks) == (_ref_key(snaps), [len(snap) for snap in snaps])
+            assert snaps[-1] == ref_rref(F, product)
+            assert act_code_rows(F, rows, A)[:2] == (_ref_key(snaps[-1:]), ranks[-1:])
+            assert adapted is None if scale is None else \
+                sorted(adapted) == _new_pivot_rows(key, ranks, n)
             # canonical rows come back as the caller's own tuples
             assert all(a is b for a, b in zip(rref_code_rows(F, snaps[-1])[0], snaps[-1]))
-    assert act_code_rows(F, [], Matrix.identity(F, 3)) == [()]
-    # one memo carried across 200 applies of a walk by a matrix of order 6,
-    # B^-1 P B for the cyclic shift P, so rows recur: each result is the
-    # reference and the fresh-memo result, and a row met before comes back
-    # as the tuple it was first unpacked to
+    assert act_code_rows(F, [], Matrix.identity(F, 3))[:2] == (b"", [0])
+    # a walk of 200 applies by a matrix of order 6, B^-1 P B for the cyclic
+    # shift P, each to the rows the apply before named, as Flag.apply does:
+    # each key packs the reference snapshots, and over packed rows the
+    # reduction names each block's new-pivot rows itself, so the walk reads
+    # rows straight from the keys and unpacks none
     n, sizes = 6, (1, 2, 4)
     B = random_invertible(rng, F, n).rows
     shift = [tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n)]
     A = Matrix(F, ref_product(F, _ref_inverse(F, B), ref_product(F, shift, B)), n)
-    rows = tuple(_random_rows(rng, F, 2, n)) + random_invertible(rng, F, n).rows[:2]
-    memo, first, seen = {}, {}, 0
-    ref = {}  # the walk is periodic: reference results by input rows
+    rows = random_invertible(rng, F, n).rows[:4]
+    ref = {}  # the walk is periodic: reference snapshots by input rows
     for _ in range(200):
-        snaps = act_code_rows(F, rows, A, sizes, memo)
-        assert snaps == act_code_rows(F, rows, A, sizes)
+        key, ranks, adapted = act_code_rows(F, rows, A, sizes)
         if rows not in ref:
-            product = tuple(ref_product(F, rows, A.rows))
-            ref[rows] = product, [ref_rref(F, product[:t]) for t in sizes]
-        rows, expected = ref[rows]
-        assert snaps == expected
-        for row in (row for snap in snaps for row in snap):
-            seen += 1
-            if scale is not None:
-                assert first.setdefault(row, row) is row
-    assert len(ref) <= n
-    assert memo == {} if scale is None else len(memo) == len(first) < seen
+            product = ref_product(F, rows, A.rows)
+            ref[rows] = [ref_rref(F, product[:t]) for t in sizes]
+        assert (key, ranks) == (_ref_key(ref[rows]), list(sizes))
+        named = _new_pivot_rows(key, ranks, n)
+        assert adapted is None if scale is None else sorted(adapted) == named
+        rows = tuple(key[i * n:(i + 1) * n] for i in named)
+    assert len(ref) <= n + 1
+
+
+def _ref_key(snaps) -> bytes:
+    """The snapshots' rows, one byte per code, as act_code_rows packs them
+    over fields of order at most 256."""
+    return bytes(x for snap in snaps for row in snap for x in row)
+
+
+def _new_pivot_rows(key, ranks, n) -> list:
+    """The indices in a key of each snapshot's rows whose pivots the
+    snapshot before lacks, block by block, each block ascending."""
+    rows = [key[o:o + n] for o in range(0, len(key), n)]
+    out, base, pivots = [], 0, set()
+    for r in ranks:
+        for i in range(base, base + r):
+            lead = next(c for c, x in enumerate(rows[i]) if x)
+            if lead not in pivots:
+                pivots.add(lead)
+                out.append(i)
+        base += r
+    return out
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 8), (3, 1)])
@@ -366,10 +387,10 @@ def test_matrix_with_a_table_pickles_by_its_rows():
     assert Subspace.standard(F, 4, 2).apply(B) == Subspace.standard(F, 4, 2).apply(A)
 
 
-def test_walked_flag_pickles_by_its_levels():
-    """A flag pickles as (field, n, levels, dims): the copy of a walked flag
-    is equal, hashes equal and carries no row pool, adapted rows or
-    subspaces."""
+def test_walked_flag_pickles_by_its_key():
+    """A flag pickles as (field, n, key, dims): the copy of a walked flag
+    is equal, hashes equal, keeps the key's bytes and carries no adapted
+    record or subspaces, and applies as the flag does."""
     rng = random.Random(6)
     F = make_field(2, 2)
     A = random_invertible(rng, F, 6)
@@ -377,9 +398,9 @@ def test_walked_flag_pickles_by_its_levels():
     for _ in range(5):
         flag = flag.apply(A)
     flag.subspaces
-    assert flag._pool and flag._adapted is None
-    flag._adapted_rows()
+    assert flag._adapted is not None
     back = pickle.loads(pickle.dumps(flag))
     assert back == flag and hash(back) == hash(flag) and back.field is F
-    assert back._pool is None and back._adapted is None and back._subspaces is None
+    assert back.key == flag.key and type(back.key) is bytes
+    assert back._adapted is None and back._subspaces is None
     assert back.apply(A) == flag.apply(A)

@@ -12,7 +12,7 @@ from conftest import ref_add, ref_mul
 from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode,
                        build_full_type_context, build_spread_context, cli,
                        codefiles, extend_field, flags, full_type_max_odfc,
-                       make_field, spread_type_max_odfc,
+                       make_field, projected_code, spread_type_max_odfc,
                        spread_type_orbit_odfc, subspaces)
 from flagcodes.codefiles import (format_flag_code, format_subspace_code,
                                  parse_code_file, read_code_file,
@@ -370,7 +370,8 @@ def test_read_missing_file(tmp_path):
 def test_parse_shares_rows_and_checks_each(ctx_q4k3s3):
     # the 4,161-flag (q=4, k=3, s=3) maximum code holds 20,511 distinct rows
     # among about 112,000 row lines: a parse checks each distinct row text
-    # once, gives its repeats one tuple, and keeps no list of the lines
+    # once and keeps no list of the lines, and a parsed flag is its key, so
+    # its projections, built from the keys, give each distinct row one tuple
     code = spread_type_max_odfc(ctx_q4k3s3, 57)
     text = format_flag_code(code, tower=(3, 3))
     tracemalloc.start()
@@ -382,7 +383,8 @@ def test_parse_shares_rows_and_checks_each(ctx_q4k3s3):
         tracemalloc.stop()
     size = len(text)
     assert data.code == code
-    rows = [row for flag in data.code for level in flag.levels for row in level]
+    rows = [row for i in range(1, len(code.dims) + 1)
+            for sub in projected_code(data.code, i) for row in sub.rows]
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows) // 4
     assert kept - before < 3 * size, (kept - before, size)
     assert peak - before < 10 * size, (peak - before, size)

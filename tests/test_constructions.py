@@ -1,6 +1,9 @@
 """Spread contexts and the two orbital ODFC constructions."""
 
+import gc
+import pickle
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -516,13 +519,14 @@ def test_full_type_nonzero_v1_hook_breaks_optimality(ftx_q2k2, F2):
 
 
 def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
-    """A walk keeps each flag's levels as the rows the kernel gives: while
-    the 65-flag maximum code for q=4, k=3, s=2 is built, Flag.apply makes no
-    Subspace, and each member's adapted rows are built at most once."""
+    """A walk keeps each flag as the key the kernel writes: while the
+    65-flag maximum code for q=4, k=3, s=2 is built, Flag.apply makes no
+    Subspace, and only the seed, made by Flag(...), scans its key for its
+    adapted rows: every image's are named by the apply that made it."""
     ctx = build_spread_context(F4, 3, 2)
     applying = []
     made = []
-    built = []
+    scanned = []
     apply, from_rref = Flag.apply, Subspace._from_rref.__func__
     adapted = Flag._adapted_rows
 
@@ -540,52 +544,74 @@ def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
 
     def counted_adapted(flag):
         if flag._adapted is None:
-            built.append(flag)
+            scanned.append(flag)
         return adapted(flag)
     monkeypatch.setattr(Flag, "apply", counted_apply)
     monkeypatch.setattr(Subspace, "_from_rref", classmethod(counted_from_rref))
     monkeypatch.setattr(Flag, "_adapted_rows", counted_adapted)
     code = spread_type_max_odfc(ctx, 13)
     assert len(code) == 65 and made == []
-    assert built and all(sum(f is m for f in built) <= 1 for m in code)
+    assert scanned == [canonical_admissible_flag(ctx)]
 
 
-def _check_one_row_pool(F, t, size):
-    """Every image Flag.apply reaches from a flag shares that flag's row
-    memo: across the maximum code for k=3, s=2 over F, each row value a
-    walk computed is one tuple.  Two builds share no pool and no row, and
-    a flag made by Flag(...) or parsed from a file has no pool."""
+def _check_one_bytes_string(F, t, size):
+    """Each member of the maximum code for k=3, s=2 over F is one bytes
+    string of its n * sum(dims) codes, one byte each, and, but for the seed,
+    a tuple naming its adapted rows: no row tuple or list, and no
+    Subspace.  Its levels view is canonical, the reference reduction of
+    the first t_i named rows at each level, and the named rows are those
+    a scan of its key finds.  A pickled or parsed copy keeps equality,
+    hash and apply."""
     ctx = build_spread_context(F, 3, 2)
     seed = canonical_admissible_flag(ctx)
-    assert seed._pool is None
-    codes = [spread_type_max_odfc(ctx, t) for _ in range(2)]
-    assert codes[0] == codes[1] and len(codes[0]) == size
-    row_ids = []
-    for code in codes:
-        pool = code.members[0]._pool
-        assert pool and all(f._pool is pool for f in code)
-        one = {}
-        for f in code:
-            if f == seed:  # the seed keeps the rows Flag(...) was given
-                continue
-            for level in f.levels:
-                for row in level:
-                    assert one.setdefault(row, row) is row
-        assert len(one) < sum(len(level) for f in code for level in f.levels)
-        row_ids.append({id(row) for f in code for level in f.levels for row in level})
-    assert codes[0].members[0]._pool is not codes[1].members[0]._pool
-    assert not row_ids[0] & row_ids[1]
-    parsed = parse_code_file(format_flag_code(codes[0])).code
-    assert parsed == codes[0]
-    assert all(f._pool is None for f in parsed)
+    code = spread_type_max_odfc(ctx, t)
+    assert len(code) == size and seed in code
+    g = ctx.group.generator
+    for f in code:
+        assert type(f.key) is bytes and len(f.key) == f.n * sum(f.dims)
+        assert f._subspaces is None or f == seed
+        if f != seed:  # the seed found its rows by a scan, and keeps them
+            assert type(f._adapted) is tuple
+            assert all(type(i) is int for i in f._adapted)
+        named = f._adapted_rows()
+        assert all(type(row) is bytes for row in named)
+        for t_i, level in zip(f.dims, f.levels):
+            assert level == ref_rref(F, level) == ref_rref(F, named[:t_i])
+        scanned = Flag._trusted(F, f.n, f.key, f.dims)._adapted_rows()
+        assert sorted(named) == sorted(scanned)
+    for f in code.members[::7]:
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and hash(back) == hash(f) and back.apply(g) == f.apply(g)
+    parsed = parse_code_file(format_flag_code(code)).code
+    assert parsed == code
+    assert [f.key for f in parsed] == [f.key for f in code]
 
 
-def test_a_lineage_shares_one_row_pool(F4):
+def test_a_flag_is_one_bytes_string(F4):
     """The 65-flag maximum code for q=4: rows packed by XOR lanes."""
-    _check_one_row_pool(F4, 13, 65)
+    _check_one_bytes_string(F4, 13, 65)
 
 
-def test_an_odd_lineage_shares_one_row_pool(F3):
+def test_an_odd_flag_is_one_bytes_string(F3):
     """The 28-flag maximum code for q=3: rows packed in lanes added
-    modulo 3, so an odd walk unpacks each row once too."""
-    _check_one_row_pool(F3, 14, 28)
+    modulo 3."""
+    _check_one_bytes_string(F3, 14, 28)
+
+
+def test_maximum_code_retains_one_key_per_flag(F4):
+    """The 4,161-flag (q=4, k=3, s=3, t=57) maximum code, built from a
+    fresh context, retains about 2.0 MiB under tracemalloc: per flag one
+    243-byte key, its record and the Flag.  Flags of row tuples sharing a
+    lineage pool retained about 6.8 MiB; the bound is 2.0 MiB plus 25%."""
+    ctx = build_spread_context(F4, 3, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = spread_type_max_odfc(ctx, 57)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 4161
+    assert kept < 2.49 * 2 ** 20, kept

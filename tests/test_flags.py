@@ -6,13 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import enumerate_grassmannian, pair_scan_distance, ref_rref
+from conftest import (enumerate_grassmannian, pair_scan_distance,
+                      random_invertible, ref_rref)
 from flagcodes import (Flag, FlagCode, Matrix, Subspace, critical_indices,
                        flag_distance, flag_distance_bound,
                        is_disjoint, is_odfc_by_characterization,
                        is_odfc_by_definition, level_distances, make_field,
                        max_distance_bound, orbit_flag, projected_code,
                        singer_group, union_flag_codes)
+from flagcodes.codefiles import format_flag_code
 from flagcodes.errors import (AdditivityViolatedError, BadDimensionsError,
                               NotNestedError, TypeMismatchError)
 
@@ -247,6 +249,50 @@ def test_flag_identity_reads_field_and_ambient():
     assert over2.levels == over4.levels
     assert over2 != over4 and over4 != over2
     assert len({over2, over4}) == 2
+
+
+# lane widths 1 and 2: GF(2048) codes take two bytes each
+_KEY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (5, 2), (2, 11)]
+_KEY_TYPES = [(1, 4), (2, 3), (5,), (1, 2, 4, 5)]  # n = 6; three of Σ = 5
+
+
+@pytest.mark.parametrize("p, e", _KEY_FIELDS)
+def test_key_orders_and_identifies_as_levels(p, e):
+    """Within a type, sorting by key sorts by levels, keys (and so flags)
+    are equal exactly when levels are, and equal flags hash equal, for
+    flags made by Flag(...) and by apply, with repeats; flags of different
+    types with keys of one length never compare equal; and a FlagCode's
+    file is the text of its levels, sorted."""
+    F = make_field(p, e)
+    rng = random.Random(f"keys:{p}^{e}")
+    n = 6
+    by_type = {}
+    for dims in _KEY_TYPES:
+        made = [Flag([Subspace(F, n, M.rows[:t]) for t in dims])
+                for M in (random_invertible(rng, F, n) for _ in range(4))]
+        walked = [f.apply(random_invertible(rng, F, n)) for f in made]
+        again = [f.apply(Matrix.identity(F, n)) for f in made + walked]
+        flags = made + walked + again
+        assert len({f.key for f in flags}) < len(flags)
+        for a, b in combinations(flags, 2):
+            same = a.levels == b.levels
+            assert (a == b) == (a.key == b.key) == same
+            assert not same or hash(a) == hash(b)
+        assert ([f.levels for f in sorted(flags, key=lambda f: f.key)]
+                == sorted(f.levels for f in flags))
+        code = FlagCode(flags)
+        lines = ["FLAGCODE v1", f"field p={p} e={e}", f"ambient n={n}",
+                 "type " + ",".join(map(str, dims)), f"count {len(code)}"]
+        for levels in sorted({f.levels for f in flags}):
+            lines.append("flag")
+            for t, rows in zip(dims, levels):
+                lines += [f"subspace k={t}"] + [" ".join(map(str, r)) for r in rows]
+        assert format_flag_code(code) == "\n".join(lines) + "\n"
+        by_type[dims] = flags
+    same_length = [f for dims in _KEY_TYPES[:3] for f in by_type[dims]]
+    assert len({len(f.key) for f in same_length}) == 1
+    for a, b in combinations(same_length, 2):
+        assert a.dims == b.dims or (a != b and b != a)
 
 
 def test_flag_made_and_flag_reached_by_apply_are_one_flag():
