@@ -17,15 +17,18 @@ k s = n), and has no other effect on parsing.  The ambient field is
 reconstructed as make_field(p, e), so only codes over fields built that way
 can be written: the element codes of a tower over an intermediate field
 name other elements of GF(p^e).  format_* and write_* refuse such a code,
-or a tower that does not describe n, with ValueError, write_* before it
-opens the path.  A SUBCODE v1 file is identical except the type line holds
+a field of order above MAX_FIELD_ORDER, which the parser refuses, or a
+tower that does not describe n, with ValueError, write_* before it opens
+the path.  A SUBCODE v1 file is identical except the type line holds
 a single dimension and the body is `count` subspace blocks with no `flag`
 separators.  Entries are integer element codes of GF(p^e); members are
 written sorted by canonical basis, so serialization is deterministic.
 
 write_* stream a file to disk one member block at a time, so the file's
 text is never held whole in memory; format_* join the same blocks into one
-string.
+string.  Each block is a member's packed key, one byte per code, laid into
+one template of the file by a translate per digit place of a code; no text
+of a row is kept from one block to the next.
 """
 
 import io
@@ -36,7 +39,7 @@ from typing import Iterator, NamedTuple
 from .errors import CodeFileError
 from .fields import FiniteField, make_field
 from .flags import Flag, FlagCode
-from .matrices import lane_width, pack_rows, packed_rows, rref_code_rows
+from .matrices import pack_rows, rref_code_rows
 from .subspaces import Subspace, SubspaceCode
 
 _FLAG_MAGIC = "FLAGCODE v1"
@@ -78,6 +81,7 @@ def _field_line(field: FiniteField, n: int, tower) -> str:
     e = 0
     while p ** e < q:
         e += 1
+    check_field_order(p, e)
     if field is not make_field(p, e):
         raise ValueError(f"{field!r} is not make_field({p}, {e}), the field "
                          f"a file with p={p} e={e} reads back over")
@@ -103,31 +107,28 @@ def _file_text(magic: str, code, dims: tuple, separator: str, keys,
 
 def _member_blocks(field: FiniteField, n: int, dims: tuple, separator: str,
                    keys) -> Iterator[str]:
-    """Each row is its slice of a key; each distinct one is joined once per
-    file from a digit table of the field, and each `subspace k=d` line
-    once per dimension."""
-    w = lane_width(field)
-    step = n * w
-    digits = [str(x) for x in range(field.order)]
-    plan, start = [], 0  # each level's line and the offsets of its rows
+    """Each member's block from one template of the file: the separator,
+    each `subspace k=t` line and views of one bytes string of the rows, D =
+    len(str(q - 1)) digit places per code with spaces and newlines in place.
+    A key has one byte per code (q <= MAX_FIELD_ORDER): one translate per
+    digit place writes it (a NUL for a leading zero) into its places by an
+    extended-slice assignment, and for D > 1 a replace drops the NULs."""
+    D = len(str(field.order - 1))
+    digits = [str(x).rjust(D, "\0") for x in range(field.order)]
+    tables = [bytes(ord(c[d]) for c in digits).ljust(256, b"\0") for d in range(D)]
+    row = (b"\0" * D + b" ") * (n - 1) + b"\0" * D + b"\n"
+    rows = bytearray(row * sum(dims))
+    template, start = [separator.encode()], 0
     for t in dims:
-        plan.append((f"subspace k={t}\n", range(start, start + t * step, step)))
-        start += t * step
-    texts = {}
-    get = texts.get
+        view = memoryview(rows)[start:start + t * len(row)]
+        template += (f"subspace k={t}\n".encode(), view)
+        start += t * len(row)
+    places = [slice(d, None, D + 1) for d in range(D)]
     for key in keys:
-        parts = [separator]
-        append = parts.append
-        for head, offsets in plan:
-            append(head)
-            for o in offsets:
-                row = key[o:o + step]
-                text = get(row)
-                if text is None:
-                    codes = row if w == 1 else packed_rows(row, n, w)[0]
-                    text = texts[row] = " ".join([digits[x] for x in codes]) + "\n"
-                append(text)
-        yield "".join(parts)
+        for at, table in zip(places, tables):
+            rows[at] = key.translate(table)
+        block = b"".join(template)
+        yield (block.replace(b"\0", b"") if D > 1 else block).decode()
 
 
 def _flag_text(code: FlagCode, tower) -> Iterator[str]:
@@ -136,9 +137,8 @@ def _flag_text(code: FlagCode, tower) -> Iterator[str]:
 
 
 def _subspace_text(code: SubspaceCode, tower) -> Iterator[str]:
-    w = lane_width(code.field)
     return _file_text(_SUB_MAGIC, code, (code.dim,), "",
-                      (pack_rows(sub.rows, w) for sub in code.members), tower)
+                      (pack_rows(sub.rows, 1) for sub in code.members), tower)
 
 
 def format_flag_code(code: FlagCode, tower=None) -> str:

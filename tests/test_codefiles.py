@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import ref_add, ref_mul
+from conftest import random_invertible, ref_add, ref_mul
 from flagcodes import (Flag, FlagCode, Subspace, SubspaceCode,
                        build_full_type_context, build_spread_context, cli,
                        codefiles, extend_field, flags, full_type_max_odfc,
@@ -162,6 +162,84 @@ def test_write_holds_no_whole_file_text(ctx_q4k3s3, tmp_path):
     size = path.stat().st_size
     assert size > 2_000_000
     assert peak - before < 1.5 * size, (peak - before, size)
+
+
+def test_write_keeps_no_row_text(ctx_q4k3s3, tmp_path):
+    # a memo of each distinct row's text held 2.72 MiB over this code; the
+    # template of one member block is all a write keeps
+    code = spread_type_max_odfc(ctx_q4k3s3, 57)
+    path = tmp_path / "q57.flagcode"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_flag_code(code, path, tower=(3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 0.25 * 2 ** 20, peak - before
+
+
+# one-, two- and three-digit codes, over prime and extension fields
+_DIGIT_FIELDS = [(7, 1), (2, 3), (3, 2), (11, 1), (2, 4), (5, 2), (101, 1),
+                 (2, 8)]
+
+
+@pytest.mark.parametrize("p, e", _DIGIT_FIELDS)
+def test_every_digit_count_is_the_text_of_the_rows(p, e):
+    """Both formats equal a text joined from each member's rows, with one
+    member whose codes have every count of digits the field's codes take,
+    and each file reads back as its code and its text."""
+    F = make_field(p, e)
+    q, n = F.order, 6
+    rng = random.Random(f"digits:{p}^{e}")
+    row = (1, 0, 9 % q, min(10, q - 1), min(100, q - 1), q - 1)
+    flags = [Flag([Subspace(F, n, [row]),
+                   Subspace(F, n, [row, (0, 1, 0, 0, 0, 0)])])]
+    for _ in range(5):
+        rows = random_invertible(rng, F, n).rows
+        flags.append(Flag([Subspace(F, n, rows[:t]) for t in (1, 2)]))
+    flag_code = FlagCode(flags)
+    sub_code = SubspaceCode(f.subspaces[1] for f in flags)
+
+    def reference(magic, dims, members, separator):
+        lines = [magic, f"field p={p} e={e}", f"ambient n={n}",
+                 "type " + ",".join(map(str, dims)), f"count {len(members)}"]
+        for levels in members:
+            lines += separator
+            for t, rows in zip(dims, levels):
+                lines += [f"subspace k={t}"] + [" ".join(map(str, r)) for r in rows]
+        return "\n".join(lines) + "\n"
+
+    for fmt, code, text in [
+            (format_flag_code, flag_code,
+             reference("FLAGCODE v1", (1, 2),
+                       [f.levels for f in flag_code.members], ["flag"])),
+            (format_subspace_code, sub_code,
+             reference("SUBCODE v1", (2,),
+                       [(s.rows,) for s in sub_code.members], []))]:
+        assert " ".join(map(str, row)) in text
+        assert fmt(code) == text
+        back = parse_code_file(text).code
+        assert back == code and fmt(back) == text
+
+
+def test_code_over_a_field_the_reader_refuses_is_refused(tmp_path):
+    # a file reads back fields up to order MAX_FIELD_ORDER, so the writers
+    # refuse GF(2048) and GF(257) before the path is opened
+    path = os.path.join(tmp_path, "kept.code")
+    for F in (make_field(2, 11), make_field(257, 1)):
+        sub = Subspace(F, 2, [(1, F.order - 1)])
+        for fmt, write, code in [
+                (format_subspace_code, write_subspace_code, SubspaceCode([sub])),
+                (format_flag_code, write_flag_code, FlagCode([Flag([sub])]))]:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                fmt(code)
+            with open(path, "w") as fh:
+                fh.write("precious\n")
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                write(code, path)
+            with open(path) as fh:
+                assert fh.read() == "precious\n"
 
 
 def test_flag_file_header(ctx_q2k2s2):

@@ -14,7 +14,7 @@ from flagcodes import (Flag, FlagCode, Matrix, Subspace, critical_indices,
                        is_odfc_by_definition, level_distances, make_field,
                        max_distance_bound, orbit_flag, projected_code,
                        singer_group, union_flag_codes)
-from flagcodes.codefiles import format_flag_code
+from flagcodes.codefiles import MAX_FIELD_ORDER, format_flag_code
 from flagcodes.errors import (AdditivityViolatedError, BadDimensionsError,
                               NotNestedError, TypeMismatchError)
 
@@ -262,7 +262,8 @@ def test_key_orders_and_identifies_as_levels(p, e):
     are equal exactly when levels are, and equal flags hash equal, for
     flags made by Flag(...) and by apply, with repeats; flags of different
     types with keys of one length never compare equal; and a FlagCode's
-    file is the text of its levels, sorted."""
+    file is the text of its levels, sorted, but for a field too large for
+    the format, whose file the writer refuses."""
     F = make_field(p, e)
     rng = random.Random(f"keys:{p}^{e}")
     n = 6
@@ -280,7 +281,12 @@ def test_key_orders_and_identifies_as_levels(p, e):
             assert not same or hash(a) == hash(b)
         assert ([f.levels for f in sorted(flags, key=lambda f: f.key)]
                 == sorted(f.levels for f in flags))
+        by_type[dims] = flags
         code = FlagCode(flags)
+        if F.order > MAX_FIELD_ORDER:  # a file cannot read GF(2048) back
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                format_flag_code(code)
+            continue
         lines = ["FLAGCODE v1", f"field p={p} e={e}", f"ambient n={n}",
                  "type " + ",".join(map(str, dims)), f"count {len(code)}"]
         for levels in sorted({f.levels for f in flags}):
@@ -288,7 +294,6 @@ def test_key_orders_and_identifies_as_levels(p, e):
             for t, rows in zip(dims, levels):
                 lines += [f"subspace k={t}"] + [" ".join(map(str, r)) for r in rows]
         assert format_flag_code(code) == "\n".join(lines) + "\n"
-        by_type[dims] = flags
     same_length = [f for dims in _KEY_TYPES[:3] for f in by_type[dims]]
     assert len({len(f.key) for f in same_length}) == 1
     for a, b in combinations(same_length, 2):
