@@ -13,7 +13,10 @@ E_1 < ... < E_k < E_(n-k) < ... < E_(n-1) of standard coordinate subspaces
 has its two critical levels in S and H; its orbit under the subgroup T of
 order t is an optimum distance flag code exactly when
 gcd(t, q^k - 1) = gcd(t, q - 1) != t, and unions of such orbits with fresh
-critical levels grow the code to size (q^n - 1)/(q^k - 1).
+critical levels grow the code to size (q^n - 1)/(q^k - 1).  Those unions
+step their members as byte lanes over a field of order q <= 16: a whole
+orbit, or the chain of its translates' first members, is one batch, and one
+elimination per step serves every flag in it (see spread_type_max_odfc).
 
 Full type: with n = 2k + 1 and k >= 2, the group generated by
 g = diag(I_k, M) (M the companion matrix of the pinned degree-(k+1)
@@ -38,7 +41,7 @@ from .matrices import (Matrix, block_diag, hstack, lane_width, pack_rows,
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
 from .subspaces import Subspace, SubspaceCode
-from .flags import (Flag, FlagCode, critical_indices, orbit_flag,
+from .flags import (Flag, FlagCode, critical_indices, orbit_flag, translates,
                     union_flag_codes)
 
 
@@ -223,13 +226,19 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     Singer generator.  M is read from the context, the group order over
     the member stabilizer order, and |O_0| from the built orbit.
 
-    O_0 comes from spread_type_orbit_odfc, walked once with its meet and
-    size checks, and each further orbit is the translate O_j = O_(j-1) g,
-    one apply per member.  Each translate's critical levels are checked
-    against those of the orbits before it, and the size of the union is
-    checked.  The code carries g when m > |O_0| and T's generator, O_0's,
-    otherwise, whichever leaves min_distance fewer representatives:
-    |O_0| g-chains or m T-orbits.
+    O_0 comes from spread_type_orbit_odfc, walked flag by flag with its
+    meet and size checks.  The rest steps as one batch of byte lanes (see
+    flags.translates), and the batch is the larger side.  When
+    m > |O_0|, the chain F' g^j, j < m, from the first member F' of O_0,
+    is walked flag by flag and then stepped |O_0| - 1 times by T's
+    generator h; otherwise O_0 is stepped m - 1 times by g.  As g and h
+    commute, lane j after i steps is F' g^j h^i = (F' h^i) g^j, member i
+    of O_j, so both give the union of the O_j.  The levels at each
+    critical index are checked distinct over the whole union, so a repeat
+    inside one orbit is caught too, and the size of the union is checked.
+    The code carries g when m > |O_0| and h, O_0's generator, otherwise,
+    whichever leaves min_distance fewer representatives: |O_0| g-chains or
+    m T-orbits.
 
     Why F g^j: g has period M on the spread S, as g^M lies in the
     scalars GF(q^k)^* that fix every member, and <g> is transitive on S,
@@ -246,26 +255,29 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     orbit = spread_type_orbit_odfc(ctx, t)
     size = ctx.group.order // ctx.member_stabilizer_order
     m = size // len(orbit)
-    g = ctx.group.generator
-    # where the spread and hyperplane levels lie in a key, one level for s = 2
-    critical = [orbit.members[0]._level_slice(i - 1)
-                for i in dict.fromkeys(critical_indices(ctx.n, orbit.dims))]
-
-    members = list(orbit)
-    translate = orbit.members
-    seen = [{f.key[span] for f in orbit} for span in critical]
-    for j in range(1, m):
-        translate = [f.apply(g) for f in translate]
-        for span, levels in zip(critical, seen):
-            image = {f.key[span] for f in translate}
-            if not levels.isdisjoint(image):
-                raise AssertionError(f"orbit {j} meets an earlier one at a critical level")
-            levels |= image
-        members += translate
-    out = FlagCode(members, generator=g if m > len(orbit) else orbit.generator)
+    g, h = ctx.group.generator, orbit.generator
+    if m > len(orbit):
+        chain = [orbit.members[0]]
+        for _ in range(m - 1):
+            chain.append(chain[-1].apply(g))
+        members = chain + translates(chain, h, len(orbit) - 1)
+    else:
+        members = [*orbit.members, *translates(orbit.members, g, m - 1)]
+    _check_critical_levels(members)
+    out = FlagCode(members, generator=g if m > len(orbit) else h)
     if len(out) != size:
         raise AssertionError("union missed the maximum size")
     return out
+
+
+def _check_critical_levels(members):
+    """Raise unless the flags' levels at each critical index are all
+    distinct, so no two of them share a spread or hyperplane level."""
+    n, dims = members[0].n, members[0].dims
+    for i in dict.fromkeys(critical_indices(n, dims)):
+        span = members[0]._level_slice(i - 1)
+        if len({f.key[span] for f in members}) != len(members):
+            raise AssertionError(f"two members share their level of dimension {dims[i - 1]}")
 
 
 class TableRow(NamedTuple):

@@ -162,6 +162,7 @@ class FiniteField:
         self._inv = None
         self._tables = None
         self._byte_scalers = None
+        self._lane_tables = None
 
     # -- code arithmetic ----------------------------------------------------
 
@@ -280,6 +281,25 @@ class FiniteField:
                 scale = [fold.translate(row) for row in scale]
             self._byte_scalers = scale
         return self._byte_scalers
+
+    def lane_tables(self):
+        """(mul, sub, nonzero, inv): the bytes.translate tables of the lane
+        kernel (see matrices.act_lanes) over a field of order q <= 16, 256
+        bytes each; None above.  A lane byte holds one code, below 16, so a
+        pair of codes x, y is the one byte x << 4 | y: mul maps it to x y
+        and sub to x - y, while nonzero maps a code to 255 when it is not
+        zero and inv maps it to its inverse (0 to 0).
+        """
+        q = self.order
+        if self._lane_tables is None and q <= 16:
+            add, mul, neg, inv = self.tables()
+            pairs = [(x, y) for x in range(16) for y in range(16)]
+            self._lane_tables = (
+                bytes(mul[x][y] if x < q > y else 0 for x, y in pairs),
+                bytes(add[x][neg[y]] if x < q > y else 0 for x, y in pairs),
+                bytes(255 if 0 < v < q else 0 for v in range(256)),
+                bytes(inv[v] if 0 < v < q else 0 for v in range(256)))
+        return self._lane_tables
 
     def _log_tables(self):
         """(exp, log[1:]): exp[i] is the code of x^i, log[c] its exponent."""

@@ -34,6 +34,14 @@ parsed, unpickled or walked over a field without packed rows finds its
 adapted rows by one scan of its key on first read and keeps them, so a
 parsed code's pair scan slices each member's rows once, not once a pair.
 
+translates steps a batch of flags by one matrix together, over a field of
+order q <= 16: entry (i, c) of every member's adapted rows is one int of
+one byte per flag, flag b in byte b, so one product and one elimination per
+step serve the whole batch (see matrices.act_lanes).  The keys of a step
+come out as extended slices of its snapshot rows, one per flag, and a flag
+made so keeps no record, so its first read scans its key as a parsed
+flag's does.  Over a larger field translates maps Flag.apply.
+
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
 level_distances feeds both adapted bases in level by level, over one-byte
@@ -51,8 +59,8 @@ from math import gcd
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      MixedFieldsError, NotNestedError, SingularMatrixError,
                      TypeMismatchError, AdditivityViolatedError)
-from .matrices import (Matrix, act_code_rows, lane_width, pack_rows, packed_rows,
-                       rank_code_rows)
+from .matrices import (Matrix, act_code_rows, act_lanes, lane_width, pack_rows,
+                       packed_rows, rank_code_rows)
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
                         group_orbit, max_distance_bound)
 
@@ -204,6 +212,41 @@ class Flag:
 
     def __repr__(self):
         return f"Flag(type {self.dims} on GF({self.field.order})^{self.n})"
+
+
+def translates(flags, A: Matrix, steps: int) -> list:
+    """The flags f A^i of each f in flags, for i = 1, ..., steps, step by
+    step: all of flags A, then all of flags A^2, and so on.
+
+    Over a field of order q <= 16 the flags step together, one lane each
+    (see matrices.act_lanes): their adapted rows go into lanes once, by
+    extended slices of the rows joined, each step's adapted rows feed the
+    next in lane form, and the keys of a step come out of its snapshot rows
+    by one extended slice each.  A flag made so keeps no adapted record and
+    scans its key on first read, as a parsed one does.  Over a larger field
+    each step maps Flag.apply.  Raises SingularMatrixError when a flag
+    loses dimension.
+    """
+    flags = list(flags)
+    first = flags[0]
+    F, n, dims = first.field, first.n, first.dims
+    for f in flags:
+        first._check_mate(f)
+    check_acting_matrix(F, n, A)
+    out = []
+    if F.order > 16 or not steps:  # step by step, flag by flag
+        for _ in range(steps):
+            flags = [f.apply(A) for f in flags]
+            out += flags
+        return out
+    width, stride = len(flags), n * dims[-1]
+    rows = b"".join([row for f in flags for row in f._adapted_rows()])
+    rows = [[int.from_bytes(rows[o + c::stride], "little") for c in range(n)]
+            for o in range(0, stride, n)]
+    for _ in range(steps):
+        snaps, rows = act_lanes(F, rows, A, dims, width)
+        out += [Flag._trusted(F, n, snaps[b::width], dims) for b in range(width)]
+    return out
 
 
 def level_distances(F: Flag, G: Flag) -> tuple:

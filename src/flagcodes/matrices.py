@@ -23,6 +23,11 @@ that string and names the rows whose pivots are new at each block, so a
 Flag keeps the string as its key and the names as its adapted basis; no
 row becomes a tuple.
 
+act_lanes is act_code_rows for a batch of row lists over a field of order
+q <= 16, one list per byte lane of each int: one product and one
+elimination per step for the whole batch, with every pivot choice a mask
+over the lanes.
+
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
 computed from matrices that were already checked are wrapped with
@@ -538,6 +543,132 @@ def _modp_rref(F, scale, rows, sizes, ncols) -> tuple:
             key += reduced[s].to_bytes(ncols, "big")
         ranks.append(len(shifts))
     return bytes(key), ranks, tuple(adapted)
+
+
+def act_lanes(F: FiniteField, rows, A: Matrix, sizes, width: int) -> tuple:
+    """act_code_rows for width lists of rows at once, over a field of order
+    q <= 16, as (snaps, adapted).
+
+    Lane layout: rows[i][c] is one int of width bytes whose byte b, read
+    little-endian, is entry (i, c) of list b, so one int operation acts on
+    every list: the byte lanes of Boothby and Bradshaw's bitslicing, taken
+    across lists instead of along a row.  A product, difference, nonzero
+    mask or inverse of codes, lane by lane, is one translate through a
+    table of FiniteField.lane_tables, a pair of codes x, y read as the byte
+    x << 4 | y; over characteristic 2 a difference is XOR, and over GF(2) a
+    product is AND.  Every list must keep its rank, as the adapted basis of
+    a flag under an invertible A does: a lane that loses rank raises
+    SingularMatrixError.
+
+    The pass is rref_code_rows with the kept rows filed by pivot column:
+    slot c holds, in each lane whose pivots include c, the row with its
+    leading 1 at c, and 0 in the other lanes.  A new row is reduced against
+    every slot, scaled to a leading 1 lane by lane, cleared from the slots
+    at its leading column and filed there.  After each block rows[:t], t in
+    sizes, row p of the snapshot is, lane by lane, the slot of the p-th
+    pivot, compacted by masks over the pairs (p, c) with
+    c - (n - t) <= p <= c, the only columns where the p-th of t pivots
+    among n columns can lie.  snaps is the snapshots' rows, entry after
+    entry, width bytes each, so list b's key is snaps[b::width].  adapted is
+    the rows for the next step in lane form: each row as it was filed,
+    reduced against the rows before it, so its first t rows span what
+    rows[:t] spans.
+    """
+    mul, sub, nonzero, inv = F.lane_tables()
+    n = A.ncols
+    xor = F.characteristic == 2
+    binary = F.order == 2  # a product is AND, a nonzero mask 255 x, 1 its inverse
+    from_bytes = int.from_bytes
+
+    def lookup(x, table):
+        return from_bytes(x.to_bytes(width, "little").translate(table), "little")
+
+    ones = from_bytes(b"\x01" * width, "little")
+    full = 255 * ones
+    scale = [mul[a << 4:a + 1 << 4] + bytes(240) for a in range(F.order)]
+    cols = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*A.rows)]
+
+    def product(row):
+        """row A, negated over odd characteristic: -XA has the snapshots of XA."""
+        scaled = {}
+        out = []
+        for col in cols:
+            acc = 0
+            for j, a in col:
+                x = row[j]
+                if x:
+                    if a != 1:
+                        y = scaled.get((j, a))
+                        if y is None:
+                            y = scaled[j, a] = lookup(x, scale[a])
+                        x = y
+                    acc = acc ^ x if xor else lookup(acc << 4 | x, sub)
+            out.append(acc)
+        return out
+
+    def clear(r, x, b):
+        """r - x b lane by lane."""
+        if binary:
+            return [y ^ x & z for y, z in zip(r, b)]
+        x <<= 4
+        if xor:
+            return [y ^ lookup(x | z, mul) if z else y for y, z in zip(r, b)]
+        return [lookup(y << 4 | lookup(x | z, mul), sub) if z else y
+                for y, z in zip(r, b)]
+
+    slots = [None] * n  # column -> rows with their leading 1 there, 0 in other lanes
+    pivots = [0] * n  # column -> 255 in each lane whose pivot set has it
+    snaps, adapted = [], []
+    done = 0
+    for t in sizes:
+        for r in map(product, rows[done:t]):
+            for c, b in enumerate(slots):
+                if b is not None and r[c]:
+                    r = clear(r, r[c], b)
+            lead, found = [], 0
+            for j, y in enumerate(r):
+                if y:
+                    m = (255 * y if binary else lookup(y, nonzero)) & ~found
+                    if m:
+                        lead.append((j, m))
+                        found |= m
+                        if found == full:
+                            break
+            if found != full:
+                raise SingularMatrixError("a lane loses rank")
+            pv = 0
+            for j, m in lead:
+                pv |= r[j] & m
+            if pv != ones:  # scale to a leading 1
+                pv = lookup(pv, inv) << 4
+                r = [lookup(pv | y, mul) if y else 0 for y in r]
+            for c, b in enumerate(slots):
+                if b is not None:
+                    x = 0
+                    for j, m in lead:
+                        x |= b[j] & m
+                    if x:
+                        slots[c] = clear(b, x, r)
+            for j, m in lead:
+                pivots[j] |= m
+                b = slots[j]
+                slots[j] = ([y & m for y in r] if b is None
+                            else [z | y & m for z, y in zip(b, r)])
+            adapted.append(r)
+        done = t
+        snap = [[0] * n for _ in range(t)]
+        left = [full] + [0] * t  # left[p]: the lanes with p pivots left of c
+        for c, P in enumerate(pivots):
+            if P:
+                b = slots[c]
+                for p in range(min(c, t - 1), max(0, c - n + t) - 1, -1):
+                    m = left[p] & P
+                    if m:
+                        left[p] ^= m
+                        left[p + 1] |= m
+                        snap[p] = b if m == full else [o | z & m for o, z in zip(snap[p], b)]
+        snaps += [x.to_bytes(width, "little") for row in snap for x in row]
+    return b"".join(snaps), adapted
 
 
 def rank_code_rows(F: FiniteField, rows, sizes=None) -> list:

@@ -229,6 +229,16 @@ def ctx_q4k3s3(F4):
 
 
 @pytest.fixture(scope="session")
+def ctx_q7k2s2():
+    return build_spread_context(make_field(7, 1), 2, 2)
+
+
+@pytest.fixture(scope="session")
+def ctx_q25k2s2():
+    return build_spread_context(make_field(5, 2), 2, 2)
+
+
+@pytest.fixture(scope="session")
 def ftx_q2k2(F2):
     return build_full_type_context(F2, 2)
 

@@ -23,6 +23,7 @@ from flagcodes import (Flag, Matrix, Subspace, extend_field, flag_distance,
                        level_distances, make_field, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
+from flagcodes.flags import translates
 from flagcodes.matrices import (_packed_bodies, act_code_rows, kernel_code_rows,
                                 mul_code_rows, rank_code_rows, rref_code_rows)
 
@@ -357,6 +358,66 @@ def test_singular_matrix_is_refused_by_both_applies(p, e):
             flag.apply(A)
         with pytest.raises(SingularMatrixError):
             flag.subspaces[-1].apply(A)
+
+
+def _walk_flag_by_flag(flags, A, steps):
+    out = []
+    for _ in range(steps):
+        flags = [f.apply(A) for f in flags]
+        out += flags
+    return out
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                  (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_lane_walk_is_the_per_flag_walk(p, e, monkeypatch):
+    """translates steps a batch of flags as byte lanes over every field of
+    order q <= 16, with no Flag.apply: for full, spread-admissible, gapped
+    and one-level types and batches of 1, 2 and 37 flags, each lane's key
+    after each of 3 steps of a random invertible A is the key of the chain
+    of Flag.apply, and its flag keeps no adapted record until read.  A
+    singular A that drops one lane's rank raises SingularMatrixError."""
+    F = make_field(p, e)
+    rng = random.Random(f"lanes:{p}^{e}")
+    apply = Flag.apply
+    applied = []
+    monkeypatch.setattr(Flag, "apply", lambda f, A: applied.append(f) or apply(f, A))
+    for n, dims in [(5, (1, 2, 3, 4)), (6, (1, 2, 4, 5)), (7, (2, 5)), (5, (2,))]:
+        A = random_invertible(rng, F, n)
+        for size in (1, 2, 37):
+            flags = [random_flag(rng, F, n, dims) for _ in range(size)]
+            walked = translates(flags, A, 3)
+            assert applied == [] and all(f._adapted is None for f in walked)
+            expected = _walk_flag_by_flag(flags, A, 3)
+            assert [f.key for f in walked] == [f.key for f in expected]
+            assert walked[-1].apply(A) == expected[-1].apply(A)
+            applied.clear()
+    # e_0 - c e_1 maps to zero, so the standard flag's levels 2 and 4 lose a
+    # dimension, in one lane of 37
+    n, dims = 5, (1, 2, 4)
+    rows = list(random_invertible(rng, F, n).rows)
+    c = rng.randrange(1, F.order)
+    rows[0] = tuple(ref_mul(F, c, y) for y in rows[1])
+    flags = [random_flag(rng, F, n, dims) for _ in range(36)]
+    flags.insert(17, Flag([Subspace.standard(F, n, t) for t in dims]))
+    with pytest.raises(SingularMatrixError):
+        translates(flags, Matrix(F, rows, n), 1)
+
+
+def test_lane_walk_above_order_16_maps_flag_apply(monkeypatch):
+    """Over GF(25) translates maps Flag.apply, one call per flag and step,
+    and gives the keys of the lanes' chain."""
+    F = make_field(5, 2)
+    rng = random.Random("lanes:25")
+    apply = Flag.apply
+    applied = []
+    monkeypatch.setattr(Flag, "apply", lambda f, A: applied.append(f) or apply(f, A))
+    n, dims = 6, (1, 2, 4, 5)
+    A = random_invertible(rng, F, n)
+    flags = [random_flag(rng, F, n, dims) for _ in range(5)]
+    walked = translates(flags, A, 3)
+    assert len(applied) == 15
+    assert [f.key for f in walked] == [f.key for f in _walk_flag_by_flag(flags, A, 3)]
 
 
 def test_reused_matrix_acts_like_a_fresh_one():

@@ -23,7 +23,8 @@ from flagcodes import (Flag, Matrix, Subspace,
                        spread_type_orbit_odfc, table_row, union_flag_codes)
 from flagcodes import constructions, singer, subspaces
 from flagcodes.codefiles import format_flag_code, parse_code_file
-from flagcodes.constructions import _certify_seed, _max_code_with_hook
+from flagcodes.constructions import (_certify_seed, _check_critical_levels,
+                                    _max_code_with_hook)
 from flagcodes.errors import (AmbientMismatchError, BadDimensionsError,
                               GcdConditionFailedError, NotADivisorError,
                               NotExtendingError, RankDeficientError,
@@ -302,10 +303,14 @@ def test_spread_type_max_q3(ctx_q3k3s2):
 @pytest.mark.parametrize("name, t", [
     ("ctx_q2k2s4", 1), ("ctx_q2k2s4", 5), ("ctx_q2k2s4", 17), ("ctx_q2k2s4", 85),
     ("ctx_q4k3s2", 1), ("ctx_q4k3s2", 13), ("ctx_q4k3s2", 39),
-    ("ctx_q3k3s2", 1), ("ctx_q3k3s2", 4), ("ctx_q3k3s2", 28), ("ctx_q3k3s2", 56)])
+    ("ctx_q3k3s2", 1), ("ctx_q3k3s2", 4), ("ctx_q3k3s2", 28), ("ctx_q3k3s2", 56),
+    ("ctx_q7k2s2", 25), ("ctx_q7k2s2", 5), ("ctx_q25k2s2", 313)])
 def test_spread_type_max_is_the_orbits_of_translates(name, t, request):
     """The maximum code is the union of the T-orbits of F g^j, j < m, each
-    walked here by orbit_flag, and carries g exactly when m > |O_0|."""
+    walked here by orbit_flag, and carries g exactly when m > |O_0|.  The
+    build steps byte lanes: over GF(7), t=25 steps O_0 (25 lanes) once by
+    g and t=5 steps the chain F g^j, j < 10, four times by T's generator;
+    over GF(25), t=313 maps Flag.apply instead."""
     ctx = request.getfixturevalue(name)
     q = ctx.base_field.order
     m = (q ** ctx.n - 1) * gcd(t, q - 1) // ((q ** ctx.k - 1) * t)
@@ -322,6 +327,34 @@ def test_spread_type_max_is_the_orbits_of_translates(name, t, request):
     assert len(code) == (q ** ctx.n - 1) // (q ** ctx.k - 1)
     assert code.generator == (g if m > len(orbits[0]) else T.generator)
     assert is_odfc_by_characterization(code)
+
+
+def test_critical_levels_are_checked_over_the_whole_union(ctx_q2k2s4, F2):
+    """_check_critical_levels reads every member's level at each critical
+    index (dims 2 and 6 of the type (1, 2, 6, 7) on GF(2)^8), so it refuses
+    a union in which one flag repeats another's level 2 only, whichever
+    orbit or translate the two come from, though no flag repeats."""
+    members = list(spread_type_max_odfc(ctx_q2k2s4, 17).members)
+    _check_critical_levels(members)
+    f = members[0]
+    line, plane = f.subspaces[:2]
+    other = next(Subspace(F2, 8, [v]) for v in plane.rows
+                 if Subspace(F2, 8, [v]) != line)  # another point of f's plane
+    # the union holds every hyperplane of GF(4)^4, so level 6 is none of them
+    hyperplanes = {m.subspaces[2] for m in members}
+    rng = random.Random(6)
+    rows = list(plane.rows)
+    while len(rows) < 7 or Subspace(F2, 8, rows[:6]) in hyperplanes:
+        rows = list(plane.rows)
+        while len(rows) < 7:
+            v = tuple(rng.randrange(2) for _ in range(8))
+            if Subspace(F2, 8, rows + [v]).dim > len(rows):
+                rows.append(v)
+    twin = Flag([other, plane, Subspace(F2, 8, rows[:6]), Subspace(F2, 8, rows)])
+    assert twin not in members
+    _check_critical_levels(members[1:] + [twin])
+    with pytest.raises(AssertionError, match="level of dimension 2"):
+        _check_critical_levels(members + [twin])
 
 
 def test_spread_type_max_q2(ctx_q2k3s2):
@@ -520,11 +553,14 @@ def test_full_type_nonzero_v1_hook_breaks_optimality(ftx_q2k2, F2):
 
 def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
     """A walk keeps each flag as the key the kernel writes: while the
-    65-flag maximum code for q=4, k=3, s=2 is built, Flag.apply makes no
-    Subspace, and only the seed, made by Flag(...), scans its key for its
-    adapted rows: every image's are named by the apply that made it."""
+    65-flag maximum code for q=4, k=3, s=2 is built, Flag.apply runs 13
+    times, once per step of the walk of O_0, and makes no Subspace; the 52
+    translates step as byte lanes and read no row.  Only the seed, made by
+    Flag(...), scans its key for its adapted rows: each walked image's are
+    named by the apply that made it."""
     ctx = build_spread_context(F4, 3, 2)
     applying = []
+    applied = []
     made = []
     scanned = []
     apply, from_rref = Flag.apply, Subspace._from_rref.__func__
@@ -532,6 +568,7 @@ def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
 
     def counted_apply(flag, A):
         applying.append(flag)
+        applied.append(flag)
         try:
             return apply(flag, A)
         finally:
@@ -551,29 +588,36 @@ def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
     monkeypatch.setattr(Flag, "_adapted_rows", counted_adapted)
     code = spread_type_max_odfc(ctx, 13)
     assert len(code) == 65 and made == []
+    assert len(applied) == 13
     assert scanned == [canonical_admissible_flag(ctx)]
 
 
 def _check_one_bytes_string(F, t, size):
     """Each member of the maximum code for k=3, s=2 over F is one bytes
-    string of its n * sum(dims) codes, one byte each, and, but for the seed,
-    a tuple naming its adapted rows: no row tuple or list, and no
-    Subspace.  Its levels view is canonical, the reference reduction of
-    the first t_i named rows at each level, and the named rows are those
-    a scan of its key finds.  A pickled or parsed copy keeps equality,
-    hash and apply."""
+    string of its n * sum(dims) codes, one byte each: no row tuple or list,
+    and no Subspace.  Beside it, a member of O_0 but the seed keeps a tuple
+    naming its adapted rows, and a translate stepped as a byte lane keeps
+    nothing until its first read, which scans its key.  Its levels view is
+    canonical, the reference reduction of the first t_i named rows at each
+    level, and the named rows are those a scan of its key finds.  A
+    pickled or parsed copy keeps equality, hash and apply."""
     ctx = build_spread_context(F, 3, 2)
     seed = canonical_admissible_flag(ctx)
     code = spread_type_max_odfc(ctx, t)
     assert len(code) == size and seed in code
+    orbit = set(spread_type_orbit_odfc(ctx, t))
     g = ctx.group.generator
     for f in code:
         assert type(f.key) is bytes and len(f.key) == f.n * sum(f.dims)
         assert f._subspaces is None or f == seed
-        if f != seed:  # the seed found its rows by a scan, and keeps them
+        if f not in orbit:  # a lane: no record until read
+            assert f._adapted is None
+        elif f != seed:  # the seed found its rows by a scan, and keeps them
             assert type(f._adapted) is tuple
             assert all(type(i) is int for i in f._adapted)
         named = f._adapted_rows()
+        if f not in orbit:
+            assert type(f._adapted) is list
         assert all(type(row) is bytes for row in named)
         for t_i, level in zip(f.dims, f.levels):
             assert level == ref_rref(F, level) == ref_rref(F, named[:t_i])
@@ -600,9 +644,11 @@ def test_an_odd_flag_is_one_bytes_string(F3):
 
 def test_maximum_code_retains_one_key_per_flag(F4):
     """The 4,161-flag (q=4, k=3, s=3, t=57) maximum code, built from a
-    fresh context, retains about 2.0 MiB under tracemalloc: per flag one
-    243-byte key, its record and the Flag.  Flags of row tuples sharing a
-    lineage pool retained about 6.8 MiB; the bound is 2.0 MiB plus 25%."""
+    fresh context, retains about 1.6 MiB under tracemalloc: per flag one
+    243-byte key and the Flag.  The translates step as byte lanes and keep
+    no adapted record; with a record tuple per flag it retained about
+    2.0 MiB, and flags of row tuples sharing a lineage pool about 6.8 MiB.
+    The bound is 1.6 MiB plus 25%."""
     ctx = build_spread_context(F4, 3, 3)
     gc.collect()
     tracemalloc.start()
@@ -614,4 +660,4 @@ def test_maximum_code_retains_one_key_per_flag(F4):
     finally:
         tracemalloc.stop()
     assert len(code) == 4161
-    assert kept < 2.49 * 2 ** 20, kept
+    assert kept < 2.0 * 2 ** 20, kept
