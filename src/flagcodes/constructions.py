@@ -13,10 +13,13 @@ E_1 < ... < E_k < E_(n-k) < ... < E_(n-1) of standard coordinate subspaces
 has its two critical levels in S and H; its orbit under the subgroup T of
 order t is an optimum distance flag code exactly when
 gcd(t, q^k - 1) = gcd(t, q - 1) != t, and unions of such orbits with fresh
-critical levels grow the code to size (q^n - 1)/(q^k - 1).  Those unions
-step their members as byte lanes over a field of order q <= 16: a whole
-orbit, or the chain of its translates' first members, is one batch, and one
-elimination per step serves every flag in it (see spread_type_max_odfc).
+critical levels grow the code to size (q^n - 1)/(q^k - 1).  Over a field
+of order q <= 16 every flag here past the first few is made in byte lanes,
+one elimination per step for a batch of flags (see flags.walk and
+flags.translates): an orbit walks as a batch that doubles and ends only at
+a divisor of the group order, the chain of the translates' first members
+is the same walk with a known count, and the translates step a whole orbit,
+or that chain, as one batch (see spread_type_max_odfc).
 
 Full type: with n = 2k + 1 and k >= 2, the group generated by
 g = diag(I_k, M) (M the companion matrix of the pinned degree-(k+1)
@@ -26,7 +29,8 @@ distance iff U1 and V2 = (U2 over v2) are invertible, and appending the two
 completion flags through (U1 | 0) and (0 | U2) gives q^(k+1) + 1 members,
 whatever v1; the union is optimum distance exactly when v1 = 0.  All three
 complete with the lowest-index standard vectors, every level a snapshot of
-one elimination of their rows and I_n.
+one elimination of their rows and I_n.  The orbit is walked as doubling
+byte lanes, as the spread type's are.
 """
 
 from math import gcd
@@ -35,14 +39,14 @@ from typing import NamedTuple
 from .errors import (AmbientMismatchError, BadDimensionsError,
                      GcdConditionFailedError, NotADivisorError,
                      NotExtendingError, RankDeficientError, TypeMismatchError)
-from .fields import FiniteField, extend_field, factorize, order_dividing
+from .fields import FiniteField, divisors, extend_field, order_dividing
 from .matrices import (Matrix, block_diag, hstack, lane_width, pack_rows,
                        rref_code_rows, vstack)
 from .singer import (CyclicMatrixGroup, companion_matrix, field_reduction,
                      psi, orbit_subspace)
 from .subspaces import Subspace, SubspaceCode
 from .flags import (Flag, FlagCode, critical_indices, orbit_flag, translates,
-                    union_flag_codes)
+                    union_flag_codes, walk)
 
 
 class SpreadContext:
@@ -226,12 +230,13 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     Singer generator.  M is read from the context, the group order over
     the member stabilizer order, and |O_0| from the built orbit.
 
-    O_0 comes from spread_type_orbit_odfc, walked flag by flag with its
-    meet and size checks.  The rest steps as one batch of byte lanes (see
-    flags.translates), and the batch is the larger side.  When
-    m > |O_0|, the chain F' g^j, j < m, from the first member F' of O_0,
-    is walked flag by flag and then stepped |O_0| - 1 times by T's
-    generator h; otherwise O_0 is stepped m - 1 times by g.  As g and h
+    O_0 comes from spread_type_orbit_odfc, walked as doubling byte lanes
+    (see flags.walk) with its meet and size checks.  The rest steps as one
+    batch of byte lanes (see flags.translates), and the batch is the larger
+    side.  When m > |O_0|, the chain F' g^j, j < m, from the first member
+    F' of O_0, is the same walk, with m as its only end, and is then
+    stepped |O_0| - 1 times by T's generator h; otherwise O_0 is stepped
+    m - 1 times by g.  As g and h
     commute, lane j after i steps is F' g^j h^i = (F' h^i) g^j, member i
     of O_j, so both give the union of the O_j.  The levels at each
     critical index are checked distinct over the whole union, so a repeat
@@ -257,9 +262,7 @@ def spread_type_max_odfc(ctx: SpreadContext, t: int) -> FlagCode:
     m = size // len(orbit)
     g, h = ctx.group.generator, orbit.generator
     if m > len(orbit):
-        chain = [orbit.members[0]]
-        for _ in range(m - 1):
-            chain.append(chain[-1].apply(g))
+        chain = walk(orbit.members[0], g, m)
         members = chain + translates(chain, h, len(orbit) - 1)
     else:
         members = [*orbit.members, *translates(orbit.members, g, m - 1)]
@@ -301,12 +304,8 @@ def admissible_subgroup_orders(ctx: SpreadContext) -> list:
     """Divisors t of q^n - 1 with gcd(t, q^k - 1) = gcd(t, q - 1); the
     ones with gcd != t yield optimum distance orbits."""
     q = ctx.base_field.order
-    N = q ** ctx.n - 1
-    divisors = [1]
-    for p, mult in factorize(N).items():
-        divisors = [d * p ** i for d in divisors for i in range(mult + 1)]
-    return sorted(t for t in divisors
-                  if gcd(t, q ** ctx.k - 1) == gcd(t, q - 1))
+    return [t for t in divisors(q ** ctx.n - 1)
+            if gcd(t, q ** ctx.k - 1) == gcd(t, q - 1)]
 
 
 class FullTypeContext:

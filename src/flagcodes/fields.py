@@ -93,15 +93,24 @@ def prime_factors(n: int) -> list:
     return sorted(factorize(n))
 
 
+def divisors(n: int) -> list:
+    """The divisors of n >= 1, in increasing order."""
+    out = [1]
+    for p, mult in factorize(n).items():
+        out = [d * p ** i for d in out for i in range(mult + 1)]
+    return sorted(out)
+
+
 def power(x, n: int, mul, one):
     """x^n for n >= 0 by square and multiply, in the monoid (mul, one):
-    about 2 log2(n) products.  A negative n raises ValueError."""
+    about 2 log2(n) products, none by one.  A negative n raises
+    ValueError."""
     if n < 0:
         raise ValueError(f"negative exponent {n}")
     out = one
     while n:
         if n & 1:
-            out = mul(out, x)
+            out = x if out is one else mul(out, x)
         n >>= 1
         if n:
             x = mul(x, x)

@@ -28,19 +28,29 @@ projected_code unpacks each member's key once.
 Beside its key a flag keeps a record of its adapted basis: the indices of
 the rows whose pivots are new at their level, so the first t_i rows it
 names span level i.  An apply's packed reduction writes the image's key
-and names those rows itself (see matrices.act_code_rows), so an orbit
-walk makes no row tuple and scans no row.  A flag made by Flag(...),
-parsed, unpickled or walked over a field without packed rows finds its
-adapted rows by one scan of its key on first read and keeps them, so a
-parsed code's pair scan slices each member's rows once, not once a pair.
+and names those rows itself (see matrices.act_code_rows), as an orbit
+walk's lane step does, so a walk makes no row tuple and scans no row.  A
+flag made by Flag(...), parsed, unpickled or applied over a field without
+packed rows finds its adapted rows by one scan of its key on first read
+and keeps them, so a parsed code's pair scan slices each member's rows
+once, not once a pair; a translate keeps only the indices it finds.
 
 translates steps a batch of flags by one matrix together, over a field of
 order q <= 16: entry (i, c) of every member's adapted rows is one int of
 one byte per flag, flag b in byte b, so one product and one elimination per
 step serve the whole batch (see matrices.act_lanes).  The keys of a step
-come out as extended slices of its snapshot rows, one per flag, and a flag
-made so keeps no record, so its first read scans its key as a parsed
-flag's does.  Over a larger field translates maps Flag.apply.
+come out as extended slices of its snapshot rows, one per flag.  Over a
+larger field translates maps Flag.apply.
+
+walk lists an orbit under a cyclic group, or a chain of a known count, as
+such a batch that doubles: the J flags found so far step once by g^J to
+the next J, the two batches' lanes join as x | y << 8J, and g^2J is the
+square of g^J, so L flags take about log2(L) eliminations, not L applies.
+An orbit's length L divides the group order N, as g^N = I, and a flag is
+back at the start exactly at the multiples of L, so the walk looks for its
+end only at the divisors of N, trimming a step to end at one; a return
+anywhere else means g^N != I and fails.  Batches and steps narrower than
+_LANE_HEAD flags, which a step costs more than, walk flag by flag.
 
 A pair of flags costs one elimination, and a distance is a rank, so it is
 the forward-only rank_code_rows, not the canonical rref_code_rows:
@@ -53,7 +63,8 @@ with no generator scans every pair, and a projection carries none: a level
 at its maximum is decided by its cover scan.
 """
 
-from itertools import combinations, islice
+from bisect import bisect_left
+from itertools import combinations, compress, islice, takewhile
 from math import gcd
 
 from .errors import (AmbientMismatchError, BadDimensionsError,
@@ -61,8 +72,9 @@ from .errors import (AmbientMismatchError, BadDimensionsError,
                      TypeMismatchError, AdditivityViolatedError)
 from .matrices import (Matrix, act_code_rows, act_lanes, lane_width, pack_rows,
                        packed_rows, rank_code_rows)
+from .fields import divisors
 from .subspaces import (Code, Subspace, SubspaceCode, check_acting_matrix,
-                        group_orbit, max_distance_bound)
+                        max_distance_bound)
 
 
 class Flag:
@@ -73,9 +85,11 @@ class Flag:
     `subspaces` are views of it built on read.
     """
 
-    # _adapted: the adapted basis record, the tuple of its rows' indices in
-    # key that the apply making the flag named, or else the list of the
-    # rows the first read found; _subspaces: the view, once read
+    # _adapted: the adapted basis record: the tuple of its rows' indices in
+    # key that the kernel making the flag named (an apply or a walk's lane
+    # step), or, for a translate, () until its first read finds them; else
+    # None until the first read, then the list of the rows it found;
+    # _subspaces: the view, once read
     __slots__ = ("field", "n", "dims", "key", "_adapted", "_subspaces")
 
     def __init__(self, subspaces):
@@ -176,25 +190,31 @@ class Flag:
 
         Nested subspaces have nested pivot sets, so the rows of each level
         whose pivots are new at that level extend the rows below.  A flag
-        no apply made finds them by one scan on first read, a canonical
-        row's first byte 1 lying in its leading code, the code 1, and keeps
-        the rows it found as its record, so a pair scan slices them once.
+        no kernel named them for finds them by one scan on first read, a
+        canonical row's first byte 1 lying in its leading code, the code 1.
+        A flag made by Flag(...), parsed or unpickled keeps the rows it
+        found as its record, so a pair scan slices them once; a translate
+        keeps only their indices, the tuple an apply names.
         """
         key, n, record = self.key, self.n, self._adapted
         if type(record) is list:
             return record
         step = len(key) // sum(self.dims)  # n codes of w bytes
-        if record is None:
-            record, pivots = [], set()
+        keep = record is None
+        if not record:  # None, or () from a lane step
+            found, pivots = [], set()
             for i in range(0, len(key), step):
                 lead = key.index(1, i, i + step) - i
                 if lead not in pivots:
                     pivots.add(lead)
-                    record.append(i // step)
+                    found.append(i // step)
+            record = tuple(found)
+            if not keep:
+                self._adapted = record
         rows = [key[i * step:i * step + step] for i in record]
         if step != n:
             rows = [packed_rows(row, n, step // n)[0] for row in rows]
-        if type(record) is list:
+        if keep:
             self._adapted = rows
         return rows
 
@@ -214,39 +234,139 @@ class Flag:
         return f"Flag(type {self.dims} on GF({self.field.order})^{self.n})"
 
 
+# A lane step costs as much as 5-9 applies at width 1, plus a twentieth to
+# a tenth of one a lane, and a walk's first step also computes g^J, about
+# five matrix products, so narrower batches and steps walk flag by flag.
+# At 20 the dearest case, a 41-flag orbit over GF(3)^8 of 7 levels, breaks
+# even with the per-flag walk, and orbits of 73 over GF(2)^9 and GF(4)^9
+# walk about 10% faster (Python 3.11 on a shared Xeon VM, best of 15
+# interleaved runs).
+_LANE_HEAD = 20
+
+
+def _lanes(flags) -> list:
+    """The adapted rows of flags in lane form: entry (i, c) is one int whose
+    byte b, read little-endian, is entry (i, c) of flag b's rows, each
+    flag's rows joined and read by extended slices."""
+    n, stride = flags[0].n, flags[0].n * flags[0].dims[-1]
+    rows = b"".join([row for f in flags for row in f._adapted_rows()])
+    return [[int.from_bytes(rows[o + c::stride], "little") for c in range(n)]
+            for o in range(0, stride, n)]
+
+
+def _lane_step(like: Flag, rows, A: Matrix, width: int, named: bool = False) -> tuple:
+    """(flags, rows): the images under A of the width flags of type like
+    whose adapted rows are rows in lane form, each key one extended slice of
+    the step's snapshot rows, and their adapted rows in lane form.  A named
+    image keeps the tuple of its adapted rows' indices, as an apply's does,
+    read from the step's marks by one extended slice; any other names none
+    until its first read scans its key."""
+    F, n, dims = like.field, like.n, like.dims
+    snaps, rows, fresh = act_lanes(F, rows, A, dims, width, named)
+    if not named:
+        return [Flag._trusted(F, n, snaps[b::width], dims, ()) for b in range(width)], rows
+    index = range(len(fresh) // width)
+    return [Flag._trusted(F, n, snaps[b::width], dims,
+                          tuple(compress(index, fresh[b::width])))
+            for b in range(width)], rows
+
+
 def translates(flags, A: Matrix, steps: int) -> list:
     """The flags f A^i of each f in flags, for i = 1, ..., steps, step by
     step: all of flags A, then all of flags A^2, and so on.
 
     Over a field of order q <= 16 the flags step together, one lane each
-    (see matrices.act_lanes): their adapted rows go into lanes once, by
-    extended slices of the rows joined, each step's adapted rows feed the
-    next in lane form, and the keys of a step come out of its snapshot rows
-    by one extended slice each.  A flag made so keeps no adapted record and
-    scans its key on first read, as a parsed one does.  Over a larger field
-    each step maps Flag.apply.  Raises SingularMatrixError when a flag
-    loses dimension.
+    (see matrices.act_lanes): their adapted rows go into lanes once, each
+    step's adapted rows feed the next in lane form, and the keys of a step
+    come out of its snapshot rows by one extended slice each.  A flag made
+    so names no adapted rows until its first read scans its key.  Over a
+    larger field each step maps Flag.apply.  Raises SingularMatrixError
+    when a flag loses dimension.
     """
     flags = list(flags)
     first = flags[0]
-    F, n, dims = first.field, first.n, first.dims
     for f in flags:
         first._check_mate(f)
-    check_acting_matrix(F, n, A)
+    check_acting_matrix(first.field, first.n, A)
     out = []
-    if F.order > 16 or not steps:  # step by step, flag by flag
+    if first.field.order > 16 or not steps:  # step by step, flag by flag
         for _ in range(steps):
             flags = [f.apply(A) for f in flags]
             out += flags
         return out
-    width, stride = len(flags), n * dims[-1]
-    rows = b"".join([row for f in flags for row in f._adapted_rows()])
-    rows = [[int.from_bytes(rows[o + c::stride], "little") for c in range(n)]
-            for o in range(0, stride, n)]
+    rows = _lanes(flags)
     for _ in range(steps):
-        snaps, rows = act_lanes(F, rows, A, dims, width)
-        out += [Flag._trusted(F, n, snaps[b::width], dims) for b in range(width)]
+        flags, rows = _lane_step(first, rows, A, len(flags))
+        out += flags
     return out
+
+
+def walk(start: Flag, g: Matrix, count: int, closing: bool = False) -> list:
+    """[start, start g, start g^2, ...] in order: the first count flags, a
+    chain, or, when closing, the flags up to the first return to start,
+    an orbit under a cyclic group of order count generated by g.
+
+    Over a field of order q <= 16 the J members found so far step as lanes
+    by g^J (see the module docstring).  The walk can end only at count for
+    a chain, and at a divisor d of the group order N for an orbit: when
+    the next such d lies before 2J, the step is trimmed to the lanes J..d,
+    or J..d-1 for a chain, and an orbit ends there when member d is start.
+    A member equal to start at any other position, or none by position N,
+    means g^N != I and raises AssertionError.  Batches and trimmed steps
+    narrower than _LANE_HEAD walk by Flag.apply, as does every step over a
+    larger field, so an orbit closing inside the head costs its L applies
+    and no lane set-up.
+    """
+    check_acting_matrix(start.field, start.n, g)
+    key, last = start.key, count + closing  # the walk stays below position last
+    head = _LANE_HEAD if start.field.order <= 16 else last
+    members = [start]
+    ends = A = None  # set up at the first lane step
+    rows = [[0] * start.n] * start.dims[-1]  # members[:lanes] in lane form
+    lanes = power = 0  # A is g^power
+    while True:
+        J = len(members)
+        if J == last:
+            if closing:
+                raise AssertionError("orbit length does not divide the group order")
+            return members
+        if J < head:
+            width = min(head, last) - J
+        else:
+            ends = ends or (divisors(count) if closing else [count])
+            width = min(J, ends[bisect_left(ends, J)] + closing - J)
+        if width < head:  # flag by flag
+            made, f = [], members[-1]
+            for _ in range(width):
+                f = f.apply(g)
+                if closing and f.key == key:
+                    break
+                made.append(f)
+        else:
+            if lanes < J:  # the members walked flag by flag go into lanes
+                rows, lanes = _join(rows, _lanes(members[lanes:]), lanes), J
+            if power != J:
+                A = A @ A if 2 * power == J else g ** J
+                power = J
+            mask = (1 << 8 * width) - 1
+            made, out = _lane_step(start, [[x & mask for x in row] for row in rows]
+                                   if width < J else rows, A, width, named=True)
+            if closing:
+                made = list(takewhile(lambda f: f.key != key, made))
+            if len(made) == width:
+                rows, lanes = _join(rows, out, J), J + width
+        members += made
+        if len(made) < width:  # member len(members) is start
+            if count % len(members):
+                raise AssertionError("orbit length does not divide the group order")
+            return members
+
+
+def _join(rows, more, width: int) -> list:
+    """Two batches of rows in lane form as one, the lanes of more after the
+    width lanes of rows."""
+    shift = 8 * width
+    return [[x | y << shift for x, y in zip(r, s)] for r, s in zip(rows, more)]
 
 
 def level_distances(F: Flag, G: Flag) -> tuple:
@@ -421,15 +541,17 @@ def union_flag_codes(codes, require_additive: bool = False) -> FlagCode:
 def orbit_flag(group, flag: Flag):
     """(orbit FlagCode, stabilizer order) under a cyclic matrix group.
 
+    The orbit is walked by walk, whose length must divide the group order.
     Also verifies that the flag stabilizer is the meet of the level
     stabilizers: in a cyclic group, |Stab(F)| = gcd_i |Stab(F_i)|, i.e. the
     orbit length is the lcm of the level orbit lengths.  Level i's orbit
     length is the first j > 0 with level i of the j-th member back at the
     seed's.
     """
-    members, stab = group_orbit(group, flag)
-    size = len(members)
     N = group.order
+    members = walk(flag, group.generator, N, closing=True)
+    size = len(members)
+    stab = N // size
     meet = 0
     for i in range(len(flag.dims)):
         span = flag._level_slice(i)

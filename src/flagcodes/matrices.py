@@ -26,7 +26,8 @@ row becomes a tuple.
 act_lanes is act_code_rows for a batch of row lists over a field of order
 q <= 16, one list per byte lane of each int: one product and one
 elimination per step for the whole batch, with every pivot choice a mask
-over the lanes.
+over the lanes, and, when asked, the rows each list's reduction would name
+marked lane by lane.
 
 Validation happens where entries enter from outside: the public
 `Matrix(...)` constructor checks every entry and the shape.  Results
@@ -545,9 +546,10 @@ def _modp_rref(F, scale, rows, sizes, ncols) -> tuple:
     return bytes(key), ranks, tuple(adapted)
 
 
-def act_lanes(F: FiniteField, rows, A: Matrix, sizes, width: int) -> tuple:
+def act_lanes(F: FiniteField, rows, A: Matrix, sizes, width: int,
+              marks: bool = False) -> tuple:
     """act_code_rows for width lists of rows at once, over a field of order
-    q <= 16, as (snaps, adapted).
+    q <= 16, as (snaps, adapted, fresh).
 
     Lane layout: rows[i][c] is one int of width bytes whose byte b, read
     little-endian, is entry (i, c) of list b, so one int operation acts on
@@ -572,7 +574,10 @@ def act_lanes(F: FiniteField, rows, A: Matrix, sizes, width: int) -> tuple:
     entry, width bytes each, so list b's key is snaps[b::width].  adapted is
     the rows for the next step in lane form: each row as it was filed,
     reduced against the rows before it, so its first t rows span what
-    rows[:t] spans.
+    rows[:t] spans.  With marks, fresh marks the snapshots' rows whose
+    pivots are new at their block, width bytes a row, byte b 1 or 0, so
+    fresh[b::width] marks the rows of list b's key that act_code_rows names
+    as adapted; without, it is None.
     """
     mul, sub, nonzero, inv = F.lane_tables()
     n = A.ncols
@@ -618,7 +623,8 @@ def act_lanes(F: FiniteField, rows, A: Matrix, sizes, width: int) -> tuple:
 
     slots = [None] * n  # column -> rows with their leading 1 there, 0 in other lanes
     pivots = [0] * n  # column -> 255 in each lane whose pivot set has it
-    snaps, adapted = [], []
+    before = [0] * n  # pivots at the last snapshot
+    snaps, adapted, fresh = [], [], []
     done = 0
     for t in sizes:
         for r in map(product, rows[done:t]):
@@ -657,18 +663,25 @@ def act_lanes(F: FiniteField, rows, A: Matrix, sizes, width: int) -> tuple:
             adapted.append(r)
         done = t
         snap = [[0] * n for _ in range(t)]
+        new = [0] * t  # new[p]: the lanes whose p-th pivot is new at this block
         left = [full] + [0] * t  # left[p]: the lanes with p pivots left of c
         for c, P in enumerate(pivots):
             if P:
                 b = slots[c]
+                N = marks and P & ~before[c]
                 for p in range(min(c, t - 1), max(0, c - n + t) - 1, -1):
                     m = left[p] & P
                     if m:
                         left[p] ^= m
                         left[p + 1] |= m
                         snap[p] = b if m == full else [o | z & m for o, z in zip(snap[p], b)]
+                        if N:
+                            new[p] |= m & N
         snaps += [x.to_bytes(width, "little") for row in snap for x in row]
-    return b"".join(snaps), adapted
+        if marks:
+            before = pivots[:]
+            fresh += [(x & ones).to_bytes(width, "little") for x in new]
+    return b"".join(snaps), adapted, b"".join(fresh) if marks else None
 
 
 def rank_code_rows(F: FiniteField, rows, sizes=None) -> list:

@@ -243,9 +243,12 @@ class SubspaceCode(Code):
 
 
 def orbit_walk(start, g: Matrix) -> list:
-    """[start, start g, start g^2, ...] up to the first image back at start.
+    """[start, start g, start g^2, ...] up to the first image back at start,
+    one apply a member.
 
-    Works for subspaces and flags.
+    Walks a subspace orbit, such as a spread's under its Singer group; a
+    flag orbit is walked by flags.walk, which steps its members as byte
+    lanes.
     """
     walk = [start]
     cur = start.apply(g)

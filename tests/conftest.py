@@ -219,6 +219,11 @@ def ctx_q3k3s2(F3):
 
 
 @pytest.fixture(scope="session")
+def ctx_q3k4s2(F3):
+    return build_spread_context(F3, 4, 2)
+
+
+@pytest.fixture(scope="session")
 def ctx_q4k3s2(F4):
     return build_spread_context(F4, 3, 2)
 

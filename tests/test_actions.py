@@ -15,17 +15,23 @@ scaled rows.
 
 import pickle
 import random
+from math import gcd
 
 import pytest
 
 from conftest import random_invertible, ref_add, ref_mul, ref_product, ref_rref
-from flagcodes import (Flag, Matrix, Subspace, extend_field, flag_distance,
-                       level_distances, make_field, subspace_distance)
+from flagcodes import (CyclicMatrixGroup, Flag, Matrix, Subspace,
+                       build_full_type_context, build_spread_context,
+                       canonical_admissible_flag, extend_field, flag_distance,
+                       full_type_generator_flag, level_distances, make_field,
+                       orbit_flag, subspace_distance)
 from flagcodes.errors import (AmbientMismatchError, MixedFieldsError,
                               ShapeError, SingularMatrixError)
-from flagcodes.flags import translates
+from flagcodes.fields import divisors
+from flagcodes.flags import translates, walk
 from flagcodes.matrices import (_packed_bodies, act_code_rows, kernel_code_rows,
                                 mul_code_rows, rank_code_rows, rref_code_rows)
+from flagcodes.subspaces import orbit_walk
 
 
 def random_flag(rng, F, n, dims):
@@ -375,7 +381,7 @@ def test_lane_walk_is_the_per_flag_walk(p, e, monkeypatch):
     order q <= 16, with no Flag.apply: for full, spread-admissible, gapped
     and one-level types and batches of 1, 2 and 37 flags, each lane's key
     after each of 3 steps of a random invertible A is the key of the chain
-    of Flag.apply, and its flag keeps no adapted record until read.  A
+    of Flag.apply, and its flag names no adapted rows until read.  A
     singular A that drops one lane's rank raises SingularMatrixError."""
     F = make_field(p, e)
     rng = random.Random(f"lanes:{p}^{e}")
@@ -387,7 +393,7 @@ def test_lane_walk_is_the_per_flag_walk(p, e, monkeypatch):
         for size in (1, 2, 37):
             flags = [random_flag(rng, F, n, dims) for _ in range(size)]
             walked = translates(flags, A, 3)
-            assert applied == [] and all(f._adapted is None for f in walked)
+            assert applied == [] and all(f._adapted == () for f in walked)
             expected = _walk_flag_by_flag(flags, A, 3)
             assert [f.key for f in walked] == [f.key for f in expected]
             assert walked[-1].apply(A) == expected[-1].apply(A)
@@ -418,6 +424,106 @@ def test_lane_walk_above_order_16_maps_flag_apply(monkeypatch):
     walked = translates(flags, A, 3)
     assert len(applied) == 15
     assert [f.key for f in walked] == [f.key for f in _walk_flag_by_flag(flags, A, 3)]
+
+
+# (p, e, k): the full-type group <diag(I_k, M)> of order N = q^(k+1) - 1 on
+# GF(q)^(2k+1), whose subgroup of order t, for each divisor t of N up to
+# 400 and N itself when it is at most 728, walks an orbit of t flags.  The
+# orders cover orbits inside the walk's head of 20, equal to it (GF(3)) and
+# one past it (21), just past a doubling of 16 (17, 65), the primes 19, 61
+# and 73, and the whole group of 342, 511, 624 = 2^4 3 13 and 728 flags
+_ORBIT_GROUPS = [(2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 2),
+                 (2, 3, 2), (3, 2, 2), (11, 1, 2), (13, 1, 2), (2, 4, 2)]
+
+
+@pytest.mark.parametrize("p, e, k", _ORBIT_GROUPS)
+def test_lane_orbit_walk_is_the_per_flag_walk(p, e, k):
+    """orbit_flag walks an orbit as doubling byte lanes, ending only at a
+    divisor of the group order: for the generator flag and a random flag
+    of a gapped type, under every subgroup above, its members are the keys
+    of subspaces.orbit_walk in walk order, its stabilizer is the group
+    order over their count, each names its adapted rows as a scan of its
+    key finds them, and each level's stabilizer, read from that level's
+    own Subspace orbit, has the meet the walk checks.  The first
+    flags of the chain of a count that is no power of two, past the orbit's
+    end where it is shorter, are those flags.walk gives."""
+    F = make_field(p, e)
+    ctx = build_full_type_context(F, k)
+    N, n = ctx.group.order, ctx.n
+    rng = random.Random(f"orbits:{p}^{e}")
+    seeds = [full_type_generator_flag(ctx), random_flag(rng, F, n, (1, 3, n - 1))]
+    orders = [t for t in divisors(N) if t <= 400 or t == N <= 728]
+    for t in orders:
+        T = ctx.group.subgroup_of_order(t)
+        for seed in seeds:
+            code, stab = orbit_flag(T, seed)
+            ref = orbit_walk(seed, T.generator)
+            walked = walk(seed, T.generator, t, closing=True)
+            assert [f.key for f in walked] == [f.key for f in ref]
+            for f in walked[1:]:  # named as a scan of the key names them
+                scan = Flag._trusted(F, n, f.key, f.dims)._adapted_rows()
+                assert sorted(f._adapted_rows()) == sorted(scan)
+            assert code.members == tuple(sorted(ref, key=lambda f: f.key))
+            assert stab == t // len(ref)
+            meet = 0
+            for level in seed.subspaces:
+                meet = gcd(meet, t // len(orbit_walk(level, T.generator)))
+            assert meet == stab
+    g, chain = ctx.group.generator, [seeds[1]]
+    while len(chain) < 100:  # past the orbit's end when it is shorter
+        chain.append(chain[-1].apply(g))
+    for m in (1, 2, 19, 20, 21, 40, 41, 57, 100):
+        assert [f.key for f in walk(seeds[1], g, m)] == [f.key for f in chain[:m]]
+
+
+@pytest.mark.parametrize("t", [82, 219])
+def test_lane_orbit_walk_closes_at_a_proper_divisor(t, ctx_q3k4s2, ctx_q4k3s3):
+    """The canonical flag's orbit under the Singer subgroup of order t is
+    t / gcd(t, q - 1) flags: 41 of 82 over GF(3), 73 of 219 over GF(4), so
+    the walk passes divisors of t where the orbit does not close and ends
+    at the keys of the per-flag walk: at 73 inside a lane step trimmed to
+    end there, at 41 in the two applies after a step of 20 lanes."""
+    ctx = ctx_q3k4s2 if t == 82 else ctx_q4k3s3
+    T = ctx.group.subgroup_of_order(t)
+    seed = canonical_admissible_flag(ctx)
+    ref = orbit_walk(seed, T.generator)
+    assert len(ref) == t // gcd(t, ctx.base_field.order - 1)
+    assert [f.key for f in walk(seed, T.generator, t, closing=True)] == \
+        [f.key for f in ref]
+    assert orbit_flag(T, seed)[1] == t // len(ref)
+
+
+@pytest.mark.parametrize("declared", [80, 30, 14])
+def test_orbit_closing_off_the_divisors_is_refused(declared, ctx_q3k4s2):
+    """A group declared with an order its orbit's length does not divide
+    raises AssertionError: the 41-flag orbit over GF(3)^8 returns at 41,
+    which is no divisor of 80 (in a lane step) and lies past 30, and the
+    13 points of GF(3)^3 under its Singer group return at 13, no divisor
+    of 14, inside the walk's head."""
+    if declared == 14:
+        ctx = build_spread_context(make_field(3, 1), 1, 3)
+        g, seed = ctx.group.generator, Flag([Subspace.standard(ctx.base_field, 3, 1)])
+    else:
+        g = ctx_q3k4s2.group.subgroup_of_order(41).generator
+        seed = canonical_admissible_flag(ctx_q3k4s2)
+    with pytest.raises(AssertionError, match="does not divide"):
+        orbit_flag(CyclicMatrixGroup._trusted(g, declared), seed)
+
+
+def test_orbit_walk_above_order_16_applies_once_per_member(monkeypatch):
+    """Over GF(25) the walk maps Flag.apply: the orbit of 124 flags under the
+    full-type subgroup of that order costs 124 applies, the last one back
+    at the seed, and gives the per-flag walk's keys."""
+    ctx = build_full_type_context(make_field(5, 2), 2)
+    T = ctx.group.subgroup_of_order(124)
+    seed = full_type_generator_flag(ctx)
+    ref = orbit_walk(seed, T.generator)
+    apply = Flag.apply
+    applied = []
+    monkeypatch.setattr(Flag, "apply", lambda f, A: applied.append(f) or apply(f, A))
+    walked = walk(seed, T.generator, 124, closing=True)
+    assert len(applied) == len(walked) == 124
+    assert [f.key for f in walked] == [f.key for f in ref]
 
 
 def test_reused_matrix_acts_like_a_fresh_one():

@@ -21,7 +21,7 @@ from flagcodes import (Flag, Matrix, Subspace,
                        max_distance_bound, orbit_flag,
                        orbit_subspace, projected_code, spread_type_max_odfc,
                        spread_type_orbit_odfc, table_row, union_flag_codes)
-from flagcodes import constructions, singer, subspaces
+from flagcodes import constructions, flags, singer, subspaces
 from flagcodes.codefiles import format_flag_code, parse_code_file
 from flagcodes.constructions import (_certify_seed, _check_critical_levels,
                                     _max_code_with_hook)
@@ -592,15 +592,46 @@ def test_orbit_walk_builds_no_subspaces(F4, monkeypatch):
     assert scanned == [canonical_admissible_flag(ctx)]
 
 
+def test_long_orbit_walks_its_head_flag_by_flag(ctx_q4k3s3, monkeypatch):
+    """O_0 for q=4, k=3, s=3, t=1387 is 1,387 flags, but its walk applies
+    Flag.apply only to make members 1..19 of its head: the rest come from
+    lane steps, each of all members found so far, trimmed where 73 or
+    1,387, divisors of the group order, may end the orbit, so no lane
+    passes position 1,387.  Its maximum code steps its translates as lanes
+    too.  The members are the per-flag walk's, each named by a tuple
+    record, as an apply names them."""
+    ctx = ctx_q4k3s3
+    T = ctx.group.subgroup_of_order(1387)
+    seed = canonical_admissible_flag(ctx)
+    ref = subspaces.orbit_walk(seed, T.generator)
+    apply, step = Flag.apply, flags._lane_step
+    applied, widths = [], []
+    monkeypatch.setattr(Flag, "apply", lambda f, A: applied.append(f) or apply(f, A))
+    monkeypatch.setattr(flags, "_lane_step",
+                        lambda *a, **k: widths.append(a[3]) or step(*a, **k))
+    orbit = spread_type_orbit_odfc(ctx, 1387)
+    assert len(applied) == flags._LANE_HEAD - 1 == 19
+    # positions 20..1387, each once: trimmed at 73 and at 1,387
+    assert widths == [20, 34, 74, 148, 296, 592, 204]
+    assert orbit.members == tuple(sorted(ref, key=lambda f: f.key))
+    assert all(type(f._adapted) is tuple and len(f._adapted) == f.dims[-1]
+               for f in orbit if f != seed)
+    applied.clear()
+    assert len(spread_type_max_odfc(ctx, 1387)) == 4161
+    assert len(applied) == 19
+
+
 def _check_one_bytes_string(F, t, size):
     """Each member of the maximum code for k=3, s=2 over F is one bytes
     string of its n * sum(dims) codes, one byte each: no row tuple or list,
     and no Subspace.  Beside it, a member of O_0 but the seed keeps a tuple
-    naming its adapted rows, and a translate stepped as a byte lane keeps
-    nothing until its first read, which scans its key.  Its levels view is
-    canonical, the reference reduction of the first t_i named rows at each
-    level, and the named rows are those a scan of its key finds.  A
-    pickled or parsed copy keeps equality, hash and apply."""
+    naming its adapted rows (O_0 closes inside the walk's head, so an apply
+    made each), and a translate stepped as a byte lane keeps the empty
+    tuple until its first read, which scans its key and keeps the indices
+    it finds, no rows.  Its levels view is canonical, the reference
+    reduction of the first t_i named rows at each level, and the named
+    rows are those a scan of its key finds.  A pickled or parsed copy
+    keeps equality, hash and apply."""
     ctx = build_spread_context(F, 3, 2)
     seed = canonical_admissible_flag(ctx)
     code = spread_type_max_odfc(ctx, t)
@@ -611,13 +642,14 @@ def _check_one_bytes_string(F, t, size):
         assert type(f.key) is bytes and len(f.key) == f.n * sum(f.dims)
         assert f._subspaces is None or f == seed
         if f not in orbit:  # a lane: no record until read
-            assert f._adapted is None
+            assert f._adapted == ()
         elif f != seed:  # the seed found its rows by a scan, and keeps them
-            assert type(f._adapted) is tuple
+            assert type(f._adapted) is tuple and len(f._adapted) == f.dims[-1]
             assert all(type(i) is int for i in f._adapted)
         named = f._adapted_rows()
-        if f not in orbit:
-            assert type(f._adapted) is list
+        if f != seed:
+            assert type(f._adapted) is tuple and len(f._adapted) == f.dims[-1]
+            assert [f.key[i * f.n:i * f.n + f.n] for i in f._adapted] == named
         assert all(type(row) is bytes for row in named)
         for t_i, level in zip(f.dims, f.levels):
             assert level == ref_rref(F, level) == ref_rref(F, named[:t_i])
